@@ -9,6 +9,7 @@ bytes, which archive formats with embedded timestamps cannot promise.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Mapping
 
@@ -68,15 +69,29 @@ def read_container(path: str,
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt container header: {e}") from None
     off += hlen
+    if not isinstance(header, dict) or not isinstance(header.get("meta", {}),
+                                                      dict):
+        raise DataError(f"{path}: container header is not a JSON object "
+                        f"with an object meta")
     kind = header.get("kind", "")
     if expect_kind and kind != expect_kind:
         raise DataError(f"{path}: container holds {kind!r}, "
                         f"expected {expect_kind!r}")
+    entries = header.get("arrays")
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: container header has no array list")
     arrays = {}
-    for item in header["arrays"]:
+    for item in entries:
+        if not (isinstance(item, dict) and isinstance(item.get("name"), str)
+                and isinstance(item.get("dtype"), str)
+                and item["dtype"] in _DTYPES
+                and isinstance(item.get("shape"), list)
+                and all(isinstance(d, int) and d >= 0
+                        for d in item["shape"])):
+            raise DataError(f"{path}: malformed array entry {item!r}")
         shape = tuple(item["shape"])
         dt = np.dtype(_DTYPES[item["dtype"]])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)   # exact, unlike int64 np.prod
         nbytes = count * dt.itemsize
         if off + nbytes > len(raw):
             raise DataError(f"{path}: truncated container "

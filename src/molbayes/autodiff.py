@@ -26,10 +26,6 @@ class ShapeError(ValueError):
     """Operand shapes do not conform to the op's shape rule."""
 
 
-class UnknownOpError(ValueError):
-    """Op kind is not in the catalog."""
-
-
 class Tensor:
     """A float64 array, optionally tracked on a tape.
 
@@ -448,42 +444,6 @@ def dropout(x, p: float, rng: np.random.Generator,
         return (g * mask * scale,)
 
     return _emit("dropout", (x,), out, vjp)
-
-
-OP_TABLE: dict[str, Callable] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "matmul": matmul,
-    "linear": linear,
-    "concat": concat,
-    "relu": relu,
-    "leaky_relu": leaky_relu,
-    "elu": elu,
-    "sigmoid": sigmoid,
-    "exp": exp,
-    "log": log,
-    "softplus": softplus,
-    "clip_min": clip_min,
-    "sum": tsum,
-    "reshape": reshape,
-    "slice": slice1d,
-    "gather_rows": gather_rows,
-    "segment_sum": segment_sum,
-    "segment_softmax": segment_softmax,
-    "dropout": dropout,
-}
-
-
-def forward_op(kind: str, inputs: Sequence, **attrs) -> Tensor:
-    """Dispatch one op by kind. Unknown kinds are rejected."""
-    fn = OP_TABLE.get(kind)
-    if fn is None:
-        raise UnknownOpError(f"unknown op kind {kind!r}")
-    if kind == "concat":
-        return fn(inputs, **attrs)
-    return fn(*inputs, **attrs)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ Modes: "none" (a MAP point), "ensemble" (MAP from several seeds),
 Gaussian over weights trained by reparameterized draws), "sgld"
 (posterior samples from preconditioned Langevin dynamics), "swa"
 (an averaged point) and "swag" (Gaussian moments around that average).
-Every mode ends in a PosteriorRepresentation; `marginalize` turns one
-into mean probabilities plus the spread-based uncertainty
+`train` is the one entry point for all of them: a single epoch loop
+whose per-batch step and end-of-epoch snapshot depend on the schedule's
+mode. Every mode ends in a PosteriorRepresentation; `marginalize` turns
+one into mean probabilities plus the spread-based uncertainty
 u = sqrt(p(1-p)).
 
 Models are anything exposing `n_params`, `init_params(rng)` and
@@ -17,14 +19,14 @@ producing one epoch's batches from a seeded generator.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
 from . import artifacts
 from . import autodiff as ad
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, DataError, NumericError
 
 MODES = ("none", "ensemble", "mcdo", "bbb", "sgld", "swa", "swag")
 
@@ -218,10 +220,13 @@ def _softplus_inv(y: float) -> float:
     return float(np.log(np.expm1(y)))
 
 
+_ARRAY_FIELDS = ("point", "samples", "mu", "rho", "swag_mean",
+                 "swag_sq_mean", "swag_dev")
+
+
 def save_posterior(path: str, post: PosteriorRepresentation) -> None:
     arrays = {}
-    for name in ("point", "samples", "mu", "rho", "swag_mean",
-                 "swag_sq_mean", "swag_dev"):
+    for name in _ARRAY_FIELDS:
         value = getattr(post, name)
         if value is not None:
             arrays[name] = np.asarray(value, dtype=np.float64)
@@ -231,11 +236,20 @@ def save_posterior(path: str, post: PosteriorRepresentation) -> None:
 
 
 def load_posterior(path: str) -> PosteriorRepresentation:
+    """Read a posterior artifact; a malformed header raises DataError."""
     _, meta, arrays = artifacts.read_container(path, expect_kind="posterior")
-    return PosteriorRepresentation(
-        mode=meta["mode"], digest=meta["digest"],
-        swag_rank=int(meta.get("swag_rank", 0)),
-        meta=meta.get("extra", {}), **arrays)
+    unknown = sorted(set(arrays) - set(_ARRAY_FIELDS))
+    if unknown:
+        raise DataError(f"{path}: unknown posterior arrays {unknown}")
+    mode, digest = meta.get("mode"), meta.get("digest")
+    extra, rank = meta.get("extra", {}), meta.get("swag_rank", 0)
+    if not (isinstance(mode, str) and isinstance(digest, str)
+            and isinstance(extra, dict) and isinstance(rank, (int, float))
+            and np.isfinite(rank)):
+        raise DataError(f"{path}: posterior header needs string mode and "
+                        f"digest, a numeric swag_rank and an object extra")
+    return PosteriorRepresentation(mode=mode, digest=digest,
+                                   swag_rank=int(rank), meta=extra, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -257,111 +271,6 @@ class PredictiveDistribution:
     @property
     def uncertainty(self) -> np.ndarray:
         return np.sqrt(self.mean * (1.0 - self.mean))
-
-
-def combine_predictive(parts: Sequence[PredictiveDistribution]
-                       ) -> PredictiveDistribution:
-    """Average the member means; the multi-posterior ensemble rule."""
-    if not parts:
-        raise ConfigError("nothing to combine")
-    stack = np.stack([p.mean for p in parts])
-    return PredictiveDistribution(stack.mean(axis=0),
-                                  sum(p.n_samples for p in parts))
-
-
-# ---------------------------------------------------------------------------
-# shared training loop pieces
-
-
-def _grad_flat(model: FlatModel, flat: np.ndarray, batch,
-               train: bool = False,
-               rng: Optional[np.random.Generator] = None
-               ) -> tuple[float, np.ndarray]:
-    tape = ad.Tape()
-    theta = tape.parameter("theta", flat)
-    loss = model.nll(tape, theta, batch, train=train, rng=rng)
-    grads = ad.backward(tape, loss)
-    return loss.item(), grads["theta"]
-
-
-def _check_finite(loss: float, epoch: int):
-    if not np.isfinite(loss):
-        raise NumericError(f"training diverged (loss {loss}) at epoch "
-                           f"{epoch}")
-
-
-def train_map(model: FlatModel, data: TrainData, schedule: TrainSchedule,
-              seed: int, dropout: bool = False,
-              valid_eval: Optional[Callable[[np.ndarray], dict]] = None
-              ) -> tuple[PosteriorRepresentation, list[dict]]:
-    """Point estimate by stochastic optimization of the penalized NLL.
-
-    ``dropout=True`` activates the model's residual dropout during
-    training (the mc-dropout recipe); prediction-time dropout is the
-    mc_dropout_predict op's business.
-    """
-    init_rng = stream(seed, "init")
-    shuffle_rng = stream(seed, "shuffle")
-    dropout_rng = stream(seed, "dropout") if dropout else None
-    flat = model.init_params(init_rng)
-    opt = ad.OptimizerState(mode=schedule.optimizer, lr=schedule.lr,
-                            weight_decay=schedule.weight_decay)
-    log: list[dict] = []
-    for epoch in range(1, schedule.epochs + 1):
-        opt.lr = lr_at(schedule, epoch)
-        losses = []
-        for batch in data.epoch_batches(shuffle_rng):
-            loss, grad = _grad_flat(model, flat, batch, train=dropout,
-                                    rng=dropout_rng)
-            _check_finite(loss, epoch)
-            try:
-                flat = ad.optimizer_step(opt, flat, grad)
-            except NumericError as e:
-                raise NumericError(f"{e} at epoch {epoch}") from None
-            losses.append(loss)
-        entry = {"epoch": epoch, "lr": opt.lr,
-                 "loss": float(np.mean(losses))}
-        if valid_eval is not None:
-            entry.update(valid_eval(flat))
-        log.append(entry)
-    digest = getattr(model, "digest", "")
-    post = PosteriorRepresentation(mode="point", digest=digest, point=flat,
-                                   meta={"trained": schedule.mode,
-                                         "seed": int(seed)})
-    return post, log
-
-
-def train_ensemble(model: FlatModel, data: TrainData,
-                   schedule: TrainSchedule, seed: int, m_members: int = 10,
-                   member_seeds: Optional[Sequence[int]] = None,
-                   valid_eval: Optional[Callable] = None
-                   ) -> tuple[PosteriorRepresentation, list[dict]]:
-    """Independent MAP runs differing only in derived member seeds."""
-    if member_seeds is None:
-        if m_members < 2:
-            raise ConfigError("an ensemble needs at least 2 members")
-        member_seeds = [member_seed(seed, i) for i in range(m_members)]
-    elif len(member_seeds) < 2:
-        raise ConfigError("an ensemble needs at least 2 members")
-    members, logs, failed = [], [], []
-    for i, s in enumerate(member_seeds):
-        try:
-            post, log = train_map(model, data, schedule, s,
-                                  valid_eval=valid_eval)
-        except NumericError as e:
-            failed.append({"member": i, "error": str(e)})
-            continue
-        members.append(post.point)
-        logs.append({"member": i, "seed": int(s), "log": log})
-    if len(members) < 2:
-        raise NumericError(
-            f"only {len(members)} ensemble members survived training; "
-            f"failures: {failed}")
-    post = PosteriorRepresentation(
-        mode="samples", digest=getattr(model, "digest", ""),
-        samples=np.stack(members),
-        meta={"trained": "ensemble", "seed": int(seed), "failed": failed})
-    return post, logs
 
 
 # ---------------------------------------------------------------------------
@@ -407,74 +316,6 @@ def _kl_tensor(mu_t: ad.Tensor, sigma_t: ad.Tensor,
     return ad.tsum(per_coord)
 
 
-def train_bbb(model: FlatModel, data: TrainData, schedule: TrainSchedule,
-              seed: int, kl_scale: float = 0.01, prior_sigma: float = 10.0,
-              sigma_init: float = 0.05,
-              noise_rng: Optional[np.random.Generator] = None,
-              valid_eval: Optional[Callable[[np.ndarray], dict]] = None
-              ) -> tuple[PosteriorRepresentation, list[dict]]:
-    """Fit a diagonal Gaussian over weights by reparameterized draws.
-
-    Per step the objective is the mean NLL over ``schedule.train_samples``
-    draws w = mu + softplus(rho) * z plus kl_scale * KL / n_examples, so
-    the prior's pull is per-example and batch-size independent.
-    """
-    n = model.n_params
-    init_rng = stream(seed, "init")
-    shuffle_rng = stream(seed, "shuffle")
-    if noise_rng is None:
-        noise_rng = stream(seed, "bbb-noise")
-    mu = model.init_params(init_rng)
-    rho = np.full(n, _softplus_inv(sigma_init))
-    opt = ad.OptimizerState(mode=schedule.optimizer, lr=schedule.lr,
-                            weight_decay=0.0)  # the KL term is the prior
-    n_draws = max(1, schedule.train_samples)
-    log: list[dict] = []
-    for epoch in range(1, schedule.epochs + 1):
-        opt.lr = lr_at(schedule, epoch)
-        losses = []
-        for batch in data.epoch_batches(shuffle_rng):
-            tape = ad.Tape()
-            mu_t = tape.parameter("mu", mu)
-            rho_t = tape.parameter("rho", rho)
-            sigma_t = ad.clip_min(ad.softplus(rho_t), SIGMA_FLOOR)
-            total = None
-            for _ in range(n_draws):
-                z = noise_rng.standard_normal(n)
-                theta = ad.add(mu_t, ad.mul(sigma_t, z))
-                nll = model.nll(tape, theta, batch)
-                total = nll if total is None else ad.add(total, nll)
-            loss_t = ad.div(total, float(n_draws))
-            if kl_scale != 0.0:
-                kl = _kl_tensor(mu_t, sigma_t, prior_sigma)
-                loss_t = ad.add(loss_t,
-                                ad.mul(kl, kl_scale / data.n_examples))
-            _check_finite(loss_t.item(), epoch)
-            grads = ad.backward(tape, loss_t)
-            joint = np.concatenate([grads["mu"], grads["rho"]])
-            try:
-                new = ad.optimizer_step(opt, np.concatenate([mu, rho]),
-                                        joint)
-            except NumericError as e:
-                raise NumericError(f"{e} at epoch {epoch}") from None
-            mu, rho = new[:n], new[n:]
-            losses.append(loss_t.item())
-        entry = {"epoch": epoch, "lr": opt.lr,
-                 "loss": float(np.mean(losses))}
-        if valid_eval is not None:
-            entry.update(valid_eval(mu))
-        log.append(entry)
-    n_clamped = int(np.sum(_softplus(rho) < SIGMA_FLOOR))
-    if n_clamped:
-        warnings.warn(f"{n_clamped} posterior scales collapsed below "
-                      f"{SIGMA_FLOOR} and were clamped")
-    post = PosteriorRepresentation(
-        mode="bbb", digest=getattr(model, "digest", ""), mu=mu, rho=rho,
-        meta={"trained": "bbb", "seed": int(seed), "kl_scale": kl_scale,
-              "prior_sigma": prior_sigma, "n_sigma_clamped": n_clamped})
-    return post, log
-
-
 # ---------------------------------------------------------------------------
 # stochastic gradient langevin dynamics
 
@@ -518,54 +359,6 @@ def psgld_step(state: PsgldState, params: np.ndarray,
     return new
 
 
-def train_sgld(model: FlatModel, data: TrainData, schedule: TrainSchedule,
-               seed: int, precondition: bool = True,
-               valid_eval: Optional[Callable[[np.ndarray], dict]] = None
-               ) -> tuple[PosteriorRepresentation, list[dict]]:
-    """Collect end-of-epoch weight samples after burn-in.
-
-    The log-posterior gradient is assembled from the batch mean NLL as
-    -(N * grad_nll + weight_decay * w): the decay coefficient doubles as
-    an isotropic Gaussian prior precision.
-    """
-    init_rng = stream(seed, "init")
-    shuffle_rng = stream(seed, "shuffle")
-    noise_rng = stream(seed, "sgld-noise")
-    flat = model.init_params(init_rng)
-    state = PsgldState(v=np.zeros(model.n_params))
-    n = float(data.n_examples)
-    samples: list[np.ndarray] = []
-    log: list[dict] = []
-    for epoch in range(1, schedule.epochs + 1):
-        lr = lr_at(schedule, epoch)
-        losses = []
-        for batch in data.epoch_batches(shuffle_rng):
-            loss, grad = _grad_flat(model, flat, batch)
-            _check_finite(loss, epoch)
-            glp = -(n * grad + schedule.weight_decay * flat)
-            try:
-                flat = psgld_step(state, flat, glp, lr, noise_rng,
-                                  precondition=precondition)
-            except NumericError as e:
-                raise NumericError(f"{e} at epoch {epoch}") from None
-            losses.append(loss)
-        if is_snapshot_epoch(schedule, epoch):
-            samples.append(flat.copy())
-        entry = {"epoch": epoch, "lr": lr, "loss": float(np.mean(losses)),
-                 "n_samples": len(samples)}
-        if valid_eval is not None:
-            entry.update(valid_eval(flat))
-        log.append(entry)
-    if not samples:
-        raise ConfigError("schedule produced zero posterior samples")
-    post = PosteriorRepresentation(
-        mode="samples", digest=getattr(model, "digest", ""),
-        samples=np.stack(samples),
-        meta={"trained": "sgld", "seed": int(seed),
-              "precondition": bool(precondition)})
-    return post, log
-
-
 # ---------------------------------------------------------------------------
 # weight averaging
 
@@ -580,63 +373,6 @@ def swa_update(mean: np.ndarray, snapshot: np.ndarray, k: int) -> np.ndarray:
     if k < 0:
         raise ConfigError("snapshot count cannot be negative")
     return (k * mean + snapshot) / (k + 1.0)
-
-
-def train_swa_swag(model: FlatModel, data: TrainData,
-                   schedule: TrainSchedule, seed: int, variant: str = "swag",
-                   valid_eval: Optional[Callable[[np.ndarray], dict]] = None
-                   ) -> tuple[PosteriorRepresentation, list[dict]]:
-    """SGD with a cyclic tail; cycle-end snapshots feed running moments."""
-    if variant not in ("swa", "swag"):
-        raise ConfigError(f"variant must be swa or swag, got {variant!r}")
-    init_rng = stream(seed, "init")
-    shuffle_rng = stream(seed, "shuffle")
-    flat = model.init_params(init_rng)
-    opt = ad.OptimizerState(mode=schedule.optimizer, lr=schedule.lr,
-                            weight_decay=schedule.weight_decay)
-    mean = np.zeros(model.n_params)
-    sq_mean = np.zeros(model.n_params)
-    dev_cols: list[np.ndarray] = []
-    k = 0
-    log: list[dict] = []
-    for epoch in range(1, schedule.epochs + 1):
-        opt.lr = lr_at(schedule, epoch)
-        losses = []
-        for batch in data.epoch_batches(shuffle_rng):
-            loss, grad = _grad_flat(model, flat, batch)
-            _check_finite(loss, epoch)
-            try:
-                flat = ad.optimizer_step(opt, flat, grad)
-            except NumericError as e:
-                raise NumericError(f"{e} at epoch {epoch}") from None
-            losses.append(loss)
-        if is_snapshot_epoch(schedule, epoch):
-            mean = swa_update(mean, flat, k)
-            sq_mean = swa_update(sq_mean, flat * flat, k)
-            k += 1
-            dev_cols.append(flat - mean)
-            if len(dev_cols) > schedule.swag_rank:
-                dev_cols.pop(0)
-        entry = {"epoch": epoch, "lr": opt.lr, "loss": float(np.mean(losses)),
-                 "n_snapshots": k}
-        if valid_eval is not None:
-            entry.update(valid_eval(flat if k == 0 else mean))
-        log.append(entry)
-    if k == 0:
-        raise ConfigError("schedule produced zero snapshots to average")
-    meta = {"trained": variant, "seed": int(seed), "n_snapshots": k}
-    if variant == "swa":
-        post = PosteriorRepresentation(mode="point",
-                                       digest=getattr(model, "digest", ""),
-                                       point=mean, meta=meta)
-        return post, log
-    if k < 2:
-        raise ConfigError("swag needs at least 2 snapshots")
-    post = PosteriorRepresentation(
-        mode="swag", digest=getattr(model, "digest", ""), swag_mean=mean,
-        swag_sq_mean=sq_mean, swag_dev=np.stack(dev_cols, axis=1),
-        swag_rank=schedule.swag_rank, meta=meta)
-    return post, log
 
 
 def swag_sample(post: PosteriorRepresentation, rng: np.random.Generator,
@@ -655,6 +391,203 @@ def swag_sample(post: PosteriorRepresentation, rng: np.random.Generator,
         warnings.warn("fewer than 2 deviation columns; "
                       "sampling the diagonal only")
     return mean + scale * draw
+
+
+# ---------------------------------------------------------------------------
+# training
+
+
+def _grad_flat(model: FlatModel, flat: np.ndarray, batch,
+               train: bool = False,
+               rng: Optional[np.random.Generator] = None
+               ) -> tuple[float, np.ndarray]:
+    tape = ad.Tape()
+    theta = tape.parameter("theta", flat)
+    loss = model.nll(tape, theta, batch, train=train, rng=rng)
+    grads = ad.backward(tape, loss)
+    return loss.item(), grads["theta"]
+
+
+def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
+          seed: int, *,
+          valid_eval: Optional[Callable[[np.ndarray], dict]] = None,
+          m_members: int = 10, member_seeds: Optional[Sequence[int]] = None,
+          kl_scale: float = 0.01, prior_sigma: float = 10.0,
+          sigma_init: float = 0.05,
+          noise_rng: Optional[np.random.Generator] = None
+          ) -> tuple[PosteriorRepresentation, list[dict]]:
+    """Fit the posterior ``schedule.mode`` names; returns it and the log.
+
+    All modes share one epoch loop (init and shuffle streams, lr schedule,
+    a finiteness check per batch, a log entry per epoch extended by
+    ``valid_eval`` of the current point) and differ in step and snapshot.
+    none/mcdo/swa/swag step the optimizer on the batch mean NLL, mcdo with
+    residual dropout on. bbb steps it without weight decay on a flat
+    [mu, rho] vector: the mean NLL over ``schedule.train_samples`` draws
+    mu + softplus(rho) * z (z from ``noise_rng``, sigma starting at
+    ``sigma_init``) plus kl_scale * KL / n_examples, a per-example prior
+    pull. sgld takes pSGLD steps on -(N * grad_nll + weight_decay * w), the
+    decay doubling as a Gaussian prior precision, and keeps snapshot-epoch
+    weights as samples. swa/swag fold snapshot epochs into running moments
+    and the last ``swag_rank`` deviations from the updated mean. An
+    ensemble is one MAP run per ``member_seeds`` entry (default
+    ``m_members`` derived seeds), dropping members that diverge.
+    """
+    mode = schedule.mode
+    if mode == "ensemble":
+        return _train_ensemble(model, data, schedule, seed, m_members,
+                               member_seeds, valid_eval)
+    n = model.n_params
+    shuffle_rng = stream(seed, "shuffle")
+    w = model.init_params(stream(seed, "init"))
+
+    if mode == "bbb":
+        if noise_rng is None:
+            noise_rng = stream(seed, "bbb-noise")
+        w = np.concatenate([w, np.full(n, _softplus_inv(sigma_init))])
+        n_draws = max(1, schedule.train_samples)
+
+        def objective(w: np.ndarray, batch) -> tuple[float, np.ndarray]:
+            tape = ad.Tape()
+            mu_t = tape.parameter("mu", w[:n])
+            rho_t = tape.parameter("rho", w[n:])
+            sigma_t = ad.clip_min(ad.softplus(rho_t), SIGMA_FLOOR)
+            total = None
+            for _ in range(n_draws):
+                z = noise_rng.standard_normal(n)
+                nll = model.nll(tape, ad.add(mu_t, ad.mul(sigma_t, z)), batch)
+                total = nll if total is None else ad.add(total, nll)
+            loss = ad.div(total, float(n_draws))
+            if kl_scale != 0.0:
+                kl = _kl_tensor(mu_t, sigma_t, prior_sigma)
+                loss = ad.add(loss, ad.mul(kl, kl_scale / data.n_examples))
+            grads = ad.backward(tape, loss)
+            return loss.item(), np.concatenate([grads["mu"], grads["rho"]])
+    else:
+        dropout_rng = stream(seed, "dropout") if mode == "mcdo" else None
+
+        def objective(w: np.ndarray, batch) -> tuple[float, np.ndarray]:
+            return _grad_flat(model, w, batch, train=mode == "mcdo",
+                              rng=dropout_rng)
+
+    if mode == "sgld":
+        state = PsgldState(v=np.zeros(n))
+        sgld_rng = stream(seed, "sgld-noise")
+        n_examples = float(data.n_examples)
+
+        def update(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+            glp = -(n_examples * grad + schedule.weight_decay * w)
+            return psgld_step(state, w, glp, lr, sgld_rng)
+    else:
+        opt = ad.OptimizerState(
+            mode=schedule.optimizer, lr=schedule.lr,
+            weight_decay=0.0 if mode == "bbb" else schedule.weight_decay)
+
+        def update(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
+            opt.lr = lr
+            return ad.optimizer_step(opt, w, grad)
+
+    mean, sq_mean, k = np.zeros(n), np.zeros(n), 0   # swa/swag moments
+    kept: list[np.ndarray] = []    # sgld samples or swag deviation columns
+    log: list[dict] = []
+    for epoch in range(1, schedule.epochs + 1):
+        lr = lr_at(schedule, epoch)
+        losses = []
+        for batch in data.epoch_batches(shuffle_rng):
+            loss, grad = objective(w, batch)
+            if not np.isfinite(loss):
+                raise NumericError(f"training diverged (loss {loss}) at "
+                                   f"epoch {epoch}")
+            try:
+                w = update(w, grad, lr)
+            except NumericError as e:
+                raise NumericError(f"{e} at epoch {epoch}") from None
+            losses.append(loss)
+        entry = {"epoch": epoch, "lr": lr, "loss": float(np.mean(losses))}
+        if is_snapshot_epoch(schedule, epoch):
+            if mode == "sgld":
+                kept.append(w.copy())
+            else:
+                mean = swa_update(mean, w, k)
+                sq_mean = swa_update(sq_mean, w * w, k)
+                k += 1
+                kept.append(w - mean)
+                if len(kept) > schedule.swag_rank:
+                    kept.pop(0)
+        if mode == "sgld":
+            entry["n_samples"] = len(kept)
+        elif mode in ("swa", "swag"):
+            entry["n_snapshots"] = k
+        if valid_eval is not None:
+            # the average once one exists, else the weights (bbb: mu)
+            entry.update(valid_eval(mean if k else w[:n]))
+        log.append(entry)
+
+    digest = getattr(model, "digest", "")
+    meta = {"trained": mode, "seed": int(seed)}
+    if mode == "bbb":
+        rho = w[n:]
+        n_clamped = int(np.sum(_softplus(rho) < SIGMA_FLOOR))
+        if n_clamped:
+            warnings.warn(f"{n_clamped} posterior scales collapsed below "
+                          f"{SIGMA_FLOOR} and were clamped")
+        meta.update(kl_scale=kl_scale, prior_sigma=prior_sigma,
+                    n_sigma_clamped=n_clamped)
+        return PosteriorRepresentation(mode="bbb", digest=digest, mu=w[:n],
+                                       rho=rho, meta=meta), log
+    if mode == "sgld":
+        if not kept:
+            raise ConfigError("schedule produced zero posterior samples")
+        meta["precondition"] = True
+        return PosteriorRepresentation(mode="samples", digest=digest,
+                                       samples=np.stack(kept),
+                                       meta=meta), log
+    if mode in ("swa", "swag"):
+        if k == 0:
+            raise ConfigError("schedule produced zero snapshots to average")
+        meta["n_snapshots"] = k
+        if mode == "swag":
+            if k < 2:
+                raise ConfigError("swag needs at least 2 snapshots")
+            return PosteriorRepresentation(
+                mode="swag", digest=digest, swag_mean=mean,
+                swag_sq_mean=sq_mean, swag_dev=np.stack(kept, axis=1),
+                swag_rank=schedule.swag_rank, meta=meta), log
+        w = mean
+    return PosteriorRepresentation(mode="point", digest=digest, point=w,
+                                   meta=meta), log
+
+
+def _train_ensemble(model: FlatModel, data: TrainData,
+                    schedule: TrainSchedule, seed: int, m_members: int,
+                    member_seeds: Optional[Sequence[int]],
+                    valid_eval: Optional[Callable[[np.ndarray], dict]]
+                    ) -> tuple[PosteriorRepresentation, list[dict]]:
+    """Independent MAP runs differing only in derived member seeds."""
+    if member_seeds is None:
+        member_seeds = [member_seed(seed, i) for i in range(m_members)]
+    if len(member_seeds) < 2:
+        raise ConfigError("an ensemble needs at least 2 members")
+    point_schedule = replace(schedule, mode="none")
+    members, logs, failed = [], [], []
+    for i, s in enumerate(member_seeds):
+        try:
+            post, log = train(model, data, point_schedule, s,
+                              valid_eval=valid_eval)
+        except NumericError as e:
+            failed.append({"member": i, "error": str(e)})
+            continue
+        members.append(post.point)
+        logs.append({"member": i, "seed": int(s), "log": log})
+    if len(members) < 2:
+        raise NumericError(
+            f"only {len(members)} ensemble members survived training; "
+            f"failures: {failed}")
+    post = PosteriorRepresentation(
+        mode="samples", digest=getattr(model, "digest", ""),
+        samples=np.stack(members),
+        meta={"trained": "ensemble", "seed": int(seed), "failed": failed})
+    return post, logs
 
 
 # ---------------------------------------------------------------------------

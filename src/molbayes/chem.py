@@ -310,10 +310,9 @@ class FeaturizedGraph:
     node_x: np.ndarray       # (|V|, NODE_DIM)
     edge_x: np.ndarray       # (2|E|, EDGE_DIM)
     edge_index: np.ndarray   # (2|E|, 2) int64 columns (src, dst)
-    graph_id: int = 0
 
 
-def featurize(m: MoleculeGraph, graph_id: int = 0) -> FeaturizedGraph:
+def featurize(m: MoleculeGraph) -> FeaturizedGraph:
     """One-hot atom and bond features; both bond directions materialized.
 
     Directed edges come out sorted by (dst, src) so downstream segment
@@ -350,7 +349,7 @@ def featurize(m: MoleculeGraph, graph_id: int = 0) -> FeaturizedGraph:
     else:
         edge_index = np.zeros((0, 2), dtype=np.int64)
         edge_x = np.zeros((0, EDGE_DIM), dtype=np.float64)
-    return FeaturizedGraph(node_x, edge_x, edge_index, graph_id)
+    return FeaturizedGraph(node_x, edge_x, edge_index)
 
 
 # ---------------------------------------------------------------------------

@@ -377,69 +377,34 @@ def _train_one_seed(payload: tuple) -> dict:
         n_examples=len(manifest["train"]))
     hook = None
     if manifest["valid"]:
-        valid_batches = _batches(ds, manifest["valid"], cfg["batch_size"])
+        predict = _stacked_predictor(
+            model, _batches(ds, manifest["valid"], cfg["batch_size"]))
         valid_labels = ds.labels[np.asarray(manifest["valid"])]
 
         def hook(flat: np.ndarray) -> dict:
-            probs = np.vstack([model.predict_proba(flat, b)
-                               for b in valid_batches])
             try:
-                auc, _ = metrics.macro_average(metrics.auroc, probs,
+                auc, _ = metrics.macro_average(metrics.auroc, predict(flat),
                                                valid_labels)
             except DataError:
                 return {}
             return {"valid_auroc": auc}
 
-    mode = cfg["mode"]
-    if mode in ("none", "mcdo"):
-        post, log = bayes.train_map(model, data, schedule, seed,
-                                    dropout=(mode == "mcdo"),
-                                    valid_eval=hook)
-    elif mode == "ensemble":
-        post, log = bayes.train_ensemble(model, data, schedule, seed,
-                                         m_members=cfg["ensemble_members"],
-                                         valid_eval=hook)
-    elif mode == "bbb":
-        post, log = bayes.train_bbb(model, data, schedule, seed,
-                                    kl_scale=cfg["kl_scale"],
-                                    prior_sigma=cfg["prior_sigma"],
-                                    valid_eval=hook)
-    elif mode == "sgld":
-        post, log = bayes.train_sgld(model, data, schedule, seed,
-                                     valid_eval=hook)
-    else:
-        post, log = bayes.train_swa_swag(model, data, schedule, seed,
-                                         variant=mode, valid_eval=hook)
-
+    post, log = bayes.train(model, data, schedule, seed, valid_eval=hook,
+                            m_members=cfg["ensemble_members"],
+                            kl_scale=cfg["kl_scale"],
+                            prior_sigma=cfg["prior_sigma"])
     digest = config_digest(cfg)
     post.meta["config_digest"] = digest
     post.meta["n_tasks"] = ds.n_tasks
     path = _posterior_path(cfg, seed)
     os.makedirs(cfg["out_dir"], exist_ok=True)
     bayes.save_posterior(path, post)
-    written = [path]
-    if mode == "ensemble":
-        member_paths = []
-        for m, flat in enumerate(post.samples):
-            member = bayes.PosteriorRepresentation(
-                mode="point", digest=post.digest, point=np.asarray(flat),
-                meta={"config_digest": digest, "member": m,
-                      "seed": int(seed)})
-            mp = os.path.join(cfg["out_dir"],
-                              f"{mode}_seed{seed}_member{m}.post")
-            bayes.save_posterior(mp, member)
-            member_paths.append(os.path.basename(mp))
-        index_path = os.path.join(cfg["out_dir"],
-                                  f"{mode}_seed{seed}_members.json")
-        _write_json(index_path, {"config_digest": digest, "seed": seed,
-                                 "members": member_paths})
-        written += member_paths + [index_path]
+    mode = cfg["mode"]
     log_path = os.path.join(cfg["out_dir"], f"{mode}_seed{seed}_log.json")
     _write_json(log_path, {"config_digest": digest, "seed": seed,
                            "mode": mode, "epochs": log})
-    final = log[-1] if isinstance(log[-1], dict) and "loss" in log[-1] \
-        else {}
-    return {"seed": seed, "written": written,
+    final = log[-1] if "loss" in log[-1] else {}   # ensembles log members
+    return {"seed": seed, "path": path,
             "final_loss": final.get("loss"),
             "valid_auroc": final.get("valid_auroc")}
 
@@ -465,7 +430,7 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
             extra += f", final loss {r['final_loss']:.4f}"
         if r["valid_auroc"] is not None:
             extra += f", valid auroc {r['valid_auroc']:.3f}"
-        print(f"seed {r['seed']}: wrote {r['written'][0]}{extra}")
+        print(f"seed {r['seed']}: wrote {r['path']}{extra}")
     return 0
 
 
@@ -511,7 +476,7 @@ def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
     hist_path = os.path.join(cfg["out_dir"],
                              f"{cfg['mode']}_seed{seed}_confusion.csv")
     _write_csv_with_digest(hist_path, config_digest(cfg),
-                           lambda p: metrics.write_histogram_csv(p, hist))
+                           lambda fh: metrics.write_histogram_csv(fh, hist))
     if cfg["render_svg"]:
         metrics.render_histogram_svg(
             hist_path[:-4] + ".svg", hist.bin_low, hist.bin_high,
@@ -522,13 +487,11 @@ def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
 
 
 def _write_csv_with_digest(path: str, digest: str, write_body) -> None:
-    body = f"{path}.body"
-    write_body(body)
+    """Digest comment line, then ``write_body(fh)``, replacing ``path``."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as out, open(body) as src:
-        out.write(f"# config_digest={digest}\n")
-        out.write(src.read())
-    os.remove(body)
+    with open(tmp, "w", newline="") as fh:
+        fh.write(f"# config_digest={digest}\n")
+        write_body(fh)
     os.replace(tmp, path)
 
 
@@ -624,12 +587,11 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
         "extreme_fraction": summary.extreme_fraction,
         "n_draws": pred.n_samples})
 
-    def body(p):
-        with open(p, "w") as fh:
-            fh.write("bin_low,bin_high,count\n")
-            for k in range(summary.counts.size):
-                fh.write(f"{summary.bin_low[k]:g},{summary.bin_high[k]:g},"
-                         f"{int(summary.counts[k])}\n")
+    def body(fh):
+        fh.write("bin_low,bin_high,count\n")
+        for k in range(summary.counts.size):
+            fh.write(f"{summary.bin_low[k]:g},{summary.bin_high[k]:g},"
+                     f"{int(summary.counts[k])}\n")
 
     _write_csv_with_digest(f"{base}_hist.csv", digest, body)
     metrics.render_histogram_svg(

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import artifacts
 from . import autodiff as ad
 from .chem import EDGE_DIM, NODE_DIM, FeaturizedGraph
 from .errors import ConfigError, DataError
@@ -54,23 +53,6 @@ class ModelConfig:
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout rate must be in [0, 1)")
 
-    def to_dict(self) -> dict:
-        return {
-            "architecture": self.architecture,
-            "hidden_dim": self.hidden_dim,
-            "graph_dim": self.graph_dim,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "n_tasks": self.n_tasks,
-            "dropout": self.dropout,
-            "node_dim": self.node_dim,
-            "edge_dim": self.edge_dim,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelConfig":
-        return ModelConfig(**d)
-
 
 def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Ordered (name, shape) table defining the flat coordinate layout."""
@@ -102,7 +84,7 @@ def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def spec_digest(cfg: ModelConfig) -> str:
-    """Fingerprint of the coordinate order; guards weight-file loads."""
+    """Fingerprint of the coordinate order; guards posterior loads."""
     blob = json.dumps(param_specs(cfg), sort_keys=False).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -123,10 +105,6 @@ class GraphBatch:
     @property
     def n_nodes(self) -> int:
         return int(self.node_x.shape[0])
-
-    @property
-    def mask(self) -> np.ndarray:
-        return (~np.isnan(self.labels)).astype(np.float64)
 
 
 def make_batch(graphs: Sequence[FeaturizedGraph],
@@ -165,10 +143,6 @@ def make_batch(graphs: Sequence[FeaturizedGraph],
 
 # ---------------------------------------------------------------------------
 # layers
-
-
-def residual_update(h: ad.Tensor, branch: ad.Tensor) -> ad.Tensor:
-    return ad.add(h, branch)
 
 
 def layer_gcn(h, batch: GraphBatch, W) -> ad.Tensor:
@@ -331,7 +305,7 @@ class GnnClassifier:
                     leaves[f"{p}.A"], leaves[f"{p}.B"], leaves[f"{p}.C"])
             if use_dropout:
                 branch = ad.dropout(branch, cfg.dropout, dropout_rng)
-            h = residual_update(h, branch)
+            h = ad.add(h, branch)
         pooled = ad.segment_sum(ad.linear(h, leaves["readout.W"]),
                                 batch.node_graph, batch.n_graphs)
         logits = ad.linear(pooled, leaves["classify.W"])
@@ -347,18 +321,6 @@ class GnnClassifier:
 
     # -- convenience entry points on flat vectors
 
-    def loss_and_grad(self, flat: np.ndarray, batch: GraphBatch,
-                      train: bool = True,
-                      dropout_rng: Optional[np.random.Generator] = None
-                      ) -> tuple[float, np.ndarray]:
-        tape = ad.Tape()
-        theta = tape.parameter("theta", flat)
-        logits = self.forward(batch, self.leaves(theta), train=train,
-                              dropout_rng=dropout_rng)
-        loss = bce_loss_masked(logits, batch.labels)
-        grads = ad.backward(tape, loss)
-        return loss.item(), grads["theta"]
-
     def logits(self, flat: np.ndarray, batch: GraphBatch,
                train: bool = False,
                dropout_rng: Optional[np.random.Generator] = None
@@ -373,34 +335,3 @@ class GnnClassifier:
                       ) -> np.ndarray:
         return ad.sigmoid(ad.Tensor(self.logits(
             flat, batch, train=train, dropout_rng=dropout_rng))).data
-
-
-# ---------------------------------------------------------------------------
-# weight snapshots
-
-
-def save_weights(path: str, model: GnnClassifier, flat: np.ndarray,
-                 meta: Optional[dict] = None) -> None:
-    info = {"config": model.cfg.to_dict(), "digest": model.digest}
-    info.update(meta or {})
-    artifacts.write_container(path, "weights", info,
-                              {"flat": np.asarray(flat, dtype=np.float64)})
-
-
-def load_weights(path: str,
-                 model: Optional[GnnClassifier] = None
-                 ) -> tuple[GnnClassifier, np.ndarray, dict]:
-    """Load weights; the stored coordinate digest must match the model's."""
-    _, meta, arrays = artifacts.read_container(path, expect_kind="weights")
-    cfg = ModelConfig.from_dict(meta["config"])
-    if model is None:
-        model = GnnClassifier(cfg)
-    if meta.get("digest") != model.digest:
-        raise ConfigError(
-            f"{path}: weight coordinate digest {meta.get('digest')!r} does "
-            f"not match this model's {model.digest!r}")
-    flat = arrays["flat"]
-    if flat.shape != (model.n_params,):
-        raise ConfigError(f"{path}: expected {model.n_params} coordinates, "
-                          f"file has {flat.shape}")
-    return model, flat, meta

@@ -17,7 +17,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -314,15 +314,14 @@ def write_metrics_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def write_histogram_csv(path: str, hist: ConfusionHistogram) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_low", "bin_high", "tp", "fp", "tn", "fn"])
-        for i in range(hist.n_bins):
-            writer.writerow([f"{hist.bin_low[i]:g}",
-                             f"{hist.bin_high[i]:g}",
-                             int(hist.tp[i]), int(hist.fp[i]),
-                             int(hist.tn[i]), int(hist.fn[i])])
+def write_histogram_csv(fh: TextIO, hist: ConfusionHistogram) -> None:
+    """Write the histogram as CSV rows to an open text stream."""
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["bin_low", "bin_high", "tp", "fp", "tn", "fn"])
+    for i in range(hist.n_bins):
+        writer.writerow([f"{hist.bin_low[i]:g}", f"{hist.bin_high[i]:g}",
+                         int(hist.tp[i]), int(hist.fp[i]),
+                         int(hist.tn[i]), int(hist.fn[i])])
 
 
 _PALETTE = ("#2a9d8f", "#e76f51", "#457b9d", "#e9c46a",

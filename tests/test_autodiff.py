@@ -37,31 +37,31 @@ def check_param_grads(build, x0: np.ndarray, tol: float = 1e-6):
 # elementwise and binary ops
 
 
-BINARY_KINDS = ["add", "sub", "mul", "div"]
-UNARY_KINDS = ["relu", "leaky_relu", "elu", "sigmoid", "exp", "softplus"]
+BINARY_OPS = [ad.add, ad.sub, ad.mul, ad.div]
+UNARY_OPS = [ad.relu, ad.leaky_relu, ad.elu, ad.sigmoid, ad.exp, ad.softplus]
 
 
-@pytest.mark.parametrize("kind", BINARY_KINDS)
-def test_binary_op_grads(kind):
+@pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
+def test_binary_op_grads(op):
     rng = np.random.default_rng(11)
     for trial in range(20):
         n = int(rng.integers(1, 7))
         x0 = rng.normal(size=2 * n)
-        if kind == "div":
+        if op is ad.div:
             x0[n:] = np.sign(x0[n:]) * (np.abs(x0[n:]) + 0.5)
 
         def build(flat):
             tape = ad.Tape()
             a = tape.parameter("a", flat[:n])
             b = tape.parameter("b", flat[n:])
-            out = ad.forward_op(kind, [a, b])
+            out = op(a, b)
             return tape, ad.tsum(ad.mul(out, out))
 
         check_param_grads(build, x0)
 
 
-@pytest.mark.parametrize("kind", UNARY_KINDS)
-def test_unary_op_grads(kind):
+@pytest.mark.parametrize("op", UNARY_OPS, ids=lambda op: op.__name__)
+def test_unary_op_grads(op):
     rng = np.random.default_rng(13)
     for trial in range(20):
         n = int(rng.integers(1, 9))
@@ -72,7 +72,7 @@ def test_unary_op_grads(kind):
         def build(flat):
             tape = ad.Tape()
             a = tape.parameter("a", flat)
-            out = ad.forward_op(kind, [a])
+            out = op(a)
             return tape, ad.tsum(ad.mul(out, out))
 
         check_param_grads(build, x0)
@@ -285,11 +285,6 @@ def test_dropout_keep_rate_is_unbiased():
 
 # ---------------------------------------------------------------------------
 # tape mechanics
-
-
-def test_unknown_op_kind_rejected():
-    with pytest.raises(ad.UnknownOpError):
-        ad.forward_op("convolve", [ad.Tensor(np.zeros(3))])
 
 
 def test_unreachable_param_gets_zero_grad():

@@ -1,5 +1,7 @@
 """Training modes, posterior containers and marginalization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -208,7 +210,7 @@ def test_train_map_lr_zero_keeps_init():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="none", epochs=1, optimizer="adam",
                                 lr=0.0)
-    post, log = bayes.train_map(model, full_batch_data(model), sched, SEED)
+    post, log = bayes.train(model, full_batch_data(model), sched, SEED)
     init = model.init_params(bayes.stream(SEED, "init"))
     assert post.mode == "point"
     assert np.array_equal(post.point, init)
@@ -224,7 +226,7 @@ def test_train_map_separable_molecules():
     data = bayes.TrainData(epoch_batches=lambda rng: [batch], n_examples=2)
     sched = bayes.TrainSchedule(mode="none", epochs=200, optimizer="adam",
                                 lr=0.01, weight_decay=0.0)
-    post, log = bayes.train_map(model, data, sched, SEED)
+    post, log = bayes.train(model, data, sched, SEED)
     assert log[-1]["loss"] < 0.01
     probs = model.predict_proba(post.point, batch)
     assert probs[0, 0] < 0.5 < probs[1, 0]
@@ -234,8 +236,8 @@ def test_train_map_deterministic_and_logged():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="none", epochs=5, optimizer="adam",
                                 lr=1e-2)
-    post1, log1 = bayes.train_map(model, full_batch_data(model), sched, SEED)
-    post2, log2 = bayes.train_map(model, full_batch_data(model), sched, SEED)
+    post1, log1 = bayes.train(model, full_batch_data(model), sched, SEED)
+    post2, log2 = bayes.train(model, full_batch_data(model), sched, SEED)
     assert post1.point.tobytes() == post2.point.tobytes()
     assert log1 == log2
     assert [e["epoch"] for e in log1] == [1, 2, 3, 4, 5]
@@ -245,8 +247,8 @@ def test_train_map_valid_eval_hook():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="none", epochs=2, optimizer="sgd",
                                 lr=1e-2)
-    post, log = bayes.train_map(model, full_batch_data(model), sched, SEED,
-                                valid_eval=lambda flat: {"valid_auroc": 1.0})
+    post, log = bayes.train(model, full_batch_data(model), sched, SEED,
+                            valid_eval=lambda flat: {"valid_auroc": 1.0})
     assert all(e["valid_auroc"] == 1.0 for e in log)
 
 
@@ -256,7 +258,7 @@ def test_train_map_divergence_names_epoch():
     sched = bayes.TrainSchedule(mode="none", epochs=2, optimizer="adam",
                                 lr=1e-3)
     with pytest.raises(NumericError, match="epoch 1"):
-        bayes.train_map(model, full_batch_data(model.base), sched, SEED)
+        bayes.train(model, full_batch_data(model.base), sched, SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +270,19 @@ def test_ensemble_rejects_single_member():
     sched = bayes.TrainSchedule(mode="ensemble", epochs=1, optimizer="adam",
                                 lr=1e-3)
     with pytest.raises(ConfigError):
-        bayes.train_ensemble(model, full_batch_data(model), sched, SEED,
-                             m_members=1)
+        bayes.train(model, full_batch_data(model), sched, SEED,
+                    m_members=1)
     with pytest.raises(ConfigError):
-        bayes.train_ensemble(model, full_batch_data(model), sched, SEED,
-                             member_seeds=[7])
+        bayes.train(model, full_batch_data(model), sched, SEED,
+                    member_seeds=[7])
 
 
 def test_ensemble_identical_seeds_identical_members():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="ensemble", epochs=3, optimizer="adam",
                                 lr=1e-2)
-    post, _ = bayes.train_ensemble(model, full_batch_data(model), sched,
-                                   SEED, member_seeds=[7, 7])
+    post, _ = bayes.train(model, full_batch_data(model), sched,
+                          SEED, member_seeds=[7, 7])
     assert post.mode == "samples"
     assert np.array_equal(post.samples[0], post.samples[1])
 
@@ -289,8 +291,8 @@ def test_ensemble_distinct_seeds_distinct_members():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="ensemble", epochs=3, optimizer="adam",
                                 lr=1e-2)
-    post, logs = bayes.train_ensemble(model, full_batch_data(model), sched,
-                                      SEED, m_members=3)
+    post, logs = bayes.train(model, full_batch_data(model), sched,
+                             SEED, m_members=3)
     assert post.samples.shape == (3, model.n_params)
     assert not np.array_equal(post.samples[0], post.samples[1])
     assert [entry["member"] for entry in logs] == [0, 1, 2]
@@ -302,15 +304,15 @@ def test_ensemble_excludes_diverging_member():
     model = RiggedInit(base, bad_calls={1})
     sched = bayes.TrainSchedule(mode="ensemble", epochs=2, optimizer="adam",
                                 lr=1e-3)
-    post, _ = bayes.train_ensemble(model, full_batch_data(base), sched, SEED,
-                                   member_seeds=[1, 2, 3])
+    post, _ = bayes.train(model, full_batch_data(base), sched, SEED,
+                          member_seeds=[1, 2, 3])
     assert post.samples.shape[0] == 2
     assert post.meta["failed"][0]["member"] == 1
 
     model = RiggedInit(base, bad_calls={0, 2})
     with pytest.raises(NumericError, match="1 ensemble members"):
-        bayes.train_ensemble(model, full_batch_data(base), sched, SEED,
-                             member_seeds=[1, 2, 3])
+        bayes.train(model, full_batch_data(base), sched, SEED,
+                    member_seeds=[1, 2, 3])
 
 
 # ---------------------------------------------------------------------------
@@ -387,11 +389,12 @@ def test_bbb_frozen_noise_reduces_to_map():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="bbb", epochs=4, optimizer="adam",
                                 lr=1e-2, weight_decay=0.0, train_samples=1)
-    map_post, map_log = bayes.train_map(model, full_batch_data(model), sched,
-                                        SEED)
-    bbb_post, bbb_log = bayes.train_bbb(model, full_batch_data(model), sched,
-                                        SEED, kl_scale=0.0,
-                                        noise_rng=ZeroNoise())
+    map_post, map_log = bayes.train(model, full_batch_data(model),
+                                    dataclasses.replace(sched, mode="none"),
+                                    SEED)
+    bbb_post, bbb_log = bayes.train(model, full_batch_data(model), sched,
+                                    SEED, kl_scale=0.0,
+                                    noise_rng=ZeroNoise())
     assert np.array_equal(bbb_post.mu, map_post.point)
     assert [e["loss"] for e in bbb_log] == [e["loss"] for e in map_log]
     # sigma sees zero gradient when z is frozen at 0
@@ -403,7 +406,7 @@ def test_bbb_initial_kl_matches_closed_form():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="bbb", epochs=1, optimizer="adam",
                                 lr=0.0)
-    post, _ = bayes.train_bbb(model, full_batch_data(model), sched, SEED)
+    post, _ = bayes.train(model, full_batch_data(model), sched, SEED)
     sigma = post.bbb_sigma
     assert np.allclose(sigma, 0.05, atol=1e-12)
     got = bayes.kl_diag_gaussians(post.mu, sigma, 10.0)
@@ -417,8 +420,8 @@ def test_bbb_sigma_collapse_clamped_and_reported():
     sched = bayes.TrainSchedule(mode="bbb", epochs=1, optimizer="adam",
                                 lr=0.0)
     with pytest.warns(UserWarning, match="clamped"):
-        post, _ = bayes.train_bbb(model, full_batch_data(model), sched, SEED,
-                                  sigma_init=1e-9)
+        post, _ = bayes.train(model, full_batch_data(model), sched, SEED,
+                              sigma_init=1e-9)
     assert post.meta["n_sigma_clamped"] == model.n_params
     assert np.all(post.bbb_sigma >= bayes.SIGMA_FLOOR)
 
@@ -432,8 +435,8 @@ def test_bbb_conjugate_gaussian_posterior():
     sigma_true = tau ** -0.5
     sched = bayes.TrainSchedule(mode="bbb", epochs=3000, optimizer="adam",
                                 lr=0.02, decay_points=(2000,))
-    post, _ = bayes.train_bbb(GaussianMean(), data, sched, SEED,
-                              kl_scale=1.0, prior_sigma=1.0)
+    post, _ = bayes.train(GaussianMean(), data, sched, SEED,
+                          kl_scale=1.0, prior_sigma=1.0)
     assert abs(post.mu[0] - mu_true) < 0.1 * abs(mu_true)
     assert abs(post.bbb_sigma[0] - sigma_true) < 0.1 * sigma_true
 
@@ -503,9 +506,9 @@ def test_train_sgld_sample_count_and_determinism():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="sgld", epochs=8, optimizer="sgd",
                                 lr=1e-4, burn_in=4, cadence=2)
-    post1, log1 = bayes.train_sgld(model, full_batch_data(model), sched,
-                                   SEED)
-    post2, _ = bayes.train_sgld(model, full_batch_data(model), sched, SEED)
+    post1, log1 = bayes.train(model, full_batch_data(model), sched,
+                              SEED)
+    post2, _ = bayes.train(model, full_batch_data(model), sched, SEED)
     assert post1.mode == "samples"
     assert post1.samples.shape == (2, model.n_params)
     assert post1.samples.tobytes() == post2.samples.tobytes()
@@ -516,7 +519,7 @@ def test_train_sgld_zero_lr_marginalizes_to_point():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="sgld", epochs=4, optimizer="sgd",
                                 lr=0.0, burn_in=2, cadence=1)
-    post, _ = bayes.train_sgld(model, full_batch_data(model), sched, SEED)
+    post, _ = bayes.train(model, full_batch_data(model), sched, SEED)
     init = model.init_params(bayes.stream(SEED, "init"))
     assert np.array_equal(post.samples[0], init)
     assert np.array_equal(post.samples[1], init)
@@ -533,7 +536,7 @@ def test_train_sgld_needs_sampling_phase():
     sched = bayes.TrainSchedule(mode="sgld", epochs=3, optimizer="sgd",
                                 lr=1e-4, burn_in=2, cadence=5)
     with pytest.raises(ConfigError):
-        bayes.train_sgld(model, full_batch_data(model), sched, SEED)
+        bayes.train(model, full_batch_data(model), sched, SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +578,7 @@ def swa_schedule(epochs, cyclic_from, cadence=2, lr=1e-3, mode="swag"):
 def test_train_swa_returns_snapshot_mean():
     model = toy_logistic()
     sched = swa_schedule(8, 4, mode="swa")
-    post, log = bayes.train_swa_swag(model, full_batch_data(model), sched,
-                                     SEED, variant="swa")
+    post, log = bayes.train(model, full_batch_data(model), sched, SEED)
     assert post.mode == "point"
     assert post.meta["n_snapshots"] == 2
     assert log[-1]["n_snapshots"] == 2
@@ -585,8 +587,7 @@ def test_train_swa_returns_snapshot_mean():
 def test_train_swag_moments_match_hand_average():
     model = toy_logistic()
     sched = swa_schedule(8, 4)
-    post, _ = bayes.train_swa_swag(model, full_batch_data(model), sched,
-                                   SEED, variant="swag")
+    post, _ = bayes.train(model, full_batch_data(model), sched, SEED)
     assert post.mode == "swag"
     assert post.swag_dev.shape == (model.n_params, 2)
     # rerun the same trajectory and average the two snapshot epochs by hand
@@ -613,10 +614,9 @@ def test_train_swag_rejects_single_snapshot():
     model = toy_logistic()
     sched = swa_schedule(6, 4)  # only epoch 6 qualifies
     with pytest.raises(ConfigError):
-        bayes.train_swa_swag(model, full_batch_data(model), sched, SEED,
-                             variant="swag")
-    post, _ = bayes.train_swa_swag(model, full_batch_data(model), sched,
-                                   SEED, variant="swa")
+        bayes.train(model, full_batch_data(model), sched, SEED)
+    post, _ = bayes.train(model, full_batch_data(model),
+                          dataclasses.replace(sched, mode="swa"), SEED)
     assert post.mode == "point"
 
 
@@ -624,11 +624,11 @@ def test_train_swa_swag_needs_snapshots():
     model = toy_logistic()
     sched = swa_schedule(4, 4)
     with pytest.raises(ConfigError):
-        bayes.train_swa_swag(model, full_batch_data(model), sched, SEED,
-                             variant="swa")
+        bayes.train(model, full_batch_data(model),
+                    dataclasses.replace(sched, mode="swa"), SEED)
     with pytest.raises(ConfigError):
-        bayes.train_swa_swag(model, full_batch_data(model), sched, SEED,
-                             variant="other")
+        bayes.train(model, full_batch_data(model),
+                    dataclasses.replace(sched, mode="other"), SEED)
 
 
 def hand_swag(snapshots, rank=20):
@@ -822,16 +822,6 @@ def test_marginalize_swag_draws():
                             n_samples=5, rng=np.random.default_rng(0))
     assert out.n_samples == 5
     assert out.mean.shape == (1, 2)
-
-
-def test_combine_predictive():
-    a = bayes.PredictiveDistribution(np.array([[0.2]]), 3)
-    b = bayes.PredictiveDistribution(np.array([[0.8]]), 5)
-    out = bayes.combine_predictive([a, b])
-    assert out.mean[0, 0] == 0.5
-    assert out.n_samples == 8
-    with pytest.raises(ConfigError):
-        bayes.combine_predictive([])
 
 
 def test_predictive_validation():

@@ -6,11 +6,12 @@ are exercised exactly as a shell user would hit them.
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from molbayes import bayes, cli
+from molbayes import artifacts, bayes, cli
 from conftest import synthetic_rows
 
 N_ROWS = len(synthetic_rows())
@@ -199,15 +200,51 @@ def test_ensemble_member_artifacts_and_index(synthetic_csv, tmp_path):
                      "--set", "schedule.epochs=2",
                      "--set", "ensemble_members=3")
     assert rc == 0
-    index = _read_json(tmp_path / "ensemble_seed0_members.json")
-    assert len(index["members"]) == 3
-    for name in index["members"]:
-        member = bayes.load_posterior(str(tmp_path / name))
-        assert member.mode == "point"
+    # the seed artifact holds every member; no per-member files
     post = bayes.load_posterior(str(tmp_path / "ensemble_seed0.post"))
     assert post.mode == "samples" and post.samples.shape[0] == 3
+    assert len({member.tobytes() for member in post.samples}) == 3
+    assert not list(tmp_path.glob("ensemble_seed0_member*"))
     report = _read_json(tmp_path / "eval_ensemble.json")
     assert report["per_seed"][0]["n_draws"] == 3
+
+
+@pytest.fixture(scope="module")
+def trained_point_dir(synthetic_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("point")
+    assert _train_eval(synthetic_csv, out, "none", "0",
+                       "--set", "schedule.epochs=1") == 0
+    return out
+
+
+MALFORMED_HEADERS = {
+    "no_arrays": lambda h: {k: v for k, v in h.items() if k != "arrays"},
+    "float32_tag": lambda h: {**h, "arrays": [
+        {**a, "dtype": "float32"} for a in h["arrays"]]},
+    "no_mode": lambda h: {**h, "meta": {
+        k: v for k, v in h["meta"].items() if k != "mode"}},
+    "unknown_array": lambda h: {**h, "arrays": [
+        {**a, "name": "weights"} for a in h["arrays"]]},
+    "list_header": lambda h: [h],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
+def test_malformed_posterior_exits_3(synthetic_csv, trained_point_dir,
+                                     tmp_path, case):
+    shutil.copytree(trained_point_dir, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "none_seed0.post"
+    raw = path.read_bytes()
+    off = len(artifacts.MAGIC)
+    end = off + 8 + int.from_bytes(raw[off:off + 8], "little")
+    header = json.dumps(MALFORMED_HEADERS[case](
+        json.loads(raw[off + 8:end]))).encode()
+    path.write_bytes(raw[:off] + len(header).to_bytes(8, "little")
+                     + header + raw[end:])
+    rc = cli.main(["eval", *_args(synthetic_csv, tmp_path,
+                                  "--set", "schedule.epochs=1"),
+                   "--mode", "none", "--arch", "gcn", "--seeds", "0"])
+    assert rc == 3
 
 
 def test_swag_artifact_holds_low_rank_state(synthetic_csv, tmp_path):

@@ -339,7 +339,8 @@ def test_write_histogram_csv(tmp_path):
     hist = metrics.confusion_histogram(
         np.array([0.1, 0.6, 0.8]), np.array([0.0, 1.0, 0.0]))
     path = str(tmp_path / "h.csv")
-    metrics.write_histogram_csv(path, hist)
+    with open(path, "w", newline="") as fh:
+        metrics.write_histogram_csv(fh, hist)
     lines = open(path).read().strip().splitlines()
     assert lines[0] == "bin_low,bin_high,tp,fp,tn,fn"
     assert len(lines) == 21
