@@ -9,7 +9,10 @@ Gaussian over weights trained by reparameterized draws), "sgld"
 whose per-batch step and end-of-epoch snapshot depend on the schedule's
 mode. Every mode ends in a PosteriorRepresentation; `marginalize` turns
 one into mean probabilities plus the spread-based uncertainty
-u = sqrt(p(1-p)).
+u = sqrt(p(1-p)). It is the one prediction path: an mcdo point is
+marginalized as a sample set of identical rows whose predictor draws
+fresh dropout masks on each call, and `draw_count` gives every mode's
+number of draws.
 
 Models are anything exposing `n_params`, `init_params(rng)` and
 `nll(tape, theta, batch, train=, rng=)`; training data is a callable
@@ -95,7 +98,6 @@ class TrainSchedule:
     cyclic_low: float = 0.001
     cycle_len: int = 4
     train_samples: int = 5    # bbb reparameterized draws per step
-    eval_samples: int = 30    # marginalization draws (bbb overrides to 100)
     swag_rank: int = 20
 
     def __post_init__(self):
@@ -131,8 +133,6 @@ def default_schedule(mode: str, epochs: Optional[int] = None) -> TrainSchedule:
                              decay_points=(74,), cyclic_from=150, cadence=4)
     else:
         raise ConfigError(f"unknown mode {mode!r}; one of {MODES}")
-    if mode == "bbb":
-        base.eval_samples = 100
     if epochs is None or epochs == base.epochs:
         return base
     scale = epochs / base.epochs
@@ -189,31 +189,25 @@ class PosteriorRepresentation:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.mode == "point":
-            if self.point is None:
-                raise ConfigError("point posterior needs parameters")
-        elif self.mode == "samples":
-            if self.samples is None or len(self.samples) == 0:
-                raise ConfigError("sample posterior needs >= 1 sample")
-        elif self.mode == "bbb":
-            if self.mu is None or self.rho is None:
-                raise ConfigError("bbb posterior needs mu and rho")
-        elif self.mode == "swag":
-            if self.swag_mean is None or self.swag_sq_mean is None \
-                    or self.swag_dev is None:
-                raise ConfigError("swag posterior needs mean/sq_mean/dev")
-            if self.swag_dev.shape[1] > self.swag_rank:
-                raise ConfigError("deviation columns exceed the stated rank")
-        else:
+        if self.mode not in _LAYOUT:
             raise ConfigError(f"unknown posterior mode {self.mode!r}")
+        needed = list(_LAYOUT[self.mode])
+        if any(getattr(self, name) is None for name in needed):
+            raise ConfigError(f"{self.mode} posterior needs {needed}")
+        if self.mode == "samples" and len(self.samples) == 0:
+            raise ConfigError("sample posterior needs >= 1 sample")
+        if self.mode == "swag" and self.swag_dev.shape[1] > self.swag_rank:
+            raise ConfigError("deviation columns exceed the stated rank")
+
+    @property
+    def n_params(self) -> int:
+        """Weights per draw, read off the mode's first array."""
+        name, (_, axis) = next(iter(_LAYOUT[self.mode].items()))
+        return getattr(self, name).shape[axis]
 
     @property
     def bbb_sigma(self) -> np.ndarray:
-        return np.maximum(_softplus(self.rho), SIGMA_FLOOR)
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+        return np.maximum(ad.softplus(self.rho).data, SIGMA_FLOOR)
 
 
 def _softplus_inv(y: float) -> float:
@@ -222,6 +216,13 @@ def _softplus_inv(y: float) -> float:
 
 _ARRAY_FIELDS = ("point", "samples", "mu", "rho", "swag_mean",
                  "swag_sq_mean", "swag_dev")
+
+# the arrays each mode needs: name -> (ndim, axis spanning the weights)
+_LAYOUT = {"point": {"point": (1, 0)},
+           "samples": {"samples": (2, 1)},
+           "bbb": {"mu": (1, 0), "rho": (1, 0)},
+           "swag": {"swag_mean": (1, 0), "swag_sq_mean": (1, 0),
+                    "swag_dev": (2, 0)}}
 
 
 def save_posterior(path: str, post: PosteriorRepresentation) -> None:
@@ -236,7 +237,9 @@ def save_posterior(path: str, post: PosteriorRepresentation) -> None:
 
 
 def load_posterior(path: str) -> PosteriorRepresentation:
-    """Read a posterior artifact; a malformed header raises DataError."""
+    """Read a posterior artifact; a malformed header, or arrays missing,
+    of the wrong ndim or of unequal weight counts for the stated mode,
+    raise DataError."""
     _, meta, arrays = artifacts.read_container(path, expect_kind="posterior")
     unknown = sorted(set(arrays) - set(_ARRAY_FIELDS))
     if unknown:
@@ -248,6 +251,17 @@ def load_posterior(path: str) -> PosteriorRepresentation:
             and np.isfinite(rank)):
         raise DataError(f"{path}: posterior header needs string mode and "
                         f"digest, a numeric swag_rank and an object extra")
+    if mode not in _LAYOUT:
+        raise DataError(f"{path}: unknown posterior mode {mode!r}")
+    sizes = set()
+    for name, (ndim, axis) in _LAYOUT[mode].items():
+        if name not in arrays or arrays[name].ndim != ndim:
+            raise DataError(f"{path}: a {mode} posterior needs a {ndim}-D "
+                            f"array {name!r}")
+        sizes.add(arrays[name].shape[axis])
+    if len(sizes) != 1:
+        raise DataError(f"{path}: {mode} arrays disagree on the number of "
+                        f"weights {sorted(sizes)}")
     return PosteriorRepresentation(mode=mode, digest=digest,
                                    swag_rank=int(rank), meta=extra, **arrays)
 
@@ -271,24 +285,6 @@ class PredictiveDistribution:
     @property
     def uncertainty(self) -> np.ndarray:
         return np.sqrt(self.mean * (1.0 - self.mean))
-
-
-# ---------------------------------------------------------------------------
-# mc-dropout
-
-
-def mc_dropout_predict(predict: Callable[[np.random.Generator], np.ndarray],
-                       n_passes: int,
-                       rng: np.random.Generator) -> PredictiveDistribution:
-    """Average ``n_passes`` stochastic forward passes.
-
-    ``predict`` maps a generator (supplying fresh dropout masks) to a
-    probability array; the caller closes it over params and batch.
-    """
-    if n_passes < 1:
-        raise ConfigError("mc-dropout needs at least one pass")
-    draws = np.stack([predict(rng) for _ in range(n_passes)])
-    return PredictiveDistribution(draws.mean(axis=0), n_passes)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +523,7 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
     meta = {"trained": mode, "seed": int(seed)}
     if mode == "bbb":
         rho = w[n:]
-        n_clamped = int(np.sum(_softplus(rho) < SIGMA_FLOOR))
+        n_clamped = int(np.sum(ad.softplus(rho).data < SIGMA_FLOOR))
         if n_clamped:
             warnings.warn(f"{n_clamped} posterior scales collapsed below "
                           f"{SIGMA_FLOOR} and were clamped")
@@ -594,6 +590,12 @@ def _train_ensemble(model: FlatModel, data: TrainData,
 # marginalization
 
 
+def draw_count(mode: str, requested: int = 0) -> int:
+    """Predictive draws for ``mode``: ``requested``, or when it is 0 the
+    mode's default of 100 for bbb and 30 otherwise."""
+    return requested or (100 if mode == "bbb" else 30)
+
+
 def marginalize(predict: Callable[[np.ndarray], np.ndarray],
                 post: PosteriorRepresentation, n_samples: int = 30,
                 rng: Optional[np.random.Generator] = None,
@@ -601,7 +603,8 @@ def marginalize(predict: Callable[[np.ndarray], np.ndarray],
     """Probability-space average of per-draw predictions.
 
     ``predict`` maps one flat weight vector to probabilities. Point
-    posteriors ignore n_samples; sample sets use every stored member;
+    posteriors ignore n_samples; sample sets use every stored member (for
+    mc-dropout, identical rows that ``predict`` masks afresh each call);
     bbb and swag draw ``n_samples`` fresh weight vectors from ``rng``.
     """
     if post.mode == "point":

@@ -547,12 +547,14 @@ def _canon_component(g: MoleculeGraph, budget: list[int]) -> str:
             used.discard(frozenset((u, v)))
 
     old_limit = sys.getrecursionlimit()
-    if old_limit < 4 * n + 200:
-        sys.setrecursionlimit(4 * n + 200)
-    for root in roots:
-        undo = enter(root)
-        step([root], root)
-        undo_all(undo)
+    sys.setrecursionlimit(max(old_limit, 4 * n + 200))
+    try:
+        for root in roots:
+            undo = enter(root)
+            step([root], root)
+            undo_all(undo)
+    finally:
+        sys.setrecursionlimit(old_limit)
     return best[0]
 
 

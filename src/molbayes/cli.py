@@ -41,22 +41,19 @@ DEFAULT_CONFIG: dict = {
     "ensemble_members": 10,
     "kl_scale": 0.01,
     "prior_sigma": 10.0,
-    "eval_samples": 0,         # 0 = the mode's default draw count
-    "mc_passes": 30,
+    "eval_samples": 0,         # predictive draws; 0 = the mode's default
     "swag_scale": 1.0,
     "split": {"ratios": [0.8, 0.1, 0.1]},
     "seeds": [0, 1, 2, 3, 4, 5, 6, 7],
     "batch_size": 128,
     "out_dir": "runs",
     "workers": 0,              # 0 = one per available core
-    "render_svg": False,
 }
 
 # details that do not change any single artifact's content: execution
 # knobs, the seed selection (each artifact records its own seed), and
 # prediction-time sampling depths (reports record them as n_draws)
-_EXEC_KEYS = ("out_dir", "workers", "render_svg", "seeds",
-              "eval_samples", "mc_passes", "swag_scale")
+_EXEC_KEYS = ("out_dir", "workers", "seeds", "eval_samples", "swag_scale")
 
 # sections that accept keys beyond the defaults (schedule fields,
 # custom dataset column mappings)
@@ -122,8 +119,9 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError("split.ratios must be a list of three numbers")
     if cfg["ensemble_members"] < 2:
         raise ConfigError("ensemble_members must be at least 2")
-    if cfg["mc_passes"] < 1:
-        raise ConfigError("mc_passes must be at least 1")
+    if not isinstance(cfg["eval_samples"], int) or cfg["eval_samples"] < 0:
+        raise ConfigError("eval_samples must be a non-negative integer")
+    _schedule_for(cfg)   # every command rejects unknown schedule fields
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -245,33 +243,28 @@ def _write_json(path: str, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def _batches(ds: LabeledDataset, indices, batch_size: int) -> list:
+def _featurized(ds: LabeledDataset, indices) -> tuple[list, np.ndarray]:
     graphs = [featurize(parse_smiles(ds.smiles[i])) for i in indices]
-    labels = ds.labels[np.asarray(indices, dtype=np.int64)]
-    out = []
-    for lo in range(0, len(graphs), batch_size):
-        out.append(make_batch(graphs[lo:lo + batch_size],
-                              labels[lo:lo + batch_size]))
-    return out
+    return graphs, ds.labels[np.asarray(indices, dtype=np.int64)]
+
+
+def _batches(graphs: list, labels: np.ndarray, batch_size: int) -> list:
+    """Consecutive minibatches of at most ``batch_size`` graphs."""
+    return [make_batch(graphs[lo:lo + batch_size], labels[lo:lo + batch_size])
+            for lo in range(0, len(graphs), batch_size)]
 
 
 class _EpochBatches:
     """Reshuffled minibatches each epoch, driven by the caller's rng."""
 
     def __init__(self, ds: LabeledDataset, indices, batch_size: int):
-        self.graphs = [featurize(parse_smiles(ds.smiles[i]))
-                       for i in indices]
-        self.labels = ds.labels[np.asarray(indices, dtype=np.int64)]
+        self.graphs, self.labels = _featurized(ds, indices)
         self.batch_size = batch_size
 
     def __call__(self, rng: np.random.Generator) -> list:
         order = rng.permutation(len(self.graphs))
-        out = []
-        for lo in range(0, order.size, self.batch_size):
-            sel = order[lo:lo + self.batch_size]
-            out.append(make_batch([self.graphs[i] for i in sel],
-                                  self.labels[sel]))
-        return out
+        return _batches([self.graphs[i] for i in order], self.labels[order],
+                        self.batch_size)
 
 
 def _model_for(cfg: dict, n_tasks: int) -> GnnClassifier:
@@ -285,6 +278,8 @@ def _model_for(cfg: dict, n_tasks: int) -> GnnClassifier:
 def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
     overrides = dict(cfg["schedule"])
     epochs = overrides.pop("epochs", None)
+    if epochs is not None and not isinstance(epochs, int):
+        raise ConfigError("schedule.epochs must be an integer")
     base = bayes.default_schedule(cfg["mode"], epochs=epochs)
     kwargs = asdict(base)
     for key, value in overrides.items():
@@ -298,9 +293,14 @@ def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
 # prediction plumbing shared by eval and screen
 
 
-def _stacked_predictor(model: GnnClassifier, batches: list):
+def _stacked_predictor(model: GnnClassifier, batches: list,
+                       dropout_rng: Optional[np.random.Generator] = None):
+    """Probabilities over all batches; with ``dropout_rng``, every call
+    runs under fresh dropout masks drawn from it."""
     def predict(flat: np.ndarray) -> np.ndarray:
-        return np.vstack([model.predict_proba(flat, b) for b in batches])
+        return np.vstack([model.predict_proba(
+            flat, b, train=dropout_rng is not None, dropout_rng=dropout_rng)
+            for b in batches])
     return predict
 
 
@@ -308,24 +308,19 @@ def _predictive(cfg: dict, model: GnnClassifier,
                 post: bayes.PosteriorRepresentation, batches: list,
                 seed: int) -> bayes.PredictiveDistribution:
     mode = cfg["mode"]
-    schedule = _schedule_for(cfg)
-    n_draws = cfg["eval_samples"] or schedule.eval_samples
+    n_draws = bayes.draw_count(mode, cfg["eval_samples"])
     rng = bayes.stream(seed, "eval-draw")
-    if mode == "mcdo":
-        if post.mode != "point":
-            raise ConfigError("mc-dropout evaluation needs a point artifact")
-
-        def stochastic(pass_rng: np.random.Generator) -> np.ndarray:
-            return np.vstack([model.predict_proba(post.point, b, train=True,
-                                                  dropout_rng=pass_rng)
-                              for b in batches])
-
-        return bayes.mc_dropout_predict(stochastic, cfg["mc_passes"], rng)
-    predict = _stacked_predictor(model, batches)
-    if post.mode in ("point", "samples"):
-        return bayes.marginalize(predict, post)
-    return bayes.marginalize(predict, post, n_samples=n_draws, rng=rng,
-                             scale=cfg["swag_scale"])
+    if mode != "mcdo":
+        return bayes.marginalize(_stacked_predictor(model, batches), post,
+                                 n_samples=n_draws, rng=rng,
+                                 scale=cfg["swag_scale"])
+    if post.mode != "point":
+        raise ConfigError("mc-dropout evaluation needs a point artifact")
+    # n_draws copies of the point (a view, no copy), each under new masks
+    passes = bayes.PosteriorRepresentation(
+        mode="samples", digest=post.digest,
+        samples=np.broadcast_to(post.point, (n_draws, post.point.size)))
+    return bayes.marginalize(_stacked_predictor(model, batches, rng), passes)
 
 
 def _check_artifact(cfg: dict, model: GnnClassifier,
@@ -340,6 +335,9 @@ def _check_artifact(cfg: dict, model: GnnClassifier,
         raise ConfigError(
             f"artifact {path} was trained on an incompatible model "
             f"(parameter digest {post.digest} != {model.digest})")
+    if post.n_params != model.n_params:
+        raise DataError(f"artifact {path} holds {post.n_params} weights per "
+                        f"draw; the model has {model.n_params}")
 
 
 def _posterior_path(cfg: dict, seed: int) -> str:
@@ -377,9 +375,9 @@ def _train_one_seed(payload: tuple) -> dict:
         n_examples=len(manifest["train"]))
     hook = None
     if manifest["valid"]:
+        graphs, valid_labels = _featurized(ds, manifest["valid"])
         predict = _stacked_predictor(
-            model, _batches(ds, manifest["valid"], cfg["batch_size"]))
-        valid_labels = ds.labels[np.asarray(manifest["valid"])]
+            model, _batches(graphs, valid_labels, cfg["batch_size"]))
 
         def hook(flat: np.ndarray) -> dict:
             try:
@@ -445,29 +443,26 @@ def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
     test_idx = manifest["test"] or manifest["valid"]
     if not test_idx:
         raise DataError(f"seed {seed}: no held-out molecules to evaluate")
-    batches = _batches(ds, test_idx, cfg["batch_size"])
-    labels = ds.labels[np.asarray(test_idx)]
-    pred = _predictive(cfg, model, post, batches, seed)
+    graphs, labels = _featurized(ds, test_idx)
+    pred = _predictive(cfg, model, post,
+                       _batches(graphs, labels, cfg["batch_size"]), seed)
     probs = pred.mean
     row: dict = {"seed": seed, "n_eval": len(test_idx),
                  "n_draws": pred.n_samples}
-    for name, fn in (("ece", lambda p, y: metrics.ece(p, y).ece),
-                     ("auroc", metrics.auroc),
-                     ("accuracy",
-                      lambda p, y:
-                      metrics.classification_metrics(p, y).accuracy),
-                     ("precision",
-                      lambda p, y:
-                      metrics.classification_metrics(p, y).precision),
-                     ("recall",
-                      lambda p, y:
-                      metrics.classification_metrics(p, y).recall),
-                     ("f1",
-                      lambda p, y: metrics.classification_metrics(p, y).f1)):
+
+    def thresholded(p, y) -> tuple:
+        m = metrics.classification_metrics(p, y)
+        return m.accuracy, m.precision, m.recall, m.f1
+
+    for names, fn in ((("ece",), lambda p, y: (metrics.ece(p, y).ece,)),
+                      (("auroc",), lambda p, y: (metrics.auroc(p, y),)),
+                      (("accuracy", "precision", "recall", "f1"),
+                       thresholded)):
         try:
-            row[name], _ = metrics.macro_average(fn, probs, labels)
+            means, _ = metrics.macro_average(fn, probs, labels)
         except DataError:
-            row[name] = None
+            means = (None,) * len(names)
+        row.update(zip(names, means))
     present = ~np.isnan(labels)
     pooled_p, pooled_y = probs[present], labels[present]
     row["extreme_fraction"] = \
@@ -477,12 +472,10 @@ def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
                              f"{cfg['mode']}_seed{seed}_confusion.csv")
     _write_csv_with_digest(hist_path, config_digest(cfg),
                            lambda fh: metrics.write_histogram_csv(fh, hist))
-    if cfg["render_svg"]:
-        metrics.render_histogram_svg(
-            hist_path[:-4] + ".svg", hist.bin_low, hist.bin_high,
-            {"tp": hist.tp, "fp": hist.fp, "tn": hist.tn, "fn": hist.fn},
-            title=f"{cfg['mode']} seed {seed} "
-                  f"[config {config_digest(cfg)}]")
+    metrics.render_histogram_svg(
+        hist_path[:-4] + ".svg", hist.bin_low, hist.bin_high,
+        {"tp": hist.tp, "fp": hist.fp, "tn": hist.tn, "fn": hist.fn},
+        title=f"{cfg['mode']} seed {seed} [config {config_digest(cfg)}]")
     return row
 
 
@@ -558,24 +551,21 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
         n_tasks = int(post.meta["n_tasks"])
     model = _model_for(cfg, n_tasks)
     _check_artifact(cfg, model, post, path)
-    dummy = np.full((len(graphs), n_tasks), np.nan)
-    batches = []
-    for lo in range(0, len(graphs), cfg["batch_size"]):
-        batches.append(make_batch(graphs[lo:lo + cfg["batch_size"]],
-                                  dummy[lo:lo + cfg["batch_size"]]))
-    pred = _predictive(cfg, model, post, batches, seed)
+    unlabeled = np.full((len(graphs), n_tasks), np.nan)
+    pred = _predictive(cfg, model, post,
+                       _batches(graphs, unlabeled, cfg["batch_size"]), seed)
     probs = pred.mean[:, 0]
     spread = pred.uncertainty[:, 0]
     digest = config_digest(cfg)
     os.makedirs(cfg["out_dir"], exist_ok=True)
     base = os.path.join(cfg["out_dir"], f"screen_{cfg['mode']}")
 
-    order = np.argsort(-probs, kind="stable")
-    with open(f"{base}_ranking.csv", "w") as fh:
-        fh.write(f"# config_digest={digest}\n")
+    def ranking(fh):
         fh.write("smiles,probability,uncertainty\n")
-        for i in order:
+        for i in np.argsort(-probs, kind="stable"):
             fh.write(f"{smiles[i]},{probs[i]:.6f},{spread[i]:.6f}\n")
+
+    _write_csv_with_digest(f"{base}_ranking.csv", digest, ranking)
 
     summary = metrics.screening_summary(probs)
     _write_json(f"{base}_summary.json", {

@@ -17,7 +17,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -245,34 +245,39 @@ def screening_summary(probs, low: float = 0.05, high: float = 0.95,
 # multi-task aggregation
 
 
-def macro_average(metric: Callable[[np.ndarray, np.ndarray], float],
-                  probs, labels
-                  ) -> tuple[float, list[Optional[float]]]:
+def macro_average(metric: Callable[[np.ndarray, np.ndarray], Any],
+                  probs, labels) -> tuple[Any, list]:
     """Column-wise metric over non-missing cells, averaged across tasks.
 
     NaN labels mark missing cells. Tasks where the metric is undefined
     (e.g. single-class auroc) are skipped and reported as None; at least
-    one task must be defined.
+    one task must be defined. A metric returning a tuple of floats is
+    averaged entry by entry, giving a tuple of means.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if probs.ndim != 2 or probs.shape != labels.shape:
         raise DataError(f"need matching (n, tasks) matrices, got "
                         f"{probs.shape} and {labels.shape}")
-    per_task: list[Optional[float]] = []
+    per_task: list = []
     for t in range(probs.shape[1]):
         present = ~np.isnan(labels[:, t])
         if not present.any():
             per_task.append(None)
             continue
         try:
-            per_task.append(float(metric(probs[present, t],
-                                         labels[present, t])))
+            value = metric(probs[present, t], labels[present, t])
         except DataError:
             per_task.append(None)
+            continue
+        per_task.append(value if isinstance(value, tuple) else float(value))
     defined = [v for v in per_task if v is not None]
     if not defined:
         raise DataError("metric undefined for every task")
+    if isinstance(defined[0], tuple):
+        # one 1-D mean per entry: the mean of a stacked (tasks, k) array
+        # along axis 0 can differ in the last bit from 8 tasks on
+        return tuple(float(np.mean(c)) for c in zip(*defined)), per_task
     return float(np.mean(defined)), per_task
 
 

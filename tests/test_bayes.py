@@ -130,8 +130,8 @@ def test_default_schedules():
         assert (s.epochs, s.optimizer, s.lr) == (250, "sgd", 0.1)
         assert s.decay_points == (74,)
         assert (s.cyclic_from, s.cadence) == (150, 4)
-    assert bayes.default_schedule("bbb").eval_samples == 100
-    assert bayes.default_schedule("swag").eval_samples == 30
+    assert bayes.draw_count("bbb") == 100
+    assert bayes.draw_count("swag") == 30
     with pytest.raises(ConfigError):
         bayes.default_schedule("hmc")
 
@@ -319,16 +319,24 @@ def test_ensemble_excludes_diverging_member():
 # mc-dropout prediction
 
 
+def mc_dropout(predict, n_passes, rng):
+    """Marginalize as eval does for mcdo: ``n_passes`` identical rows of
+    one point, each predicted under masks from ``rng``."""
+    point = np.zeros(2)
+    passes = bayes.PosteriorRepresentation(
+        mode="samples", digest="d",
+        samples=np.broadcast_to(point, (n_passes, point.size)))
+    return bayes.marginalize(lambda flat: predict(rng), passes)
+
+
 def test_mc_dropout_rejects_zero_passes():
     with pytest.raises(ConfigError):
-        bayes.mc_dropout_predict(lambda rng: np.zeros((1, 1)), 0,
-                                 np.random.default_rng(0))
+        mc_dropout(lambda rng: np.zeros((1, 1)), 0, np.random.default_rng(0))
 
 
 def test_mc_dropout_constant_predictor():
     const = np.full((3, 1), 0.25)
-    out = bayes.mc_dropout_predict(lambda rng: const, 7,
-                                   np.random.default_rng(0))
+    out = mc_dropout(lambda rng: const, 7, np.random.default_rng(0))
     assert np.allclose(out.mean, 0.25)
     assert out.n_samples == 7
 
@@ -337,7 +345,7 @@ def test_mc_dropout_single_pass_matches_stream():
     def predict(rng):
         return np.array([[rng.uniform()]])
 
-    out = bayes.mc_dropout_predict(predict, 1, np.random.default_rng(11))
+    out = mc_dropout(predict, 1, np.random.default_rng(11))
     assert out.mean[0, 0] == np.random.default_rng(11).uniform()
 
 
@@ -358,7 +366,7 @@ def test_mc_dropout_enumerated_masks():
     def predict(rng):
         return np.array([[prob(queue.pop(0))]])
 
-    out = bayes.mc_dropout_predict(predict, 4, np.random.default_rng(0))
+    out = mc_dropout(predict, 4, np.random.default_rng(0))
     assert abs(out.mean[0, 0] - hand) < 1e-15
 
 

@@ -1,5 +1,7 @@
 """Parser, featurizer, scaffold and split behaviour."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,15 @@ def test_scaffold_is_idempotent():
         key = murcko_scaffold(parse_smiles(s))
         if key:
             assert murcko_scaffold(parse_smiles(key)) == key, s
+
+
+def test_large_ring_scaffold_restores_recursion_limit():
+    # the canonical DFS raises the limit for a deep ring, then puts it back
+    limit = sys.getrecursionlimit()
+    ring = parse_smiles("C1" + "C" * 248 + "C1")
+    assert len(ring.atoms) == 250
+    assert murcko_scaffold(ring)
+    assert sys.getrecursionlimit() == limit
 
 
 # ---------------------------------------------------------------------------

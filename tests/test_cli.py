@@ -96,6 +96,12 @@ def test_bad_values_exit_2(synthetic_csv, tmp_path):
     assert cli.main(["train", *base, "--mode", "laplace"]) == 2
     assert cli.main(["train", *base,
                      "--set", "schedule.warmup=3"]) == 2
+    assert cli.main(["eval", *base,
+                     "--set", "schedule.eval_samples=8"]) == 2
+    assert cli.main(["split", *base, "--set", "schedule.epochs=many"]) == 2
+    for draws in ("-1", "2.5", "many"):
+        assert cli.main(["split", *base,
+                         "--set", f"eval_samples={draws}"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +232,18 @@ MALFORMED_HEADERS = {
     "unknown_array": lambda h: {**h, "arrays": [
         {**a, "name": "weights"} for a in h["arrays"]]},
     "list_header": lambda h: [h],
+    "short_point": lambda h: {**h, "arrays": [
+        {**a, "shape": [a["shape"][0] - 1]} for a in h["arrays"]]},
+    "flat_swag_dev": lambda h: {
+        **h, "meta": {**h["meta"], "mode": "swag", "swag_rank": 20},
+        "arrays": [{**h["arrays"][0], "name": name} for name in
+                   ("swag_dev", "swag_mean", "swag_sq_mean")]},
+    "samples_mode_over_point": lambda h: {
+        **h, "meta": {**h["meta"], "mode": "samples"}},
 }
+# body edits that keep each doctored header's byte count honest
+MALFORMED_BODIES = {"short_point": lambda body: body[:-8],
+                    "flat_swag_dev": lambda body: body * 3}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
@@ -239,8 +256,9 @@ def test_malformed_posterior_exits_3(synthetic_csv, trained_point_dir,
     end = off + 8 + int.from_bytes(raw[off:off + 8], "little")
     header = json.dumps(MALFORMED_HEADERS[case](
         json.loads(raw[off + 8:end]))).encode()
+    body = MALFORMED_BODIES.get(case, lambda b: b)(raw[end:])
     path.write_bytes(raw[:off] + len(header).to_bytes(8, "little")
-                     + header + raw[end:])
+                     + header + body)
     rc = cli.main(["eval", *_args(synthetic_csv, tmp_path,
                                   "--set", "schedule.epochs=1"),
                    "--mode", "none", "--arch", "gcn", "--seeds", "0"])
@@ -267,7 +285,7 @@ def test_swag_artifact_holds_low_rank_state(synthetic_csv, tmp_path):
 
 @pytest.mark.parametrize("mode,extra", [
     ("mcdo", ("--set", "model.dropout=0.2", "--set", "schedule.epochs=3",
-              "--set", "mc_passes=4")),
+              "--set", "eval_samples=4")),
     ("bbb", ("--set", "schedule.epochs=2", "--set", "eval_samples=4")),
     ("sgld", ("--set", "schedule.epochs=6", "--set", "schedule.burn_in=2",
               "--set", "schedule.cadence=2")),

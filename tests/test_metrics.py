@@ -301,6 +301,28 @@ def test_macro_average_skips_undefined_tasks():
         metrics.macro_average(metrics.auroc, probs[:, :1], labels_all_nan)
 
 
+def test_macro_average_tuple_metric_matches_scalar_metrics():
+    # twelve tasks, where an axis-0 mean of the stacked tuples can
+    # differ in the last bit from averaging each entry on its own
+    rng = np.random.default_rng(16)
+    probs = rng.uniform(size=(60, 12))
+    labels = rng.integers(0, 2, size=(60, 12)).astype(float)
+    labels[::3, 4] = np.nan
+
+    def both(p, y):
+        m = metrics.classification_metrics(p, y)
+        return m.accuracy, m.f1
+
+    means, per_task = metrics.macro_average(both, probs, labels)
+    acc, _ = metrics.macro_average(
+        lambda p, y: metrics.classification_metrics(p, y).accuracy,
+        probs, labels)
+    f1, _ = metrics.macro_average(
+        lambda p, y: metrics.classification_metrics(p, y).f1, probs, labels)
+    assert means == (acc, f1)
+    assert len(per_task) == 12 and all(len(v) == 2 for v in per_task)
+
+
 def test_macro_average_shape_check():
     with pytest.raises(DataError):
         metrics.macro_average(metrics.auroc, np.zeros(3), np.zeros(3))
