@@ -8,7 +8,10 @@ inference.
 
 The op catalog is exactly what the graph layers and losses need: matmul /
 linear, broadcast arithmetic, concat, the activations, segment reductions
-keyed by integer ids, dropout, gather, slice and reshape.
+keyed by integer ids, dropout, gather, slice and reshape. Every
+scatter-add (the ``segment_sum`` forward, the ``gather_rows`` vjp and both
+sums in ``segment_softmax``) goes through one primitive, ``_scatter_add``,
+a single flattened ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -264,12 +267,9 @@ def elu(x, alpha: float = 1.0) -> Tensor:
 
 def sigmoid(x) -> Tensor:
     x = as_tensor(x)
-    # computed branch-wise so neither tail overflows
-    out = np.empty_like(x.data)
-    pos = x.data >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x.data[pos]))
-    e = np.exp(x.data[~pos])
-    out[~pos] = e / (1.0 + e)
+    # e^-|x| never overflows; each side picks the form that cannot either
+    e = np.exp(-np.abs(x.data))
+    out = np.where(x.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -354,19 +354,6 @@ def slice1d(x, start: int, stop: int) -> Tensor:
     return _emit("slice", (x,), out, vjp)
 
 
-def gather_rows(x, index: np.ndarray) -> Tensor:
-    x = as_tensor(x)
-    index = np.asarray(index, dtype=np.int64)
-    out = x.data[index]
-
-    def vjp(g):
-        full = np.zeros_like(x.data)
-        np.add.at(full, index, g)
-        return (full,)
-
-    return _emit("gather_rows", (x,), out, vjp)
-
-
 def _check_segments(segments: np.ndarray, n_segments: int) -> np.ndarray:
     segments = np.asarray(segments, dtype=np.int64)
     if segments.size and (segments.min() < 0 or segments.max() >= n_segments):
@@ -376,6 +363,32 @@ def _check_segments(segments: np.ndarray, n_segments: int) -> np.ndarray:
     return segments
 
 
+def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Sum the rows of ``values`` into ``n`` rows keyed by ``index``.
+
+    One flattened ``bincount`` over the bins ``index * width + column``. Each
+    bin adds its rows in ascending row order starting from 0.0, the order
+    ``np.add.at`` uses, so the result is bit-equal to it.
+    """
+    tail = values.shape[1:]
+    width = math.prod(tail)
+    bins = index if width == 1 else \
+        (index[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(bins, weights=values.ravel(),
+                       minlength=n * width).reshape((n,) + tail)
+
+
+def gather_rows(x, index: np.ndarray) -> Tensor:
+    x = as_tensor(x)
+    index = _check_segments(index, x.data.shape[0])
+    out = x.data[index]
+
+    def vjp(g):
+        return (_scatter_add(index, g, x.data.shape[0]),)
+
+    return _emit("gather_rows", (x,), out, vjp)
+
+
 def segment_sum(x, segments: np.ndarray, n_segments: int) -> Tensor:
     """Sum rows of x into n_segments buckets keyed by ``segments``."""
     x = as_tensor(x)
@@ -383,8 +396,7 @@ def segment_sum(x, segments: np.ndarray, n_segments: int) -> Tensor:
     if segments.shape[0] != x.data.shape[0]:
         raise ShapeError(
             f"segment_sum: {x.data.shape[0]} rows vs {segments.shape[0]} ids")
-    out = np.zeros((n_segments,) + x.data.shape[1:], dtype=np.float64)
-    np.add.at(out, segments, x.data)
+    out = _scatter_add(segments, x.data, n_segments)
 
     def vjp(g):
         return (g[segments],)
@@ -407,13 +419,11 @@ def segment_softmax(x, segments: np.ndarray, n_segments: int) -> Tensor:
     peak = np.full((n_segments,) + tail, -np.inf)
     np.maximum.at(peak, segments, x.data)
     shifted = np.exp(x.data - peak[segments])
-    denom = np.zeros((n_segments,) + tail, dtype=np.float64)
-    np.add.at(denom, segments, shifted)
+    denom = _scatter_add(segments, shifted, n_segments)
     out = shifted / denom[segments]
 
     def vjp(g):
-        dot = np.zeros((n_segments,) + tail, dtype=np.float64)
-        np.add.at(dot, segments, g * out)
+        dot = _scatter_add(segments, g * out, n_segments)
         return (out * (g - dot[segments]),)
 
     return _emit("segment_softmax", (x,), out, vjp)

@@ -262,6 +262,9 @@ def load_posterior(path: str) -> PosteriorRepresentation:
     if len(sizes) != 1:
         raise DataError(f"{path}: {mode} arrays disagree on the number of "
                         f"weights {sorted(sizes)}")
+    if mode == "swag" and arrays["swag_dev"].shape[1] > rank:
+        raise DataError(f"{path}: {arrays['swag_dev'].shape[1]} deviation "
+                        f"columns exceed the stated swag_rank {rank}")
     return PosteriorRepresentation(mode=mode, digest=digest,
                                    swag_rank=int(rank), meta=extra, **arrays)
 

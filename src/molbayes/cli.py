@@ -117,8 +117,9 @@ def _validate_config(cfg: dict) -> None:
     ratios = cfg["split"]["ratios"]
     if not isinstance(ratios, list) or len(ratios) != 3:
         raise ConfigError("split.ratios must be a list of three numbers")
-    if cfg["ensemble_members"] < 2:
-        raise ConfigError("ensemble_members must be at least 2")
+    if not isinstance(cfg["ensemble_members"], int) \
+            or cfg["ensemble_members"] < 2:
+        raise ConfigError("ensemble_members must be an integer of at least 2")
     if not isinstance(cfg["eval_samples"], int) or cfg["eval_samples"] < 0:
         raise ConfigError("eval_samples must be a non-negative integer")
     _schedule_for(cfg)   # every command rejects unknown schedule fields

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from molbayes import autodiff as ad
 from molbayes.errors import NumericError
@@ -254,6 +256,75 @@ def test_segment_softmax_empty_segment_is_fine():
 def test_segment_ids_out_of_range_raise():
     with pytest.raises(ad.ShapeError):
         ad.segment_sum(ad.Tensor(np.zeros((2, 1))), np.array([0, 5]), 3)
+
+
+def test_gather_rows_index_out_of_range_raises():
+    x = ad.Tensor(np.zeros((3, 2)))
+    for index in ([0, -1], [0, 3]):
+        with pytest.raises(ad.ShapeError):
+            ad.gather_rows(x, np.array(index))
+
+
+# ---------------------------------------------------------------------------
+# the scatter primitive against an np.add.at reference, bit for bit
+
+
+def _add_at(index, values, n):
+    out = np.zeros((n,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
+
+
+def _softmax_at(x, index, n):
+    """segment_softmax forward and vjp, every sum done with np.add.at."""
+    peak = np.full((n,) + x.shape[1:], -np.inf)
+    np.maximum.at(peak, index, x)
+    shifted = np.exp(x - peak[index])
+    out = shifted / _add_at(index, shifted, n)[index]
+    return out, lambda g: out * (g - _add_at(index, g * out, n)[index])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@st.composite
+def scatter_cases(draw):
+    """Unsorted, repeated ids over n rows (some left empty), zero or more
+    value rows of 1-D, 2-D or 3-D shape, and an upstream gradient."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 12))
+    index = np.array(draw(st.lists(st.integers(0, n - 1),
+                                   min_size=m, max_size=m)), dtype=np.int64)
+    shape = (m,) + draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    floats = st.floats(-1e12, 1e12, allow_subnormal=True)
+    values = draw(hnp.arrays(np.float64, shape, elements=floats))
+    grad = draw(hnp.arrays(np.float64, shape, elements=floats))
+    return index, values, grad, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(scatter_cases())
+def test_scatter_ops_bit_equal_add_at(case):
+    index, values, grad, n = case
+    assert same_bits(ad.segment_sum(values, index, n).data,
+                     _add_at(index, values, n))
+
+    tape = ad.Tape()
+    x = tape.parameter("x", np.zeros((n,) + values.shape[1:]))
+    out = ad.gather_rows(x, index)
+    assert same_bits(ad.backward(tape, ad.tsum(ad.mul(out, grad)))["x"],
+                     _add_at(index, grad, n))
+
+    tape = ad.Tape()
+    x = tape.parameter("x", values)
+    out = ad.segment_softmax(x, index, n)
+    want, want_vjp = _softmax_at(values, index, n)
+    assert same_bits(out.data, want)
+    assert same_bits(ad.backward(tape, ad.tsum(ad.mul(out, grad)))["x"],
+                     want_vjp(grad))
 
 
 def test_dropout_semantics_and_grad():

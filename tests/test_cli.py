@@ -102,6 +102,9 @@ def test_bad_values_exit_2(synthetic_csv, tmp_path):
     for draws in ("-1", "2.5", "many"):
         assert cli.main(["split", *base,
                          "--set", f"eval_samples={draws}"]) == 2
+    for members in ('"x"', "2.5", "1"):
+        assert cli.main(["split", *base,
+                         "--set", f"ensemble_members={members}"]) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +243,17 @@ MALFORMED_HEADERS = {
                    ("swag_dev", "swag_mean", "swag_sq_mean")]},
     "samples_mode_over_point": lambda h: {
         **h, "meta": {**h["meta"], "mode": "samples"}},
+    "swag_rank_below_columns": lambda h: {
+        **h, "meta": {**h["meta"], "mode": "swag", "swag_rank": 1},
+        "arrays": [{**h["arrays"][0], "name": "swag_dev",
+                    "shape": [h["arrays"][0]["shape"][0], 2]}]
+        + [{**h["arrays"][0], "name": name}
+           for name in ("swag_mean", "swag_sq_mean")]},
 }
 # body edits that keep each doctored header's byte count honest
 MALFORMED_BODIES = {"short_point": lambda body: body[:-8],
-                    "flat_swag_dev": lambda body: body * 3}
+                    "flat_swag_dev": lambda body: body * 3,
+                    "swag_rank_below_columns": lambda body: body * 4}
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
