@@ -404,6 +404,7 @@ def _grad_flat(model: FlatModel, flat: np.ndarray, batch,
     theta = tape.parameter("theta", flat)
     loss = model.nll(tape, theta, batch, train=train, rng=rng)
     grads = ad.backward(tape, loss)
+    tape.records.clear()    # a reference cycle; frees the step's activations
     return loss.item(), grads["theta"]
 
 
@@ -461,6 +462,7 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
                 kl = _kl_tensor(mu_t, sigma_t, prior_sigma)
                 loss = ad.add(loss, ad.mul(kl, kl_scale / data.n_examples))
             grads = ad.backward(tape, loss)
+            tape.records.clear()
             return loss.item(), np.concatenate([grads["mu"], grads["rho"]])
     else:
         dropout_rng = stream(seed, "dropout") if mode == "mcdo" else None

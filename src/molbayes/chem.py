@@ -634,11 +634,26 @@ class LoadReport:
 
 @dataclass
 class LabeledDataset:
+    """Molecules with their labels.
+
+    Each row's parsed graph is kept (parsed here when not given); its
+    featurized graph and scaffold key are computed on first use and kept,
+    so every split seed and every training seed shares one computation.
+    """
+
     name: str
     smiles: list[str]
     labels: np.ndarray          # (N, T) float64, NaN where missing
     task_names: tuple[str, ...]
     report: LoadReport = field(default_factory=LoadReport)
+    molecules: Optional[list[MoleculeGraph]] = field(default=None,
+                                                     repr=False)
+
+    def __post_init__(self):
+        if self.molecules is None:
+            self.molecules = [parse_smiles(s) for s in self.smiles]
+        self._graphs: list[Optional[FeaturizedGraph]] = [None] * len(self)
+        self._keys: list[Optional[str]] = [None] * len(self)
 
     def __len__(self) -> int:
         return len(self.smiles)
@@ -646,6 +661,18 @@ class LabeledDataset:
     @property
     def n_tasks(self) -> int:
         return int(self.labels.shape[1])
+
+    def graph(self, i: int) -> FeaturizedGraph:
+        g = self._graphs[i]
+        if g is None:
+            g = self._graphs[i] = featurize(self.molecules[i])
+        return g
+
+    def scaffold_key(self, i: int) -> str:
+        key = self._keys[i]
+        if key is None:
+            key = self._keys[i] = murcko_scaffold(self.molecules[i])
+        return key
 
 
 def _parse_label(cell: str, path: str, row: int, col: str) -> float:
@@ -675,6 +702,7 @@ def load_dataset(path: str, smiles_col: str, label_cols: Sequence[str],
     label_cols = tuple(label_cols)
     report = LoadReport()
     smiles: list[str] = []
+    molecules: list[MoleculeGraph] = []
     rows: list[list[float]] = []
     try:
         handle = open(path, newline="", encoding="utf-8")
@@ -696,7 +724,7 @@ def load_dataset(path: str, smiles_col: str, label_cols: Sequence[str],
                 continue
             raw = (record[smiles_col] or "").strip()
             try:
-                parse_smiles(raw)
+                molecules.append(parse_smiles(raw))
             except SmilesError:
                 report.n_parse_failures += 1
                 continue
@@ -705,7 +733,8 @@ def load_dataset(path: str, smiles_col: str, label_cols: Sequence[str],
     report.n_kept = len(smiles)
     labels = np.array(rows, dtype=np.float64).reshape(len(smiles),
                                                       len(label_cols))
-    return LabeledDataset(name or path, smiles, labels, label_cols, report)
+    return LabeledDataset(name or path, smiles, labels, label_cols, report,
+                          molecules)
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +779,7 @@ def scaffold_split(ds: LabeledDataset,
         raise DataError("cannot split an empty dataset")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"split ratios must sum to 1, got {ratios}")
-    keys = [murcko_scaffold(parse_smiles(s)) for s in ds.smiles]
+    keys = [ds.scaffold_key(i) for i in range(len(ds))]
     groups: dict[str, list[int]] = {}
     for idx, key in enumerate(keys):
         groups.setdefault(key, []).append(idx)

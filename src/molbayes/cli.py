@@ -47,7 +47,7 @@ DEFAULT_CONFIG: dict = {
     "seeds": [0, 1, 2, 3, 4, 5, 6, 7],
     "batch_size": 128,
     "out_dir": "runs",
-    "workers": 0,              # 0 = one per available core
+    "workers": 0,              # 0 = as many as the cores hold beside BLAS
 }
 
 # details that do not change any single artifact's content: execution
@@ -115,8 +115,22 @@ def _validate_config(cfg: dict) -> None:
         raise ConfigError(f"unknown mode {cfg['mode']!r}; "
                           f"one of {bayes.MODES}")
     ratios = cfg["split"]["ratios"]
-    if not isinstance(ratios, list) or len(ratios) != 3:
-        raise ConfigError("split.ratios must be a list of three numbers")
+    if not isinstance(ratios, list) or len(ratios) != 3 or not all(
+            isinstance(r, (int, float)) and r >= 0 for r in ratios):
+        raise ConfigError("split.ratios must be a list of three "
+                          "non-negative numbers")
+    if not isinstance(cfg["workers"], int) or cfg["workers"] < 0:
+        raise ConfigError("workers must be a non-negative integer")
+    model = cfg["model"]
+    for key in ("hidden_dim", "graph_dim", "n_layers", "n_heads"):
+        if not isinstance(model[key], int):
+            raise ConfigError(f"model.{key} must be an integer")
+    for key, value in (("model.dropout", model["dropout"]),
+                       ("kl_scale", cfg["kl_scale"]),
+                       ("prior_sigma", cfg["prior_sigma"]),
+                       ("swag_scale", cfg["swag_scale"])):
+        if not isinstance(value, (int, float)):
+            raise ConfigError(f"{key} must be a number")
     if not isinstance(cfg["ensemble_members"], int) \
             or cfg["ensemble_members"] < 2:
         raise ConfigError("ensemble_members must be an integer of at least 2")
@@ -245,7 +259,7 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def _featurized(ds: LabeledDataset, indices) -> tuple[list, np.ndarray]:
-    graphs = [featurize(parse_smiles(ds.smiles[i])) for i in indices]
+    graphs = [ds.graph(i) for i in indices]
     return graphs, ds.labels[np.asarray(indices, dtype=np.int64)]
 
 
@@ -286,8 +300,21 @@ def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
     for key, value in overrides.items():
         if key not in kwargs or key == "mode":
             raise ConfigError(f"unknown schedule field {key!r}")
+        if not _fits(kwargs[key], value):
+            raise ConfigError(f"schedule.{key} must have the type of its "
+                              f"default ({kwargs[key]!r})")
         kwargs[key] = tuple(value) if key == "decay_points" else value
     return bayes.TrainSchedule(**kwargs)
+
+
+def _fits(default, value) -> bool:
+    """Whether ``value`` can stand in for the schedule field ``default``."""
+    if isinstance(default, tuple):
+        return isinstance(value, list) \
+            and all(isinstance(v, int) for v in value)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +393,7 @@ def cmd_split(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def _train_one_seed(payload: tuple) -> dict:
-    cfg, seed, manifest = payload
-    ds = _load(cfg)
+    cfg, ds, seed, manifest = payload
     model = _model_for(cfg, ds.n_tasks)
     schedule = _schedule_for(cfg)
     data = bayes.TrainData(
@@ -408,6 +434,43 @@ def _train_one_seed(payload: tuple) -> dict:
             "valid_auroc": final.get("valid_auroc")}
 
 
+def _blas_threads() -> int:
+    """Threads each process's BLAS runs: the first positive count among
+    its thread variables, else one per core, the OpenBLAS and MKL default."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            n = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if n > 0:
+            return n
+    return os.cpu_count() or 1
+
+
+def _worker_count(workers: int, n_seeds: int) -> int:
+    """Training processes: ``workers``, or for 0 as many as the cores hold
+    next to each one's BLAS threads; never more than one per seed.
+
+    On a host where BLAS takes every core, seeds train one after another
+    in this process, because parallel workers would only contend for the
+    cores. BLAS thread counts are read, never set: they change the bits
+    of a matrix product, so pinning them here would make an artifact
+    depend on the worker count.
+    """
+    if workers == 0:
+        workers = max(1, (os.cpu_count() or 1) // _blas_threads())
+    return min(workers, n_seeds)
+
+
+def _settle(fn, *args):
+    """``fn(*args)``, or the exception it raised, so that one failed seed
+    does not hide the others' outcomes."""
+    try:
+        return fn(*args)
+    except Exception as e:      # reported per seed, then raised
+        return e
+
+
 def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
     ds = _load(cfg)
     payloads = []
@@ -415,21 +478,29 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
         manifest = _ensure_manifest(cfg, ds, seed)
         if not manifest["train"]:
             raise DataError(f"seed {seed}: empty training split")
-        payloads.append((cfg, seed, manifest))
-    workers = cfg["workers"] or os.cpu_count() or 1
-    workers = min(workers, len(payloads))
+        payloads.append((cfg, ds, seed, manifest))
+    workers = _worker_count(cfg["workers"], len(payloads))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_train_one_seed, payloads))
+            futures = [pool.submit(_train_one_seed, p) for p in payloads]
+            outcomes = [_settle(f.result) for f in futures]
     else:
-        results = [_train_one_seed(p) for p in payloads]
-    for r in results:
+        outcomes = [_settle(_train_one_seed, p) for p in payloads]
+    failure = None
+    for seed, r in zip(cfg["seeds"], outcomes):
+        if isinstance(r, Exception):
+            print(f"seed {seed}: failed ({r})", file=sys.stderr)
+            if failure is None:
+                failure = r
+            continue
         extra = ""
         if r["final_loss"] is not None:
             extra += f", final loss {r['final_loss']:.4f}"
         if r["valid_auroc"] is not None:
             extra += f", valid auroc {r['valid_auroc']:.3f}"
         print(f"seed {r['seed']}: wrote {r['path']}{extra}")
+    if failure is not None:
+        raise failure
     return 0
 
 

@@ -1,6 +1,7 @@
 """Training modes, posterior containers and marginalization."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -250,6 +251,28 @@ def test_train_map_valid_eval_hook():
     post, log = bayes.train(model, full_batch_data(model), sched, SEED,
                             valid_eval=lambda flat: {"valid_auroc": 1.0})
     assert all(e["valid_auroc"] == 1.0 for e in log)
+
+
+@pytest.mark.parametrize("mode", ["none", "bbb"])
+def test_train_frees_each_step_tape(mode):
+    # a tape is a reference cycle (records -> vjp closures -> Tensor.tape),
+    # so with the cycle collector off only training itself can free it
+    graphs = [featurize(parse_smiles(s)) for s in ("CCO", "c1ccccc1")]
+    batch = make_batch(graphs, np.array([[0.0], [1.0]]))
+    model = GnnClassifier(ModelConfig(architecture="gcn", hidden_dim=8,
+                                      graph_dim=8, n_layers=1, dropout=0.0))
+    data = bayes.TrainData(epoch_batches=lambda rng: [batch, batch],
+                           n_examples=4)
+    sched = bayes.TrainSchedule(mode=mode, epochs=2, optimizer="adam",
+                                lr=1e-2, train_samples=2)
+    gc.collect()
+    gc.disable()
+    try:
+        bayes.train(model, data, sched, SEED)
+        alive = sum(isinstance(o, ad._Record) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert alive == 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

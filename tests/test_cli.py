@@ -7,11 +7,14 @@ are exercised exactly as a shell user would hit them.
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from molbayes import artifacts, bayes, cli
+from molbayes import artifacts, bayes, chem, cli
+from molbayes.errors import NumericError
 from conftest import synthetic_rows
 
 N_ROWS = len(synthetic_rows())
@@ -105,6 +108,12 @@ def test_bad_values_exit_2(synthetic_csv, tmp_path):
     for members in ('"x"', "2.5", "1"):
         assert cli.main(["split", *base,
                          "--set", f"ensemble_members={members}"]) == 2
+    for expr in ('split.ratios=["a","b","c"]', "split.ratios=[-0.5,1,0.5]",
+                 'workers="x"', "workers=-1", "workers=2.5",
+                 'schedule.lr="x"', "schedule.cadence=2.5",
+                 'schedule.decay_points="80"', 'model.hidden_dim="x"',
+                 "model.n_layers=1.5", 'model.dropout="x"', 'kl_scale="x"'):
+        assert cli.main(["train", *base, "--set", expr]) == 2, expr
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +178,103 @@ def test_train_determinism_across_runs_and_workers(synthetic_csv, tmp_path):
         a = (dirs[0] / name).read_bytes()
         b = (dirs[1] / name).read_bytes()
         assert a == b, f"{name} differs between runs"
+
+
+@pytest.mark.parametrize("cores, env, workers, n_seeds, expected", [
+    (2, {}, 0, 2, 1),                        # BLAS takes both cores
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 0, 2, 2),
+    (8, {"OMP_NUM_THREADS": "2"}, 0, 8, 4),
+    (8, {"OMP_NUM_THREADS": "2"}, 0, 3, 3),  # never more than the seeds
+    (8, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 0, 8, 8),
+    (8, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x",
+         "OMP_NUM_THREADS": "4"}, 0, 8, 2),  # first positive integer
+    (2, {"OMP_NUM_THREADS": "4"}, 0, 2, 1),
+    (None, {}, 0, 2, 1),                     # core count unknown
+    (2, {}, 3, 8, 3),                        # an explicit count stands
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 8, 1),
+    (2, {}, 5, 2, 2),
+])
+def test_worker_count(monkeypatch, cores, env, workers, n_seeds, expected):
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert cli._worker_count(workers, n_seeds) == expected
+
+
+def test_pinned_blas_pool_matches_serial(synthetic_csv, tmp_path):
+    # with BLAS pinned to one thread the default count trains on a pool
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.dirname(os.path.dirname(cli.__file__)),
+                    os.environ.get("PYTHONPATH", "")]))
+    dirs = [tmp_path / "default", tmp_path / "serial"]
+    for out, extra in zip(dirs, ((), ("--set", "workers=1"))):
+        subprocess.run(
+            [sys.executable, "-m", "molbayes", "train",
+             *_args(synthetic_csv, out, "--set", "schedule.epochs=2"),
+             "--mode", "none", "--arch", "gcn", "--seeds", "0,1", *extra],
+            env=env, check=True, capture_output=True, timeout=300)
+    for name in ("none_seed0.post", "none_seed1.post"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def test_train_reports_each_seed_when_one_fails(synthetic_csv, tmp_path,
+                                                 monkeypatch, capsys):
+    train = bayes.train
+
+    def failing_for_seed_1(model, data, schedule, seed, **kwargs):
+        if seed == 1:
+            raise NumericError("training diverged (loss nan) at epoch 1")
+        return train(model, data, schedule, seed, **kwargs)
+
+    monkeypatch.setattr(bayes, "train", failing_for_seed_1)
+    rc = cli.main(["train", *_args(synthetic_csv, tmp_path),
+                   "--mode", "none", "--arch", "gcn", "--seeds", "0,1",
+                   "--set", "schedule.epochs=1", "--set", "workers=1"])
+    out, err = capsys.readouterr()
+    assert rc == 4
+    assert f"seed 0: wrote {tmp_path / 'none_seed0.post'}" in out
+    assert "seed 1: wrote" not in out
+    assert "seed 1: failed" in err
+    assert (tmp_path / "none_seed0.post").is_file()
+    assert not (tmp_path / "none_seed1.post").exists()
+
+
+def test_each_molecule_parsed_once_per_command(synthetic_csv, tmp_path,
+                                               monkeypatch):
+    calls: dict = {}
+
+    def counted(name, fn):
+        def wrapper(arg):
+            calls.setdefault(name, []).append(arg)
+            return fn(arg)
+        return wrapper
+
+    for name in ("parse_smiles", "featurize", "murcko_scaffold"):
+        wrapper = counted(name, getattr(chem, name))
+        monkeypatch.setattr(chem, name, wrapper)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, wrapper)
+    base = [*_args(synthetic_csv, tmp_path, "--set", "schedule.epochs=1"),
+            "--mode", "none", "--arch", "gcn", "--seeds", "0,1"]
+    for command, extra in (("split", ()), ("train", ("--set", "workers=1")),
+                           ("eval", ())):
+        calls.clear()
+        assert cli.main([command, *base, *extra]) == 0, command
+        assert sorted(calls["parse_smiles"]) \
+            == sorted(smi for smi, _ in synthetic_rows()), command
+        for name in ("featurize", "murcko_scaffold"):
+            # each molecule at most once: the dataset keeps every graph
+            # alive, so distinct calls have distinct ids
+            ids = [id(m) for m in calls.get(name, [])]
+            assert len(ids) == len(set(ids)) <= N_ROWS, (command, name)
+        if command == "split":
+            assert len(calls["murcko_scaffold"]) == N_ROWS
+        else:
+            assert "murcko_scaffold" not in calls
+            assert calls["featurize"]
 
 
 def test_eval_rejects_other_config_digest(synthetic_csv, tmp_path):
