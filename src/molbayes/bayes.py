@@ -1,10 +1,11 @@
-"""Seven ways to learn weights and one way to predict with them.
+"""Six ways to learn weights and one way to predict with them.
 
 Modes: "none" (a MAP point), "ensemble" (MAP from several seeds),
 "mcdo" (a point queried under fresh dropout masks), "bbb" (a diagonal
 Gaussian over weights trained by reparameterized draws), "sgld"
-(posterior samples from preconditioned Langevin dynamics), "swa"
-(an averaged point) and "swag" (Gaussian moments around that average).
+(posterior samples from preconditioned Langevin dynamics) and "swag"
+(Gaussian moments around an average of SGD iterates). "swa" is a view,
+not trained: it predicts at that average, the swag mean (`VIEWS`).
 `train` is the one entry point for all of them: a single epoch loop
 whose per-batch step and end-of-epoch snapshot depend on the schedule's
 mode. Every mode ends in a PosteriorRepresentation; `marginalize` turns
@@ -31,7 +32,11 @@ from . import artifacts
 from . import autodiff as ad
 from .errors import ConfigError, DataError, NumericError
 
-MODES = ("none", "ensemble", "mcdo", "bbb", "sgld", "swa", "swag")
+TRAINED_MODES = ("none", "ensemble", "mcdo", "bbb", "sgld", "swag")
+# modes read from a trained mode's posterior: name -> (that mode, the
+# array predicted at as a point); SWA's average is SWAG's mean
+VIEWS = {"swa": ("swag", "swag_mean")}
+MODES = TRAINED_MODES + tuple(VIEWS)
 
 SIGMA_FLOOR = 1e-8
 DIAG_FLOOR = 1e-30
@@ -93,7 +98,7 @@ class TrainSchedule:
     weight_decay: float = 1e-4
     burn_in: int = 0          # sgld: epochs before sampling starts
     cadence: int = 1          # sample every this many epochs
-    cyclic_from: int = 0      # swa/swag: cyclic lr after this epoch (0 = off)
+    cyclic_from: int = 0      # swag: cyclic lr after this epoch (0 = off)
     cyclic_high: float = 0.01
     cyclic_low: float = 0.001
     cycle_len: int = 4
@@ -101,8 +106,9 @@ class TrainSchedule:
     swag_rank: int = 20
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}; one of {MODES}")
+        if self.mode not in TRAINED_MODES:
+            raise ConfigError(f"cannot train mode {self.mode!r}; one of "
+                              f"{TRAINED_MODES}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if not 0 <= self.burn_in < self.epochs:
@@ -111,13 +117,21 @@ class TrainSchedule:
             raise ConfigError("sampling cadence must be >= 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if min(self.lr, self.weight_decay, self.cyclic_high,
+               self.cyclic_low) < 0:
+            raise ConfigError("lr, weight_decay, cyclic_high and cyclic_low "
+                              "must be non-negative")
+        if self.cyclic_from > 0 and self.cycle_len < 2:
+            raise ConfigError("a cyclic schedule needs cycle_len >= 2")
+        if self.swag_rank < 1:
+            raise ConfigError("swag_rank must be >= 1")
 
 
 def default_schedule(mode: str, epochs: Optional[int] = None) -> TrainSchedule:
     """Per-mode training recipes; ``epochs`` rescales proportionally.
 
     Adam modes run 200 epochs at 1e-3 with tenfold decays after epochs 80
-    and 160. SWA/SWAG run SGD 250 epochs: 0.1, then 0.01 after epoch 74,
+    and 160. SWAG runs SGD 250 epochs: 0.1, then 0.01 after epoch 74,
     then a 4-epoch sawtooth between 0.01 and 0.001 after epoch 150, with a
     snapshot at each cycle end. SGLD runs 200 epochs at a constant 1e-3,
     sampling every 2nd epoch after 100 burn-in epochs.
@@ -128,11 +142,12 @@ def default_schedule(mode: str, epochs: Optional[int] = None) -> TrainSchedule:
     elif mode == "sgld":
         base = TrainSchedule(mode=mode, epochs=200, optimizer="sgd", lr=1e-3,
                              burn_in=100, cadence=2)
-    elif mode in ("swa", "swag"):
+    elif mode == "swag":
         base = TrainSchedule(mode=mode, epochs=250, optimizer="sgd", lr=0.1,
                              decay_points=(74,), cyclic_from=150, cadence=4)
     else:
-        raise ConfigError(f"unknown mode {mode!r}; one of {MODES}")
+        raise ConfigError(f"cannot train mode {mode!r}; one of "
+                          f"{TRAINED_MODES}")
     if epochs is None or epochs == base.epochs:
         return base
     scale = epochs / base.epochs
@@ -164,7 +179,7 @@ def is_snapshot_epoch(s: TrainSchedule, epoch: int) -> bool:
     """Whether this 1-indexed epoch contributes a posterior sample."""
     if s.mode == "sgld":
         return epoch > s.burn_in and (epoch - s.burn_in) % s.cadence == 0
-    if s.mode in ("swa", "swag"):
+    if s.mode == "swag":
         start = s.cyclic_from
         return epoch > start and (epoch - start) % s.cadence == 0
     return False
@@ -294,20 +309,9 @@ class PredictiveDistribution:
 # bayes by backprop
 
 
-def kl_diag_gaussians(mu: np.ndarray, sigma: np.ndarray,
-                      sigma0: float) -> float:
-    """KL( N(mu, diag sigma^2) || N(0, sigma0^2 I) ), closed form."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0) or sigma0 <= 0:
-        raise ValueError("standard deviations must be positive")
-    return float(np.sum(np.log(sigma0 / sigma)
-                        + (sigma * sigma + mu * mu) / (2.0 * sigma0 * sigma0)
-                        - 0.5))
-
-
 def _kl_tensor(mu_t: ad.Tensor, sigma_t: ad.Tensor,
                sigma0: float) -> ad.Tensor:
+    """KL( N(mu, diag sigma^2) || N(0, sigma0^2 I) ), closed form."""
     quad = ad.div(ad.add(ad.mul(sigma_t, sigma_t), ad.mul(mu_t, mu_t)),
                   2.0 * sigma0 * sigma0)
     per_coord = ad.sub(ad.add(ad.sub(float(np.log(sigma0)),
@@ -421,14 +425,14 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
     All modes share one epoch loop (init and shuffle streams, lr schedule,
     a finiteness check per batch, a log entry per epoch extended by
     ``valid_eval`` of the current point) and differ in step and snapshot.
-    none/mcdo/swa/swag step the optimizer on the batch mean NLL, mcdo with
+    none/mcdo/swag step the optimizer on the batch mean NLL, mcdo with
     residual dropout on. bbb steps it without weight decay on a flat
     [mu, rho] vector: the mean NLL over ``schedule.train_samples`` draws
     mu + softplus(rho) * z (z from ``noise_rng``, sigma starting at
     ``sigma_init``) plus kl_scale * KL / n_examples, a per-example prior
     pull. sgld takes pSGLD steps on -(N * grad_nll + weight_decay * w), the
     decay doubling as a Gaussian prior precision, and keeps snapshot-epoch
-    weights as samples. swa/swag fold snapshot epochs into running moments
+    weights as samples. swag folds snapshot epochs into running moments
     and the last ``swag_rank`` deviations from the updated mean. An
     ensemble is one MAP run per ``member_seeds`` entry (default
     ``m_members`` derived seeds), dropping members that diverge.
@@ -488,7 +492,7 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
             opt.lr = lr
             return ad.optimizer_step(opt, w, grad)
 
-    mean, sq_mean, k = np.zeros(n), np.zeros(n), 0   # swa/swag moments
+    mean, sq_mean, k = np.zeros(n), np.zeros(n), 0   # swag moments
     kept: list[np.ndarray] = []    # sgld samples or swag deviation columns
     log: list[dict] = []
     for epoch in range(1, schedule.epochs + 1):
@@ -517,7 +521,7 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
                     kept.pop(0)
         if mode == "sgld":
             entry["n_samples"] = len(kept)
-        elif mode in ("swa", "swag"):
+        elif mode == "swag":
             entry["n_snapshots"] = k
         if valid_eval is not None:
             # the average once one exists, else the weights (bbb: mu)
@@ -543,18 +547,15 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
         return PosteriorRepresentation(mode="samples", digest=digest,
                                        samples=np.stack(kept),
                                        meta=meta), log
-    if mode in ("swa", "swag"):
-        if k == 0:
-            raise ConfigError("schedule produced zero snapshots to average")
+    if mode == "swag":
+        if k < 2:
+            raise ConfigError(f"swag needs at least 2 snapshots; the "
+                              f"schedule took {k}")
         meta["n_snapshots"] = k
-        if mode == "swag":
-            if k < 2:
-                raise ConfigError("swag needs at least 2 snapshots")
-            return PosteriorRepresentation(
-                mode="swag", digest=digest, swag_mean=mean,
-                swag_sq_mean=sq_mean, swag_dev=np.stack(kept, axis=1),
-                swag_rank=schedule.swag_rank, meta=meta), log
-        w = mean
+        return PosteriorRepresentation(
+            mode="swag", digest=digest, swag_mean=mean,
+            swag_sq_mean=sq_mean, swag_dev=np.stack(kept, axis=1),
+            swag_rank=schedule.swag_rank, meta=meta), log
     return PosteriorRepresentation(mode="point", digest=digest, point=w,
                                    meta=meta), log
 

@@ -102,39 +102,49 @@ def _apply_set(cfg: dict, expr: str) -> None:
     node[leaf] = value
 
 
+def _is_int(value) -> bool:
+    """An integer, not a bool (JSON true and false are ints in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """An int or float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _validate_config(cfg: dict) -> None:
     seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not seeds \
-            or not all(isinstance(s, int) for s in seeds):
+            or not all(_is_int(s) for s in seeds):
         raise ConfigError("seeds must be a non-empty list of integers")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
-    if not isinstance(cfg["batch_size"], int) or cfg["batch_size"] < 1:
+    if not _is_int(cfg["batch_size"]) or cfg["batch_size"] < 1:
         raise ConfigError("batch_size must be a positive integer")
     if cfg["mode"] not in bayes.MODES:
         raise ConfigError(f"unknown mode {cfg['mode']!r}; "
                           f"one of {bayes.MODES}")
     ratios = cfg["split"]["ratios"]
     if not isinstance(ratios, list) or len(ratios) != 3 or not all(
-            isinstance(r, (int, float)) and r >= 0 for r in ratios):
+            _is_number(r) and r >= 0 for r in ratios):
         raise ConfigError("split.ratios must be a list of three "
                           "non-negative numbers")
-    if not isinstance(cfg["workers"], int) or cfg["workers"] < 0:
+    if not _is_int(cfg["workers"]) or cfg["workers"] < 0:
         raise ConfigError("workers must be a non-negative integer")
     model = cfg["model"]
     for key in ("hidden_dim", "graph_dim", "n_layers", "n_heads"):
-        if not isinstance(model[key], int):
+        if not _is_int(model[key]):
             raise ConfigError(f"model.{key} must be an integer")
     for key, value in (("model.dropout", model["dropout"]),
                        ("kl_scale", cfg["kl_scale"]),
                        ("prior_sigma", cfg["prior_sigma"]),
                        ("swag_scale", cfg["swag_scale"])):
-        if not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise ConfigError(f"{key} must be a number")
-    if not isinstance(cfg["ensemble_members"], int) \
+    if not _is_int(cfg["ensemble_members"]) \
             or cfg["ensemble_members"] < 2:
         raise ConfigError("ensemble_members must be an integer of at least 2")
-    if not isinstance(cfg["eval_samples"], int) or cfg["eval_samples"] < 0:
+    if not _is_int(cfg["eval_samples"]) or cfg["eval_samples"] < 0:
         raise ConfigError("eval_samples must be a non-negative integer")
     _schedule_for(cfg)   # every command rejects unknown schedule fields
 
@@ -182,6 +192,11 @@ def config_digest(cfg: dict) -> str:
     return _digest_of({k: v for k, v in cfg.items() if k not in _EXEC_KEYS})
 
 
+def _trained_mode(mode: str) -> str:
+    """The mode whose posterior artifact serves ``mode``."""
+    return bayes.VIEWS[mode][0] if mode in bayes.VIEWS else mode
+
+
 def split_digest(cfg: dict) -> str:
     """Digest of the inputs that determine the scaffold split alone.
 
@@ -199,10 +214,18 @@ def _dataset_columns(cfg: dict) -> tuple[str, tuple[str, ...]]:
     section = cfg["dataset"]
     if "smiles_column" in section or "label_columns" in section:
         try:
-            return section["smiles_column"], tuple(section["label_columns"])
+            smiles_col, label_cols = (section["smiles_column"],
+                                      section["label_columns"])
         except KeyError as e:
             raise ConfigError(f"dataset needs both smiles_column and "
                               f"label_columns, missing {e}") from None
+        if not isinstance(smiles_col, str):
+            raise ConfigError("dataset.smiles_column must be a string")
+        if not isinstance(label_cols, list) or not label_cols \
+                or not all(isinstance(c, str) for c in label_cols):
+            raise ConfigError("dataset.label_columns must be a non-empty "
+                              "list of strings")
+        return smiles_col, tuple(label_cols)
     name = section.get("name", "")
     if name not in DATASET_COLUMNS:
         raise ConfigError(
@@ -293,9 +316,9 @@ def _model_for(cfg: dict, n_tasks: int) -> GnnClassifier:
 def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
     overrides = dict(cfg["schedule"])
     epochs = overrides.pop("epochs", None)
-    if epochs is not None and not isinstance(epochs, int):
+    if epochs is not None and not _is_int(epochs):
         raise ConfigError("schedule.epochs must be an integer")
-    base = bayes.default_schedule(cfg["mode"], epochs=epochs)
+    base = bayes.default_schedule(_trained_mode(cfg["mode"]), epochs=epochs)
     kwargs = asdict(base)
     for key, value in overrides.items():
         if key not in kwargs or key == "mode":
@@ -310,10 +333,11 @@ def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
 def _fits(default, value) -> bool:
     """Whether ``value`` can stand in for the schedule field ``default``."""
     if isinstance(default, tuple):
-        return isinstance(value, list) \
-            and all(isinstance(v, int) for v in value)
+        return isinstance(value, list) and all(_is_int(v) for v in value)
     if isinstance(default, float):
-        return isinstance(value, (int, float))
+        return _is_number(value)
+    if isinstance(default, int):
+        return _is_int(value)
     return isinstance(value, type(default))
 
 
@@ -336,6 +360,10 @@ def _predictive(cfg: dict, model: GnnClassifier,
                 post: bayes.PosteriorRepresentation, batches: list,
                 seed: int) -> bayes.PredictiveDistribution:
     mode = cfg["mode"]
+    if mode in bayes.VIEWS:
+        _, name = bayes.VIEWS[mode]
+        post = bayes.PosteriorRepresentation(mode="point", digest=post.digest,
+                                             point=getattr(post, name))
     n_draws = bayes.draw_count(mode, cfg["eval_samples"])
     rng = bayes.stream(seed, "eval-draw")
     if mode != "mcdo":
@@ -353,7 +381,7 @@ def _predictive(cfg: dict, model: GnnClassifier,
 
 def _check_artifact(cfg: dict, model: GnnClassifier,
                     post: bayes.PosteriorRepresentation, path: str) -> None:
-    digest = config_digest(cfg)
+    digest = config_digest(dict(cfg, mode=_trained_mode(cfg["mode"])))
     stored = post.meta.get("config_digest", "")
     if stored != digest:
         raise ConfigError(
@@ -369,7 +397,8 @@ def _check_artifact(cfg: dict, model: GnnClassifier,
 
 
 def _posterior_path(cfg: dict, seed: int) -> str:
-    return os.path.join(cfg["out_dir"], f"{cfg['mode']}_seed{seed}.post")
+    return os.path.join(cfg["out_dir"],
+                        f"{_trained_mode(cfg['mode'])}_seed{seed}.post")
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +501,10 @@ def _settle(fn, *args):
 
 
 def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
+    mode = cfg["mode"]
+    if mode in bayes.VIEWS:
+        raise ConfigError(f"mode {mode!r} is read from another posterior: "
+                          f"train --mode {_trained_mode(mode)}")
     ds = _load(cfg)
     payloads = []
     for seed in cfg["seeds"]:

@@ -112,8 +112,33 @@ def test_bad_values_exit_2(synthetic_csv, tmp_path):
                  'workers="x"', "workers=-1", "workers=2.5",
                  'schedule.lr="x"', "schedule.cadence=2.5",
                  'schedule.decay_points="80"', 'model.hidden_dim="x"',
-                 "model.n_layers=1.5", 'model.dropout="x"', 'kl_scale="x"'):
+                 "model.n_layers=1.5", 'model.dropout="x"', 'kl_scale="x"',
+                 # JSON booleans are not integers or numbers
+                 "seeds=[true]", "batch_size=true", "workers=true",
+                 "model.n_layers=true", "schedule.cadence=true",
+                 "kl_scale=true",
+                 # schedules that would fail inside training
+                 "schedule.lr=-0.1", "schedule.weight_decay=-1e-4"):
         assert cli.main(["train", *base, "--set", expr]) == 2, expr
+    for expr in ("schedule.cycle_len=1", "schedule.swag_rank=0",
+                 "schedule.cyclic_high=-0.1"):
+        assert cli.main(["train", *base, "--mode", "swag",
+                         "--set", expr]) == 2, expr
+    assert not list(tmp_path.glob("*seed*"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("dataset.label_columns", '"activity"'),
+    ("dataset.label_columns", "[]"),
+    ("dataset.label_columns", "[1]"),
+    ("dataset.smiles_column", "7"),
+])
+def test_dataset_columns_must_be_strings(synthetic_csv, tmp_path, capsys,
+                                         key, value):
+    rc = cli.main(["split", *_args(synthetic_csv, tmp_path),
+                   "--set", f"{key}={value}"])
+    assert rc == 2
+    assert key in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +146,10 @@ def test_bad_values_exit_2(synthetic_csv, tmp_path):
 
 
 def _train_eval(csv, out, mode, seeds, *extra):
+    # a view mode (swa) is evaluated from the mode it is read from
+    trained = bayes.VIEWS[mode][0] if mode in bayes.VIEWS else mode
     train_argv = ["train", *_args(csv, out, *extra),
-                  "--mode", mode, "--arch", "gcn", "--seeds", seeds]
+                  "--mode", trained, "--arch", "gcn", "--seeds", seeds]
     rc = cli.main(train_argv)
     if rc == 0:
         rc = cli.main(["eval", *_args(csv, out, *extra),
@@ -275,6 +302,15 @@ def test_each_molecule_parsed_once_per_command(synthetic_csv, tmp_path,
         else:
             assert "murcko_scaffold" not in calls
             assert calls["featurize"]
+
+
+def test_train_swa_exits_2_and_points_to_swag(synthetic_csv, tmp_path,
+                                              capsys):
+    rc = cli.main(["train", *_args(synthetic_csv, tmp_path),
+                   "--mode", "swa", "--arch", "gcn", "--seeds", "0"])
+    assert rc == 2
+    assert "--mode swag" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_eval_rejects_other_config_digest(synthetic_csv, tmp_path):
