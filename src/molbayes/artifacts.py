@@ -86,8 +86,7 @@ def read_container(path: str,
                 and isinstance(item.get("dtype"), str)
                 and item["dtype"] in _DTYPES
                 and isinstance(item.get("shape"), list)
-                and all(isinstance(d, int) and d >= 0
-                        for d in item["shape"])):
+                and all(type(d) is int and d >= 0 for d in item["shape"])):
             raise DataError(f"{path}: malformed array entry {item!r}")
         shape = tuple(item["shape"])
         dt = np.dtype(_DTYPES[item["dtype"]])

@@ -115,6 +115,12 @@ class TrainSchedule:
             raise ConfigError("burn-in must be < total epochs")
         if self.cadence < 1:
             raise ConfigError("sampling cadence must be >= 1")
+        if self.train_samples < 1:
+            raise ConfigError("train_samples must be >= 1")
+        if min(self.decay_points, default=1) < 1:
+            raise ConfigError("decay points must be epochs >= 1")
+        if self.cyclic_from < 0:
+            raise ConfigError("cyclic_from must be >= 0")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
         if min(self.lr, self.weight_decay, self.cyclic_high,
@@ -262,10 +268,10 @@ def load_posterior(path: str) -> PosteriorRepresentation:
     mode, digest = meta.get("mode"), meta.get("digest")
     extra, rank = meta.get("extra", {}), meta.get("swag_rank", 0)
     if not (isinstance(mode, str) and isinstance(digest, str)
-            and isinstance(extra, dict) and isinstance(rank, (int, float))
-            and np.isfinite(rank)):
+            and isinstance(extra, dict) and type(rank) is int and rank >= 0):
         raise DataError(f"{path}: posterior header needs string mode and "
-                        f"digest, a numeric swag_rank and an object extra")
+                        f"digest, a non-negative integer swag_rank and an "
+                        f"object extra")
     if mode not in _LAYOUT:
         raise DataError(f"{path}: unknown posterior mode {mode!r}")
     sizes = set()
@@ -281,7 +287,7 @@ def load_posterior(path: str) -> PosteriorRepresentation:
         raise DataError(f"{path}: {arrays['swag_dev'].shape[1]} deviation "
                         f"columns exceed the stated swag_rank {rank}")
     return PosteriorRepresentation(mode=mode, digest=digest,
-                                   swag_rank=int(rank), meta=extra, **arrays)
+                                   swag_rank=rank, meta=extra, **arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +384,8 @@ def swa_update(mean: np.ndarray, snapshot: np.ndarray, k: int) -> np.ndarray:
     return (k * mean + snapshot) / (k + 1.0)
 
 
-def swag_sample(post: PosteriorRepresentation, rng: np.random.Generator,
-                scale: float = 1.0) -> np.ndarray:
+def swag_sample(post: PosteriorRepresentation,
+                rng: np.random.Generator) -> np.ndarray:
     """Draw weights from the half-diagonal plus low-rank Gaussian."""
     if post.mode != "swag":
         raise ConfigError("swag_sample needs a swag posterior")
@@ -393,7 +399,7 @@ def swag_sample(post: PosteriorRepresentation, rng: np.random.Generator,
     else:
         warnings.warn("fewer than 2 deviation columns; "
                       "sampling the diagonal only")
-    return mean + scale * draw
+    return mean + draw
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +455,7 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
         if noise_rng is None:
             noise_rng = stream(seed, "bbb-noise")
         w = np.concatenate([w, np.full(n, _softplus_inv(sigma_init))])
-        n_draws = max(1, schedule.train_samples)
+        n_draws = schedule.train_samples
 
         def objective(w: np.ndarray, batch) -> tuple[float, np.ndarray]:
             tape = ad.Tape()
@@ -604,8 +610,8 @@ def draw_count(mode: str, requested: int = 0) -> int:
 
 def marginalize(predict: Callable[[np.ndarray], np.ndarray],
                 post: PosteriorRepresentation, n_samples: int = 30,
-                rng: Optional[np.random.Generator] = None,
-                scale: float = 1.0) -> PredictiveDistribution:
+                rng: Optional[np.random.Generator] = None
+                ) -> PredictiveDistribution:
     """Probability-space average of per-draw predictions.
 
     ``predict`` maps one flat weight vector to probabilities. Point
@@ -627,7 +633,6 @@ def marginalize(predict: Callable[[np.ndarray], np.ndarray],
             draws = [predict(post.mu + sigma * rng.standard_normal(
                 post.mu.shape)) for _ in range(n_samples)]
         else:
-            draws = [predict(swag_sample(post, rng, scale=scale))
-                     for _ in range(n_samples)]
+            draws = [predict(swag_sample(post, rng)) for _ in range(n_samples)]
     probs = np.stack(draws)
     return PredictiveDistribution(probs.mean(axis=0), len(draws))

@@ -42,7 +42,6 @@ DEFAULT_CONFIG: dict = {
     "kl_scale": 0.01,
     "prior_sigma": 10.0,
     "eval_samples": 0,         # predictive draws; 0 = the mode's default
-    "swag_scale": 1.0,
     "split": {"ratios": [0.8, 0.1, 0.1]},
     "seeds": [0, 1, 2, 3, 4, 5, 6, 7],
     "batch_size": 128,
@@ -53,35 +52,64 @@ DEFAULT_CONFIG: dict = {
 # details that do not change any single artifact's content: execution
 # knobs, the seed selection (each artifact records its own seed), and
 # prediction-time sampling depths (reports record them as n_draws)
-_EXEC_KEYS = ("out_dir", "workers", "seeds", "eval_samples", "swag_scale")
+_EXEC_KEYS = ("out_dir", "workers", "seeds", "eval_samples")
 
 # sections that accept keys beyond the defaults (schedule fields,
-# custom dataset column mappings)
+# custom dataset column mappings), checked when they are used
 _OPEN_SECTIONS = ("schedule", "dataset")
+
+# the least value of each number whose default does not say its range
+_LEAST = {"batch_size": 1, "workers": 0, "ensemble_members": 2,
+          "eval_samples": 0, "kl_scale": 0}
 
 
 # ---------------------------------------------------------------------------
 # configuration
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
+def _fits(default, value) -> bool:
+    """Whether ``value`` can stand in for a key whose default is
+    ``default``: a finite number for a float, a 64-bit int for an int (a
+    bool is neither), a list of items that fit the first item (ints when
+    there is none) for a list or tuple, else a value of the default's type.
+    """
+    if isinstance(value, bool):     # JSON true and false are Python ints
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) \
+            and abs(value) <= sys.float_info.max
+    if isinstance(default, int):
+        return isinstance(value, int) and -2 ** 63 <= value < 2 ** 63
+    if isinstance(default, (list, tuple)):
+        item = default[0] if default else 0
+        return isinstance(value, list) and all(_fits(item, v) for v in value)
+    return isinstance(value, type(default))
+
+
+def _merge(cfg: dict, override: dict, defaults: dict = DEFAULT_CONFIG,
+           path: str = "") -> dict:
+    """``cfg`` with ``override`` laid over it, each known key's value
+    checked against the type of its default."""
+    out = copy.deepcopy(cfg)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
-        if key not in out:
+        if key not in defaults:
             if path not in _OPEN_SECTIONS:
                 raise ConfigError(f"unknown config key {where!r}")
             out[key] = copy.deepcopy(value)
-        elif isinstance(out[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {where!r} must be an object")
-            out[key] = _merge(out[key], value, where)
+        elif not _fits(defaults[key], value):
+            raise ConfigError(f"config key {where!r} must have the type of "
+                              f"its default ({defaults[key]!r})")
+        elif isinstance(value, dict):
+            out[key] = _merge(out[key], value, defaults[key], where)
         else:
             out[key] = copy.deepcopy(value)
     return out
 
 
-def _apply_set(cfg: dict, expr: str) -> None:
+def _override(expr: str) -> dict:
+    """``--set a.b=v`` as the override {"a": {"b": v}}; ``v`` is JSON, or
+    else the raw string."""
     key, sep, raw = expr.partition("=")
     if not sep or not key:
         raise ConfigError(f"--set wants KEY=VALUE, got {expr!r}")
@@ -89,64 +117,34 @@ def _apply_set(cfg: dict, expr: str) -> None:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    parts = key.split(".")
-    node = cfg
-    for part in parts[:-1]:
-        nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            raise ConfigError(f"unknown config section {part!r} in {key!r}")
-        node = nxt
-    leaf = parts[-1]
-    if leaf not in node and parts[0] not in _OPEN_SECTIONS:
-        raise ConfigError(f"unknown config key {key!r}")
-    node[leaf] = value
-
-
-def _is_int(value) -> bool:
-    """An integer, not a bool (JSON true and false are ints in Python)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """An int or float, not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    for part in reversed(key.split(".")):
+        value = {part: value}
+    return value
 
 
 def _validate_config(cfg: dict) -> None:
+    """Check the ranges the defaults' types cannot say, and build the
+    dataset columns, model config and schedule, so that a bad config
+    fails before a command reads data or writes a file."""
     seeds = cfg["seeds"]
-    if not isinstance(seeds, list) or not seeds \
-            or not all(_is_int(s) for s in seeds):
-        raise ConfigError("seeds must be a non-empty list of integers")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
-    if not _is_int(cfg["batch_size"]) or cfg["batch_size"] < 1:
-        raise ConfigError("batch_size must be a positive integer")
+    if not seeds or min(seeds) < 0 or len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds must be a non-empty list of distinct "
+                          "non-negative integers")
     if cfg["mode"] not in bayes.MODES:
         raise ConfigError(f"unknown mode {cfg['mode']!r}; "
                           f"one of {bayes.MODES}")
     ratios = cfg["split"]["ratios"]
-    if not isinstance(ratios, list) or len(ratios) != 3 or not all(
-            _is_number(r) and r >= 0 for r in ratios):
-        raise ConfigError("split.ratios must be a list of three "
-                          "non-negative numbers")
-    if not _is_int(cfg["workers"]) or cfg["workers"] < 0:
-        raise ConfigError("workers must be a non-negative integer")
-    model = cfg["model"]
-    for key in ("hidden_dim", "graph_dim", "n_layers", "n_heads"):
-        if not _is_int(model[key]):
-            raise ConfigError(f"model.{key} must be an integer")
-    for key, value in (("model.dropout", model["dropout"]),
-                       ("kl_scale", cfg["kl_scale"]),
-                       ("prior_sigma", cfg["prior_sigma"]),
-                       ("swag_scale", cfg["swag_scale"])):
-        if not _is_number(value):
-            raise ConfigError(f"{key} must be a number")
-    if not _is_int(cfg["ensemble_members"]) \
-            or cfg["ensemble_members"] < 2:
-        raise ConfigError("ensemble_members must be an integer of at least 2")
-    if not _is_int(cfg["eval_samples"]) or cfg["eval_samples"] < 0:
-        raise ConfigError("eval_samples must be a non-negative integer")
-    _schedule_for(cfg)   # every command rejects unknown schedule fields
+    if len(ratios) != 3 or min(ratios) < 0 or abs(sum(ratios) - 1) > 1e-9:
+        raise ConfigError("split.ratios must be three non-negative numbers "
+                          "that sum to 1")
+    for key, least in _LEAST.items():
+        if cfg[key] < least:
+            raise ConfigError(f"{key} must be at least {least}")
+    if cfg["prior_sigma"] <= 0:
+        raise ConfigError("prior_sigma must be positive")
+    _dataset_columns(cfg)
+    ModelConfig(**cfg["model"])
+    _schedule_for(cfg)
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -177,7 +175,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if args.out:
         cfg["out_dir"] = args.out
     for expr in args.set or []:
-        _apply_set(cfg, expr)
+        cfg = _merge(cfg, _override(expr))
     _validate_config(cfg)
     return cfg
 
@@ -219,14 +217,13 @@ def _dataset_columns(cfg: dict) -> tuple[str, tuple[str, ...]]:
         except KeyError as e:
             raise ConfigError(f"dataset needs both smiles_column and "
                               f"label_columns, missing {e}") from None
-        if not isinstance(smiles_col, str):
+        if not _fits("", smiles_col):
             raise ConfigError("dataset.smiles_column must be a string")
-        if not isinstance(label_cols, list) or not label_cols \
-                or not all(isinstance(c, str) for c in label_cols):
+        if not _fits([""], label_cols) or not label_cols:
             raise ConfigError("dataset.label_columns must be a non-empty "
                               "list of strings")
         return smiles_col, tuple(label_cols)
-    name = section.get("name", "")
+    name = section["name"]
     if name not in DATASET_COLUMNS:
         raise ConfigError(
             f"unknown dataset name {name!r}; known: "
@@ -251,17 +248,30 @@ def _manifest_path(cfg: dict, seed: int) -> str:
 
 
 def _ensure_manifest(cfg: dict, ds: LabeledDataset, seed: int) -> dict:
-    """Load the seed's manifest, or create and persist it."""
+    """Load the seed's manifest, or create and persist it. A stored one
+    must be an object whose train, valid and test are lists of indices
+    into ``ds``."""
     path = _manifest_path(cfg, seed)
     sd = split_digest(cfg)
     if os.path.isfile(path):
-        with open(path) as fh:
-            manifest = json.load(fh)
+        try:
+            with open(path) as fh:
+                manifest = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise DataError(f"manifest {path} is not valid JSON: {e}") \
+                from None
+        if not isinstance(manifest, dict):
+            raise DataError(f"manifest {path} is not a JSON object")
         if manifest.get("split_digest") != sd:
             raise ConfigError(
                 f"manifest {path} was made under a different dataset/split "
                 f"config (digest {manifest.get('split_digest')} != {sd}); "
                 f"remove it or use a fresh out_dir")
+        for part in ("train", "valid", "test"):
+            idx = manifest.get(part)
+            if not _fits([0], idx) or not all(0 <= i < len(ds) for i in idx):
+                raise DataError(f"manifest {path}: {part!r} must be a list "
+                                f"of molecule indices below {len(ds)}")
         return manifest
     split = scaffold_split(ds, ratios=tuple(cfg["split"]["ratios"]),
                            seed=seed)
@@ -306,17 +316,13 @@ class _EpochBatches:
 
 
 def _model_for(cfg: dict, n_tasks: int) -> GnnClassifier:
-    m = cfg["model"]
-    return GnnClassifier(ModelConfig(
-        architecture=m["architecture"], hidden_dim=m["hidden_dim"],
-        graph_dim=m["graph_dim"], n_layers=m["n_layers"],
-        n_heads=m["n_heads"], dropout=m["dropout"], n_tasks=n_tasks))
+    return GnnClassifier(ModelConfig(**cfg["model"], n_tasks=n_tasks))
 
 
 def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
     overrides = dict(cfg["schedule"])
     epochs = overrides.pop("epochs", None)
-    if epochs is not None and not _is_int(epochs):
+    if epochs is not None and not _fits(0, epochs):
         raise ConfigError("schedule.epochs must be an integer")
     base = bayes.default_schedule(_trained_mode(cfg["mode"]), epochs=epochs)
     kwargs = asdict(base)
@@ -328,17 +334,6 @@ def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
                               f"default ({kwargs[key]!r})")
         kwargs[key] = tuple(value) if key == "decay_points" else value
     return bayes.TrainSchedule(**kwargs)
-
-
-def _fits(default, value) -> bool:
-    """Whether ``value`` can stand in for the schedule field ``default``."""
-    if isinstance(default, tuple):
-        return isinstance(value, list) and all(_is_int(v) for v in value)
-    if isinstance(default, float):
-        return _is_number(value)
-    if isinstance(default, int):
-        return _is_int(value)
-    return isinstance(value, type(default))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +363,7 @@ def _predictive(cfg: dict, model: GnnClassifier,
     rng = bayes.stream(seed, "eval-draw")
     if mode != "mcdo":
         return bayes.marginalize(_stacked_predictor(model, batches), post,
-                                 n_samples=n_draws, rng=rng,
-                                 scale=cfg["swag_scale"])
+                                 n_samples=n_draws, rng=rng)
     if post.mode != "point":
         raise ConfigError("mc-dropout evaluation needs a point artifact")
     # n_draws copies of the point (a view, no copy), each under new masks

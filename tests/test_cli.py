@@ -9,12 +9,14 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from molbayes import artifacts, bayes, chem, cli
-from molbayes.errors import NumericError
+from molbayes.errors import ConfigError, NumericError
 from conftest import synthetic_rows
 
 N_ROWS = len(synthetic_rows())
@@ -121,10 +123,65 @@ def test_bad_values_exit_2(synthetic_csv, tmp_path):
                  "schedule.lr=-0.1", "schedule.weight_decay=-1e-4"):
         assert cli.main(["train", *base, "--set", expr]) == 2, expr
     for expr in ("schedule.cycle_len=1", "schedule.swag_rank=0",
-                 "schedule.cyclic_high=-0.1"):
+                 "schedule.cyclic_high=-0.1", "schedule.cyclic_from=-3"):
         assert cli.main(["train", *base, "--mode", "swag",
                          "--set", expr]) == 2, expr
-    assert not list(tmp_path.glob("*seed*"))
+    # a section or key of the wrong shape, ratios that do not sum to 1,
+    # and a model, schedule or prior that would only fail after the
+    # manifests were written, or not at all
+    for argv in (["--set", "schedule=5"], ["--set", "model=5"],
+                 ["--set", "split=[1]"], ["--set", "out_dir=5"],
+                 ["--set", "split.ratios=[0.5,0.5,0.5]"],
+                 ["--set", "split.ratios=[NaN,0,1]"],
+                 ["--set", "model.hidden_dim=0"],
+                 ["--set", 'model.architecture="xyz"'],
+                 ["--set", "model.dropout=1.5"],
+                 ["--arch", "gat", "--set", "model.n_heads=3"],
+                 ["--mode", "bbb", "--set", "prior_sigma=0"],
+                 ["--mode", "bbb", "--set", "prior_sigma=NaN"],
+                 ["--mode", "bbb", "--set", "kl_scale=-1"],
+                 ["--mode", "bbb", "--set", "schedule.train_samples=0"],
+                 ["--mode", "bbb", "--set", "schedule.lr=Infinity"],
+                 ["--set", "schedule.decay_points=[-5]"],
+                 ["--set", "seeds=[-1]"], ["--set", "swag_scale=1.0"]):
+        for command in ("split", "train"):
+            assert cli.main([command, *base, *argv]) == 2, argv
+    assert not list(tmp_path.iterdir())
+
+
+def _dotted_keys(node: dict, path: str = ""):
+    for key, value in node.items():
+        yield path + key
+        if isinstance(value, dict):
+            yield from _dotted_keys(value, f"{path}{key}.")
+
+
+# every section and leaf of the defaults, every schedule field, and the
+# custom dataset column keys
+CONFIG_KEYS = sorted({*_dotted_keys(cli.DEFAULT_CONFIG),
+                      *(f"schedule.{f.name}"
+                        for f in fields(bayes.TrainSchedule)),
+                      "dataset.smiles_column", "dataset.label_columns"})
+# floats() includes NaN and +-inf, which json.dumps writes as NaN/Infinity
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), JSON_VALUES),
+                min_size=1, max_size=3))
+def test_any_set_value_resolves_or_is_a_config_error(pairs):
+    argv = ["train"]
+    for key, value in pairs:
+        argv += ["--set", f"{key}={json.dumps(value)}"]
+    try:
+        cli.resolve_config(cli.build_parser().parse_args(argv))
+    except ConfigError:
+        pass
 
 
 @pytest.mark.parametrize("key, value", [
@@ -391,9 +448,16 @@ MALFORMED_HEADERS = {
                     "shape": [h["arrays"][0]["shape"][0], 2]}]
         + [{**h["arrays"][0], "name": name}
            for name in ("swag_mean", "swag_sq_mean")]},
+    "bool_dimension": lambda h: {**h, "arrays": [
+        {**a, "shape": [True]} for a in h["arrays"]]},
+    "bool_swag_rank": lambda h: {
+        **h, "meta": {**h["meta"], "swag_rank": True}},
+    "fractional_swag_rank": lambda h: {
+        **h, "meta": {**h["meta"], "swag_rank": 2.5}},
 }
 # body edits that keep each doctored header's byte count honest
 MALFORMED_BODIES = {"short_point": lambda body: body[:-8],
+                    "bool_dimension": lambda body: body[:8],
                     "flat_swag_dev": lambda body: body * 3,
                     "swag_rank_below_columns": lambda body: body * 4}
 
@@ -477,6 +541,29 @@ def test_config_file_plus_set_override(synthetic_csv, tmp_path):
         "architecture": "gcn", "hidden_dim": 8, "graph_dim": 8,
         "n_layers": 1, "n_heads": 2, "dropout": 0.0}}, 1)
     assert post.point.size == small.n_params
+
+
+CORRUPT_MANIFESTS = {
+    "not_json": lambda m: "{",
+    "json_list": lambda m: json.dumps([m]),
+    "index_past_end": lambda m: json.dumps(
+        {**m, "train": m["train"] + [N_ROWS]}),
+    "string_index": lambda m: json.dumps(
+        {**m, "train": [str(i) for i in m["train"]]}),
+    "bool_index": lambda m: json.dumps({**m, "valid": [True]}),
+    "no_train": lambda m: json.dumps(
+        {k: v for k, v in m.items() if k != "train"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_MANIFESTS))
+def test_corrupt_manifest_exits_3(synthetic_csv, tmp_path, case):
+    base = _args(synthetic_csv, tmp_path, "--set", "schedule.epochs=1",
+                 "--seeds", "0")
+    assert cli.main(["split", *base]) == 0
+    path = tmp_path / "split_seed0.json"
+    path.write_text(CORRUPT_MANIFESTS[case](_read_json(path)))
+    assert cli.main(["train", *base]) == 3
 
 
 def test_manifest_digest_guard(synthetic_csv, tmp_path):
