@@ -4,7 +4,21 @@ A ``Tape`` records every op applied to tracked tensors, in execution order.
 ``backward`` replays the records in reverse and returns one gradient per
 registered parameter. Ops applied to untracked tensors run as plain numpy
 with no recording, so the same model code serves both training and
-inference.
+inference; an untracked op returns before it computes anything only its
+vjp would read.
+
+The tape holds only what ``backward`` reads. A record keeps its op kind,
+the uids (ints, never the Tensors) of its inputs and output, and a vjp
+closure over just the arrays, masks and shapes that vjp computes with:
+shapes for ``add``/``sub``/``reshape``/``slice1d``/``sum``, the row count
+for ``gather_rows``, a bool mask for ``relu``/``leaky_relu``/``clip_min``,
+the negative branch for ``elu``, and for ``linear``/``matmul``/``mul``/
+``div`` only the operands of the products a tracked input needs (none is
+computed for an untracked input). An intermediate no vjp reads (such as
+the edge rows ``gather_rows`` hands to ``segment_sum``) is therefore freed
+as soon as the forward pass drops it. ``backward`` drops each gradient once
+its producing record has been replayed: every consumer of a tensor was
+recorded after its producer, so by then the gradient is complete.
 
 The op catalog is exactly what the graph layers and losses need: matmul /
 linear, broadcast arithmetic, concat, the activations, segment reductions
@@ -88,7 +102,7 @@ def as_tensor(x) -> Tensor:
 @dataclass
 class _Record:
     kind: str
-    inputs: tuple[Tensor, ...]
+    inputs: tuple[int, ...]     # input uids; -1 marks an untracked input
     out_uid: int
     vjp: Callable[[np.ndarray], tuple]
 
@@ -135,7 +149,8 @@ def _emit(kind: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
     if tape is None:
         return Tensor(out_data)
     out = tape.track(out_data)
-    tape.records.append(_Record(kind, inputs, out.uid, vjp))
+    tape.records.append(
+        _Record(kind, tuple(t.uid for t in inputs), out.uid, vjp))
     return out
 
 
@@ -156,9 +171,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _emit("add", (a, b), out, vjp)
 
@@ -166,9 +182,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def vjp(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _emit("sub", (a, b), out, vjp)
 
@@ -177,10 +194,14 @@ def mul(a, b) -> Tensor:
     """Elementwise (Hadamard) product with broadcasting."""
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
+    sa, sb = a.data.shape, b.data.shape
+    # each operand is kept only for the other's gradient, if that is tracked
+    a_data = a.data if b.uid >= 0 else None
+    b_data = b.data if a.uid >= 0 else None
 
     def vjp(g):
-        return (_unbroadcast(g * b.data, a.data.shape),
-                _unbroadcast(g * a.data, b.data.shape))
+        return (None if b_data is None else _unbroadcast(g * b_data, sa),
+                None if a_data is None else _unbroadcast(g * a_data, sb))
 
     return _emit("mul", (a, b), out, vjp)
 
@@ -188,10 +209,14 @@ def mul(a, b) -> Tensor:
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data / b.data
+    sa, sb, b_data = a.data.shape, b.data.shape, b.data
+    need_a = a.uid >= 0
+    a_data = a.data if b.uid >= 0 else None
 
     def vjp(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        return (_unbroadcast(g / b_data, sa) if need_a else None,
+                None if a_data is None else
+                _unbroadcast(-g * a_data / (b_data * b_data), sb))
 
     return _emit("div", (a, b), out, vjp)
 
@@ -201,9 +226,12 @@ def matmul(a, b) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
+    a_data = a.data if b.uid >= 0 else None
+    b_data = b.data if a.uid >= 0 else None
 
     def vjp(g):
-        return g @ b.data.T, a.data.T @ g
+        return (None if b_data is None else g @ b_data.T,
+                None if a_data is None else a_data.T @ g)
 
     return _emit("matmul", (a, b), out, vjp)
 
@@ -214,9 +242,13 @@ def linear(x, w) -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
         raise ShapeError(f"linear: x {x.data.shape} with weight {w.data.shape}")
     out = x.data @ w.data.T
+    # no product for an untracked input, such as the raw features
+    x_data = x.data if w.uid >= 0 else None
+    w_data = w.data if x.uid >= 0 else None
 
     def vjp(g):
-        return g @ w.data, g.T @ x.data
+        return (None if w_data is None else g @ w_data,
+                None if x_data is None else g.T @ x_data)
 
     return _emit("linear", (x, w), out, vjp)
 
@@ -229,7 +261,7 @@ def concat(parts: Sequence, axis: int = -1) -> Tensor:
 
     def vjp(g):
         return tuple(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-                     for i in range(len(ts)))
+                     for i in range(len(sizes)))
 
     return _emit("concat", ts, out, vjp)
 
@@ -237,30 +269,35 @@ def concat(parts: Sequence, axis: int = -1) -> Tensor:
 def relu(x) -> Tensor:
     x = as_tensor(x)
     out = np.maximum(x.data, 0.0)
-
-    def vjp(g):
-        return (g * (x.data > 0.0),)
-
-    return _emit("relu", (x,), out, vjp)
+    if x.tape is None:
+        return Tensor(out)
+    mask = x.data > 0.0
+    return _emit("relu", (x,), out, lambda g: (g * mask,))
 
 
 def leaky_relu(x, slope: float = 0.2) -> Tensor:
     x = as_tensor(x)
-    out = np.where(x.data > 0.0, x.data, slope * x.data)
+    mask = x.data > 0.0
+    out = np.where(mask, x.data, slope * x.data)
 
     def vjp(g):
-        return (g * np.where(x.data > 0.0, 1.0, slope),)
+        return (g * np.where(mask, 1.0, slope),)
 
     return _emit("leaky_relu", (x,), out, vjp)
 
 
-def elu(x, alpha: float = 1.0) -> Tensor:
+def elu(x) -> Tensor:
+    """x for x > 0, e^x - 1 otherwise (alpha 1).
+
+    Branch-free: e^min(x,0) - 1 is 0 for x > 0 and never below x, so the
+    max picks the right side, and its derivative is neg + 1 on both.
+    """
     x = as_tensor(x)
-    neg = alpha * np.expm1(np.minimum(x.data, 0.0))
-    out = np.where(x.data > 0.0, x.data, neg)
+    neg = np.expm1(np.minimum(x.data, 0.0))
+    out = np.maximum(x.data, neg)
 
     def vjp(g):
-        return (g * np.where(x.data > 0.0, 1.0, neg + alpha),)
+        return (g * (neg + 1.0),)
 
     return _emit("elu", (x,), out, vjp)
 
@@ -290,9 +327,10 @@ def exp(x) -> Tensor:
 def log(x) -> Tensor:
     x = as_tensor(x)
     out = np.log(x.data)
+    x_data = x.data
 
     def vjp(g):
-        return (g / x.data,)
+        return (g / x_data,)
 
     return _emit("log", (x,), out, vjp)
 
@@ -301,9 +339,10 @@ def softplus(x) -> Tensor:
     """log(1 + e^x) in the overflow-safe form max(x,0) + log1p(e^-|x|)."""
     x = as_tensor(x)
     out = np.maximum(x.data, 0.0) + np.log1p(np.exp(-np.abs(x.data)))
+    x_data = x.data
 
     def vjp(g):
-        return (g * sigmoid(x.data).data,)   # untracked: plain numpy
+        return (g * sigmoid(x_data).data,)   # untracked: plain numpy
 
     return _emit("softplus", (x,), out, vjp)
 
@@ -312,20 +351,20 @@ def clip_min(x, floor: float) -> Tensor:
     """max(x, floor); gradient is zero on the clamped region."""
     x = as_tensor(x)
     out = np.maximum(x.data, floor)
-
-    def vjp(g):
-        return (g * (x.data > floor),)
-
-    return _emit("clip_min", (x,), out, vjp)
+    if x.tape is None:
+        return Tensor(out)
+    mask = x.data > floor
+    return _emit("clip_min", (x,), out, lambda g: (g * mask,))
 
 
 def tsum(x) -> Tensor:
     """Full reduction to a scalar."""
     x = as_tensor(x)
     out = np.asarray(x.data.sum())
+    shape = x.data.shape
 
     def vjp(g):
-        return (np.broadcast_to(g, x.data.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _emit("sum", (x,), out, vjp)
 
@@ -333,9 +372,10 @@ def tsum(x) -> Tensor:
 def reshape(x, shape: tuple[int, ...]) -> Tensor:
     x = as_tensor(x)
     out = x.data.reshape(shape)
+    in_shape = x.data.shape
 
     def vjp(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(in_shape),)
 
     return _emit("reshape", (x,), out, vjp)
 
@@ -345,9 +385,10 @@ def slice1d(x, start: int, stop: int) -> Tensor:
     if x.data.ndim != 1:
         raise ShapeError(f"slice1d expects a vector, got {x.data.shape}")
     out = x.data[start:stop].copy()
+    n = x.data.shape[0]
 
     def vjp(g):
-        full = np.zeros_like(x.data)
+        full = np.zeros(n)
         full[start:stop] = g
         return (full,)
 
@@ -382,9 +423,10 @@ def gather_rows(x, index: np.ndarray) -> Tensor:
     x = as_tensor(x)
     index = _check_segments(index, x.data.shape[0])
     out = x.data[index]
+    n = x.data.shape[0]
 
     def vjp(g):
-        return (_scatter_add(index, g, x.data.shape[0]),)
+        return (_scatter_add(index, g, n),)
 
     return _emit("gather_rows", (x,), out, vjp)
 
@@ -459,8 +501,10 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
     """Gradient of a scalar loss w.r.t. every registered parameter.
 
     Parameters with no path to the loss get zero gradients of their own
-    shape. The records are replayed in reverse execution order, so two
-    passes over one tape produce identical results.
+    shape. The records are replayed in reverse execution order, and each
+    intermediate gradient is dropped once its record has been replayed;
+    the tape itself is not changed, so two passes over one tape produce
+    identical results.
     """
     if loss.tape is not tape or loss.uid < 0:
         raise ValueError("loss was not produced on this tape")
@@ -468,14 +512,15 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
     partial: dict[int, np.ndarray] = {loss.uid: np.asarray(1.0)}
     for rec in reversed(tape.records):
-        g = partial.get(rec.out_uid)
+        # every consumer was recorded later, so this gradient is complete
+        g = partial.pop(rec.out_uid, None)
         if g is None:
             continue
-        for t, gi in zip(rec.inputs, rec.vjp(g)):
-            if t.uid < 0 or gi is None:
+        for uid, gi in zip(rec.inputs, rec.vjp(g)):
+            if uid < 0 or gi is None:
                 continue
-            acc = partial.get(t.uid)
-            partial[t.uid] = gi if acc is None else acc + gi
+            acc = partial.get(uid)
+            partial[uid] = gi if acc is None else acc + gi
     return {
         name: partial.get(p.uid, np.zeros_like(p.data))
         for name, p in tape.params.items()

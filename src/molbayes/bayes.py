@@ -258,9 +258,9 @@ def save_posterior(path: str, post: PosteriorRepresentation) -> None:
 
 
 def load_posterior(path: str) -> PosteriorRepresentation:
-    """Read a posterior artifact; a malformed header, or arrays missing,
-    of the wrong ndim or of unequal weight counts for the stated mode,
-    raise DataError."""
+    """Read a posterior artifact; a malformed header (a stated
+    ``extra.n_tasks`` included), or arrays missing, of the wrong ndim or of
+    unequal weight counts for the stated mode, raise DataError."""
     _, meta, arrays = artifacts.read_container(path, expect_kind="posterior")
     unknown = sorted(set(arrays) - set(_ARRAY_FIELDS))
     if unknown:
@@ -274,6 +274,10 @@ def load_posterior(path: str) -> PosteriorRepresentation:
                         f"object extra")
     if mode not in _LAYOUT:
         raise DataError(f"{path}: unknown posterior mode {mode!r}")
+    n_tasks = extra.get("n_tasks", 1)
+    if type(n_tasks) is not int or n_tasks < 1:
+        raise DataError(f"{path}: extra.n_tasks must be a positive integer, "
+                        f"got {n_tasks!r}")
     sizes = set()
     for name, (ndim, axis) in _LAYOUT[mode].items():
         if name not in arrays or arrays[name].ndim != ndim:
@@ -414,7 +418,7 @@ def _grad_flat(model: FlatModel, flat: np.ndarray, batch,
     theta = tape.parameter("theta", flat)
     loss = model.nll(tape, theta, batch, train=train, rng=rng)
     grads = ad.backward(tape, loss)
-    tape.records.clear()    # a reference cycle; frees the step's activations
+    tape.records.clear()    # the tape is in a cycle; frees the step's records
     return loss.item(), grads["theta"]
 
 

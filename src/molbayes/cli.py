@@ -247,10 +247,16 @@ def _manifest_path(cfg: dict, seed: int) -> str:
     return os.path.join(cfg["out_dir"], f"split_seed{seed}.json")
 
 
+# the summary fields cmd_split prints, each typed by its example
+_SUMMARY = {"sizes": [0], "quotas": [0], "n_scaffolds": 0, "overrun": 0,
+            "warnings": [""]}
+
+
 def _ensure_manifest(cfg: dict, ds: LabeledDataset, seed: int) -> dict:
     """Load the seed's manifest, or create and persist it. A stored one
     must be an object whose train, valid and test are lists of indices
-    into ``ds``."""
+    into ``ds`` and whose summary is an object with the ``_SUMMARY``
+    fields."""
     path = _manifest_path(cfg, seed)
     sd = split_digest(cfg)
     if os.path.isfile(path):
@@ -272,6 +278,12 @@ def _ensure_manifest(cfg: dict, ds: LabeledDataset, seed: int) -> dict:
             if not _fits([0], idx) or not all(0 <= i < len(ds) for i in idx):
                 raise DataError(f"manifest {path}: {part!r} must be a list "
                                 f"of molecule indices below {len(ds)}")
+        summary = manifest.get("summary")
+        if not isinstance(summary, dict) or not all(
+                _fits(v, summary.get(k)) for k, v in _SUMMARY.items()):
+            raise DataError(f"manifest {path}: 'summary' must be an object "
+                            f"with {sorted(_SUMMARY)} of the types split "
+                            f"writes")
         return manifest
     split = scaffold_split(ds, ratios=tuple(cfg["split"]["ratios"]),
                            seed=seed)
@@ -645,9 +657,7 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
     if not os.path.isfile(path):
         raise ConfigError(f"posterior artifact not found: {path}")
     post = bayes.load_posterior(path)
-    n_tasks = 1
-    if post.meta.get("n_tasks"):
-        n_tasks = int(post.meta["n_tasks"])
+    n_tasks = post.meta.get("n_tasks", 1)    # checked by load_posterior
     model = _model_for(cfg, n_tasks)
     _check_artifact(cfg, model, post, path)
     unlabeled = np.full((len(graphs), n_tasks), np.nan)

@@ -1,5 +1,7 @@
 """Gradient correctness and optimizer behaviour for the tape engine."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +132,46 @@ def test_sigmoid_saturates_without_overflow():
     z = ad.sigmoid(ad.Tensor(np.array([-800.0, 0.0, 800.0]))).data
     assert np.all(np.isfinite(z))
     assert z[0] == 0.0 and z[1] == 0.5 and z[2] == 1.0
+
+
+def _elu_where(x, g):
+    """The np.where forms of elu and its vjp that the branch-free ones
+    replaced (alpha 1)."""
+    neg = np.expm1(np.minimum(x, 0.0))
+    return np.where(x > 0.0, x, neg), g * np.where(x > 0.0, 1.0, neg + 1.0)
+
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True,
+                      allow_subnormal=True)
+# signed zeros, infinities, NaNs of both signs with a payload, subnormals.
+# At x = -0.0, np.minimum(-0.0, 0.0) is +0.0, so neg is +0.0, and
+# np.maximum(-0.0, +0.0) returns +0.0: the zero np.where took from neg.
+ELU_EDGES = np.array([0x0, 0x8000000000000000, 0x7FF0000000000000,
+                      0xFFF0000000000000, 0x7FF8000000000000,
+                      0xFFF8000000000123, 0x1, 0x8000000000000001,
+                      0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF],
+                     dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def elu_cases(draw):
+    n = draw(st.integers(0, 16))
+    x = np.concatenate([draw(hnp.arrays(np.float64, n, elements=ANY_FLOAT)),
+                        ELU_EDGES])
+    return x, draw(hnp.arrays(np.float64, x.shape, elements=ANY_FLOAT))
+
+
+@settings(max_examples=200, deadline=None)
+@given(elu_cases())
+def test_elu_bit_equal_where_form(case):
+    x, g = case
+    with np.errstate(invalid="ignore"):
+        want_out, want_grad = _elu_where(x, g)
+        tape = ad.Tape()
+        out = ad.elu(tape.parameter("x", x))
+        got_grad = tape.records[-1].vjp(g)[0]
+    assert same_bits(out.data, want_out)
+    assert same_bits(got_grad, want_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +450,92 @@ def test_untracked_ops_record_nothing():
     n_before = len(tape.records)
     ad.mul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones(3)))
     assert len(tape.records) == n_before
+
+
+# ---------------------------------------------------------------------------
+# what the tape retains
+
+
+ALL_KINDS = {"add", "sub", "mul", "div", "matmul", "linear", "concat",
+             "relu", "leaky_relu", "elu", "sigmoid", "exp", "log",
+             "softplus", "clip_min", "sum", "reshape", "slice",
+             "gather_rows", "segment_sum", "segment_softmax", "dropout"}
+
+
+def _every_op_tracked(tape):
+    """One tracked call of every op kind, each mixing in a constant where
+    the op takes two operands."""
+    rng = np.random.default_rng(5)
+    a = tape.parameter("a", rng.normal(size=(4, 3)))
+    v = tape.parameter("v", rng.normal(size=6))
+    c = ad.Tensor(rng.normal(size=(4, 3)))
+    seg = np.array([0, 2, 2, 1])
+    for op in (ad.add, ad.sub, ad.mul, ad.div):
+        op(a, c)
+    ad.matmul(a, ad.Tensor(np.ones((3, 2))))
+    ad.linear(c, a)
+    ad.concat([a, c], axis=1)
+    for op in UNARY_OPS:
+        op(a)
+    ad.log(ad.exp(a))
+    ad.clip_min(a, 0.1)
+    ad.tsum(a)
+    ad.reshape(v, (2, 3))
+    ad.slice1d(v, 1, 4)
+    ad.gather_rows(a, seg)
+    ad.segment_sum(a, seg, 3)
+    ad.segment_softmax(a, seg, 3)
+    ad.dropout(a, 0.5, rng)
+
+
+def _held(value):
+    """The value and, one level down, the items of a container."""
+    if isinstance(value, (tuple, list)):
+        return [value, *value]
+    if isinstance(value, dict):
+        return [value, *value.values()]
+    return [value]
+
+
+def test_records_keep_uids_and_no_tensors():
+    tape = ad.Tape()
+    _every_op_tracked(tape)
+    assert {rec.kind for rec in tape.records} == ALL_KINDS
+    for rec in tape.records:
+        assert all(type(uid) is int for uid in rec.inputs), rec.kind
+        for cell in rec.vjp.__closure__ or ():
+            for obj in _held(cell.cell_contents):
+                assert not isinstance(obj, (ad.Tensor, ad.Tape)), rec.kind
+
+
+def test_intermediate_no_vjp_reads_is_freed():
+    tape = ad.Tape()
+    h = tape.parameter("h", np.arange(6.0).reshape(3, 2))
+    rows = ad.gather_rows(h, np.array([0, 1, 1, 2]))
+    gone = weakref.ref(rows.data)
+    agg = ad.segment_sum(rows, np.array([0, 0, 1, 2]), 3)
+    del rows          # segment_sum's vjp needs only the ids
+    assert gone() is None
+    grads = ad.backward(tape, ad.tsum(agg))
+    assert np.array_equal(grads["h"], [[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
+
+
+def test_vjp_skips_products_for_untracked_inputs():
+    rng = np.random.default_rng(7)
+    tape = ad.Tape()
+    w = tape.parameter("w", rng.normal(size=(2, 3)))
+    x = rng.normal(size=(4, 3))
+    w_t = ad.reshape(w, (3, 2))
+    for build, want in ((lambda: ad.linear(x, w), lambda g: (None, g.T @ x)),
+                        (lambda: ad.matmul(x, w_t), lambda g: (None, x.T @ g)),
+                        (lambda: ad.matmul(w_t, x[:2]),
+                         lambda g: (g @ x[:2].T, None)),
+                        (lambda: ad.mul(w, x[:2]),
+                         lambda g: (g * x[:2], None))):
+        g = rng.normal(size=build().shape)
+        got = tape.records[-1].vjp(g)
+        for gi, wi in zip(got, want(g)):
+            assert (gi is None) if wi is None else same_bits(gi, wi)
 
 
 def test_finite_diff_rejects_nondeterministic_f():

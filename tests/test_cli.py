@@ -425,6 +425,11 @@ def trained_point_dir(synthetic_csv, tmp_path_factory):
     return out
 
 
+def _with_n_tasks(value):
+    return lambda h: {**h, "meta": {**h["meta"], "extra": {
+        **h["meta"]["extra"], "n_tasks": value}}}
+
+
 MALFORMED_HEADERS = {
     "no_arrays": lambda h: {k: v for k, v in h.items() if k != "arrays"},
     "float32_tag": lambda h: {**h, "arrays": [
@@ -454,6 +459,11 @@ MALFORMED_HEADERS = {
         **h, "meta": {**h["meta"], "swag_rank": True}},
     "fractional_swag_rank": lambda h: {
         **h, "meta": {**h["meta"], "swag_rank": 2.5}},
+    "n_tasks_string": _with_n_tasks("x"),
+    "n_tasks_bool": _with_n_tasks(True),
+    "n_tasks_zero": _with_n_tasks(0),
+    "n_tasks_negative": _with_n_tasks(-1),
+    "n_tasks_fractional": _with_n_tasks(1.5),
 }
 # body edits that keep each doctored header's byte count honest
 MALFORMED_BODIES = {"short_point": lambda body: body[:-8],
@@ -475,10 +485,12 @@ def test_malformed_posterior_exits_3(synthetic_csv, trained_point_dir,
     body = MALFORMED_BODIES.get(case, lambda b: b)(raw[end:])
     path.write_bytes(raw[:off] + len(header).to_bytes(8, "little")
                      + header + body)
-    rc = cli.main(["eval", *_args(synthetic_csv, tmp_path,
-                                  "--set", "schedule.epochs=1"),
-                   "--mode", "none", "--arch", "gcn", "--seeds", "0"])
-    assert rc == 3
+    library = tmp_path / "library.smi"
+    library.write_text("CCO\n")
+    tail = [*_args(synthetic_csv, tmp_path, "--set", "schedule.epochs=1"),
+            "--mode", "none", "--arch", "gcn", "--seeds", "0"]
+    assert cli.main(["eval", *tail]) == 3
+    assert cli.main(["screen", *tail, "--library", str(library)]) == 3
 
 
 def test_swag_artifact_holds_low_rank_state(synthetic_csv, tmp_path):
@@ -553,6 +565,13 @@ CORRUPT_MANIFESTS = {
     "bool_index": lambda m: json.dumps({**m, "valid": [True]}),
     "no_train": lambda m: json.dumps(
         {k: v for k, v in m.items() if k != "train"}),
+    "no_summary": lambda m: json.dumps(
+        {k: v for k, v in m.items() if k != "summary"}),
+    "list_summary": lambda m: json.dumps({**m, "summary": [m["summary"]]}),
+    "summary_without_sizes": lambda m: json.dumps({**m, "summary": {
+        k: v for k, v in m["summary"].items() if k != "sizes"}}),
+    "summary_warnings_not_strings": lambda m: json.dumps(
+        {**m, "summary": {**m["summary"], "warnings": [1]}}),
 }
 
 
@@ -563,6 +582,7 @@ def test_corrupt_manifest_exits_3(synthetic_csv, tmp_path, case):
     assert cli.main(["split", *base]) == 0
     path = tmp_path / "split_seed0.json"
     path.write_text(CORRUPT_MANIFESTS[case](_read_json(path)))
+    assert cli.main(["split", *base]) == 3
     assert cli.main(["train", *base]) == 3
 
 
