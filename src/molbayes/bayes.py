@@ -210,15 +210,28 @@ class PosteriorRepresentation:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        """The layout rule: the mode's arrays are present, each of its
+        stated ndim and all spanning one weight count; a sample posterior
+        holds at least one sample, and a SWAG one no more deviation
+        columns than its rank."""
         if self.mode not in _LAYOUT:
             raise ConfigError(f"unknown posterior mode {self.mode!r}")
-        needed = list(_LAYOUT[self.mode])
-        if any(getattr(self, name) is None for name in needed):
-            raise ConfigError(f"{self.mode} posterior needs {needed}")
+        sizes = set()
+        for name, (ndim, axis) in _LAYOUT[self.mode].items():
+            value = getattr(self, name)
+            if value is None or np.ndim(value) != ndim:
+                raise ConfigError(f"a {self.mode} posterior needs a "
+                                  f"{ndim}-D array {name!r}")
+            sizes.add(np.shape(value)[axis])
+        if len(sizes) != 1:
+            raise ConfigError(f"{self.mode} arrays disagree on the number "
+                              f"of weights {sorted(sizes)}")
         if self.mode == "samples" and len(self.samples) == 0:
             raise ConfigError("sample posterior needs >= 1 sample")
         if self.mode == "swag" and self.swag_dev.shape[1] > self.swag_rank:
-            raise ConfigError("deviation columns exceed the stated rank")
+            raise ConfigError(f"{self.swag_dev.shape[1]} deviation columns "
+                              f"exceed the stated swag_rank "
+                              f"{self.swag_rank}")
 
     @property
     def n_params(self) -> int:
@@ -259,8 +272,8 @@ def save_posterior(path: str, post: PosteriorRepresentation) -> None:
 
 def load_posterior(path: str) -> PosteriorRepresentation:
     """Read a posterior artifact; a malformed header (a stated
-    ``extra.n_tasks`` included), or arrays missing, of the wrong ndim or of
-    unequal weight counts for the stated mode, raise DataError."""
+    ``extra.n_tasks`` included), unknown arrays, or arrays that break the
+    layout rule of PosteriorRepresentation raise DataError."""
     _, meta, arrays = artifacts.read_container(path, expect_kind="posterior")
     unknown = sorted(set(arrays) - set(_ARRAY_FIELDS))
     if unknown:
@@ -272,26 +285,15 @@ def load_posterior(path: str) -> PosteriorRepresentation:
         raise DataError(f"{path}: posterior header needs string mode and "
                         f"digest, a non-negative integer swag_rank and an "
                         f"object extra")
-    if mode not in _LAYOUT:
-        raise DataError(f"{path}: unknown posterior mode {mode!r}")
     n_tasks = extra.get("n_tasks", 1)
     if type(n_tasks) is not int or n_tasks < 1:
         raise DataError(f"{path}: extra.n_tasks must be a positive integer, "
                         f"got {n_tasks!r}")
-    sizes = set()
-    for name, (ndim, axis) in _LAYOUT[mode].items():
-        if name not in arrays or arrays[name].ndim != ndim:
-            raise DataError(f"{path}: a {mode} posterior needs a {ndim}-D "
-                            f"array {name!r}")
-        sizes.add(arrays[name].shape[axis])
-    if len(sizes) != 1:
-        raise DataError(f"{path}: {mode} arrays disagree on the number of "
-                        f"weights {sorted(sizes)}")
-    if mode == "swag" and arrays["swag_dev"].shape[1] > rank:
-        raise DataError(f"{path}: {arrays['swag_dev'].shape[1]} deviation "
-                        f"columns exceed the stated swag_rank {rank}")
-    return PosteriorRepresentation(mode=mode, digest=digest,
-                                   swag_rank=rank, meta=extra, **arrays)
+    try:
+        return PosteriorRepresentation(mode=mode, digest=digest,
+                                       swag_rank=rank, meta=extra, **arrays)
+    except ConfigError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

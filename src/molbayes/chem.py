@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .artifacts import read_text
 from .errors import DataError
 
 BOND_ORDERS = ("single", "double", "triple", "aromatic")
@@ -104,6 +106,9 @@ _ORGANIC_TWO = ("Cl", "Br")
 _ORGANIC_ONE = set("BCNOPSFI")
 _AROMATIC_ORGANIC = set("bcnops")
 _BRACKET_AROMATIC = {"b", "c", "n", "o", "p", "s", "se", "as"}
+# OpenSMILES digits are ASCII; str.isdigit also takes '²', which int()
+# refuses
+_DIGITS = frozenset("0123456789")
 _BOND_CHARS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
                "/": "single", "\\": "single"}
 
@@ -123,7 +128,7 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
     def err(msg):
         raise SmilesError(msg, start + 1 + pos)
 
-    while pos < len(body) and body[pos].isdigit():  # isotope, discarded
+    while pos < len(body) and body[pos] in _DIGITS:  # isotope, discarded
         pos += 1
     aromatic = False
     sym = ""
@@ -151,7 +156,7 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
         pos += 1
         h_count = 1
         digits = ""
-        while pos < len(body) and body[pos].isdigit():
+        while pos < len(body) and body[pos] in _DIGITS:
             digits += body[pos]
             pos += 1
         if digits:
@@ -162,7 +167,7 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
         mark = body[pos]
         pos += 1
         digits = ""
-        while pos < len(body) and body[pos].isdigit():
+        while pos < len(body) and body[pos] in _DIGITS:
             digits += body[pos]
             pos += 1
         if digits:
@@ -174,9 +179,9 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
                 pos += 1
     if pos < len(body) and body[pos] == ":":  # atom map, discarded
         pos += 1
-        if pos >= len(body) or not body[pos].isdigit():
+        if pos >= len(body) or body[pos] not in _DIGITS:
             err("atom map without number")
-        while pos < len(body) and body[pos].isdigit():
+        while pos < len(body) and body[pos] in _DIGITS:
             pos += 1
     if pos != len(body):
         err(f"unexpected character {body[pos]!r} in bracket atom")
@@ -262,11 +267,12 @@ def parse_smiles(s: str) -> MoleculeGraph:
                 raise SmilesError("bond symbol before any atom", i)
             pending = (_BOND_CHARS[c], i)
             i += 1
-        elif c.isdigit():
+        elif c in _DIGITS:
             close_ring(int(c), i)
             i += 1
         elif c == "%":
-            if i + 2 >= n or not s[i + 1:i + 3].isdigit():
+            if i + 2 >= n or s[i + 1] not in _DIGITS \
+                    or s[i + 2] not in _DIGITS:
                 raise SmilesError("%% ring closure needs two digits", i)
             close_ring(int(s[i + 1:i + 3]), i)
             i += 3
@@ -697,39 +703,39 @@ def load_dataset(path: str, smiles_col: str, label_cols: Sequence[str],
     """Load a CSV of SMILES plus binary labels (empty cell = missing).
 
     Rows whose SMILES fail to parse, and rows with every label missing,
-    are dropped and counted in the attached report.
+    are dropped and counted in the attached report. A file that cannot be
+    read, is not UTF-8 or is not well-formed CSV raises DataError.
     """
     label_cols = tuple(label_cols)
     report = LoadReport()
     smiles: list[str] = []
     molecules: list[MoleculeGraph] = []
     rows: list[list[float]] = []
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
     try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read dataset file {path}: {e}") from None
-    with handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        for col in (smiles_col, *label_cols):
-            if col not in header:
-                raise DataError(f"{path}: missing column {col!r}; "
-                                f"header has {header}")
-        for lineno, record in enumerate(reader, start=2):
-            report.n_rows += 1
-            values = [_parse_label(record[c] or "", path, lineno, c)
-                      for c in label_cols]
-            if all(np.isnan(v) for v in values):
-                report.n_all_missing += 1
-                continue
-            raw = (record[smiles_col] or "").strip()
-            try:
-                molecules.append(parse_smiles(raw))
-            except SmilesError:
-                report.n_parse_failures += 1
-                continue
-            smiles.append(raw)
-            rows.append(values)
+        records = list(reader)
+    except csv.Error as e:
+        raise DataError(f"{path}: malformed CSV: {e}") from None
+    header = reader.fieldnames or []
+    for col in (smiles_col, *label_cols):
+        if col not in header:
+            raise DataError(f"{path}: missing column {col!r}; "
+                            f"header has {header}")
+    for lineno, record in enumerate(records, start=2):
+        report.n_rows += 1
+        values = [_parse_label(record[c] or "", path, lineno, c)
+                  for c in label_cols]
+        if all(np.isnan(v) for v in values):
+            report.n_all_missing += 1
+            continue
+        raw = (record[smiles_col] or "").strip()
+        try:
+            molecules.append(parse_smiles(raw))
+        except SmilesError:
+            report.n_parse_failures += 1
+            continue
+        smiles.append(raw)
+        rows.append(values)
     report.n_kept = len(smiles)
     labels = np.array(rows, dtype=np.float64).reshape(len(smiles),
                                                       len(label_cols))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import copy
 import hashlib
+import io
 import json
 import os
 import sys
@@ -26,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import bayes, metrics
+from . import artifacts, bayes, metrics
 from .chem import (DATASET_COLUMNS, LabeledDataset, SmilesError, featurize,
                    load_dataset, parse_smiles, scaffold_split)
 from .errors import ConfigError, DataError, NumericError
@@ -150,13 +151,10 @@ def _validate_config(cfg: dict) -> None:
 def resolve_config(args: argparse.Namespace) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if args.config:
+        text = artifacts.read_text(args.config, ConfigError)
         try:
-            with open(args.config) as fh:
-                loaded = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"cannot read config {args.config}: {e}") \
-                from None
-        except json.JSONDecodeError as e:
+            loaded = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ConfigError(f"config {args.config} is not valid JSON: "
                               f"{e}") from None
         if not isinstance(loaded, dict):
@@ -261,9 +259,8 @@ def _ensure_manifest(cfg: dict, ds: LabeledDataset, seed: int) -> dict:
     sd = split_digest(cfg)
     if os.path.isfile(path):
         try:
-            with open(path) as fh:
-                manifest = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            manifest = json.loads(artifacts.read_text(path))
+        except (json.JSONDecodeError, RecursionError) as e:
             raise DataError(f"manifest {path} is not valid JSON: {e}") \
                 from None
         if not isinstance(manifest, dict):
@@ -297,10 +294,22 @@ def _ensure_manifest(cfg: dict, ds: LabeledDataset, seed: int) -> dict:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = f"{path}.tmp"
-    metrics.write_metrics_json(tmp, payload)
-    os.replace(tmp, path)
+    artifacts.write_file(path, json.dumps(payload, indent=2, sort_keys=True),
+                         "\n")
+
+
+def _write_histogram(base: str, digest: str, bin_low, bin_high,
+                     series: dict, title: str) -> None:
+    """``base.csv``, a digest comment line then one row of counts per bin,
+    and ``base.svg``, the same counts as a stacked bar chart."""
+    rows = [",".join([f"{lo:g}", f"{hi:g}",
+                      *(str(int(c[k])) for c in series.values())]) + "\n"
+            for k, (lo, hi) in enumerate(zip(bin_low, bin_high))]
+    artifacts.write_file(f"{base}.csv", f"# config_digest={digest}\n",
+                         ",".join(["bin_low", "bin_high", *series]) + "\n",
+                         *rows)
+    artifacts.write_file(f"{base}.svg",
+                         metrics.histogram_svg(bin_low, series, title))
 
 
 def _featurized(ds: LabeledDataset, indices) -> tuple[list, np.ndarray]:
@@ -457,7 +466,6 @@ def _train_one_seed(payload: tuple) -> dict:
     post.meta["config_digest"] = digest
     post.meta["n_tasks"] = ds.n_tasks
     path = _posterior_path(cfg, seed)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
     bayes.save_posterior(path, post)
     mode = cfg["mode"]
     log_path = os.path.join(cfg["out_dir"], f"{mode}_seed{seed}_log.json")
@@ -579,24 +587,13 @@ def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
     row["extreme_fraction"] = \
         metrics.screening_summary(pooled_p).extreme_fraction
     hist = metrics.confusion_histogram(pooled_p, pooled_y)
-    hist_path = os.path.join(cfg["out_dir"],
-                             f"{cfg['mode']}_seed{seed}_confusion.csv")
-    _write_csv_with_digest(hist_path, config_digest(cfg),
-                           lambda fh: metrics.write_histogram_csv(fh, hist))
-    metrics.render_histogram_svg(
-        hist_path[:-4] + ".svg", hist.bin_low, hist.bin_high,
+    digest = config_digest(cfg)
+    _write_histogram(
+        os.path.join(cfg["out_dir"], f"{cfg['mode']}_seed{seed}_confusion"),
+        digest, hist.bin_low, hist.bin_high,
         {"tp": hist.tp, "fp": hist.fp, "tn": hist.tn, "fn": hist.fn},
-        title=f"{cfg['mode']} seed {seed} [config {config_digest(cfg)}]")
+        f"{cfg['mode']} seed {seed} [config {digest}]")
     return row
-
-
-def _write_csv_with_digest(path: str, digest: str, write_body) -> None:
-    """Digest comment line, then ``write_body(fh)``, replacing ``path``."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(f"# config_digest={digest}\n")
-        write_body(fh)
-    os.replace(tmp, path)
 
 
 def cmd_eval(cfg: dict, args: argparse.Namespace) -> int:
@@ -638,17 +635,17 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
     if not os.path.isfile(args.library):
         raise ConfigError(f"library file not found: {args.library}")
     smiles, graphs, n_dropped = [], [], 0
-    with open(args.library) as fh:
-        for line in fh:
-            token = line.split()[0] if line.split() else ""
-            if not token or token.startswith("#"):
-                continue
-            try:
-                graphs.append(featurize(parse_smiles(token)))
-            except SmilesError:
-                n_dropped += 1
-                continue
-            smiles.append(token)
+    # newline=None splits lines at \n, \r\n and \r, as text-mode files do
+    for line in io.StringIO(artifacts.read_text(args.library), newline=None):
+        token = line.split()[0] if line.split() else ""
+        if not token or token.startswith("#"):
+            continue
+        try:
+            graphs.append(featurize(parse_smiles(token)))
+        except SmilesError:
+            n_dropped += 1
+            continue
+        smiles.append(token)
     if not smiles:
         raise DataError(f"library {args.library} has no parseable "
                         f"molecules ({n_dropped} lines dropped)")
@@ -666,15 +663,12 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
     probs = pred.mean[:, 0]
     spread = pred.uncertainty[:, 0]
     digest = config_digest(cfg)
-    os.makedirs(cfg["out_dir"], exist_ok=True)
     base = os.path.join(cfg["out_dir"], f"screen_{cfg['mode']}")
-
-    def ranking(fh):
-        fh.write("smiles,probability,uncertainty\n")
-        for i in np.argsort(-probs, kind="stable"):
-            fh.write(f"{smiles[i]},{probs[i]:.6f},{spread[i]:.6f}\n")
-
-    _write_csv_with_digest(f"{base}_ranking.csv", digest, ranking)
+    artifacts.write_file(
+        f"{base}_ranking.csv", f"# config_digest={digest}\n",
+        "smiles,probability,uncertainty\n",
+        *(f"{smiles[i]},{probs[i]:.6f},{spread[i]:.6f}\n"
+          for i in np.argsort(-probs, kind="stable")))
 
     summary = metrics.screening_summary(probs)
     _write_json(f"{base}_summary.json", {
@@ -685,18 +679,10 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
         "low": summary.low, "high": summary.high,
         "extreme_fraction": summary.extreme_fraction,
         "n_draws": pred.n_samples})
-
-    def body(fh):
-        fh.write("bin_low,bin_high,count\n")
-        for k in range(summary.counts.size):
-            fh.write(f"{summary.bin_low[k]:g},{summary.bin_high[k]:g},"
-                     f"{int(summary.counts[k])}\n")
-
-    _write_csv_with_digest(f"{base}_hist.csv", digest, body)
-    metrics.render_histogram_svg(
-        f"{base}_hist.svg", summary.bin_low, summary.bin_high,
+    _write_histogram(
+        f"{base}_hist", digest, summary.bin_low, summary.bin_high,
         {"count": summary.counts},
-        title=f"screening probabilities ({cfg['mode']}) [config {digest}]")
+        f"screening probabilities ({cfg['mode']}) [config {digest}]")
     print(f"screened {summary.n_total} molecules ({n_dropped} dropped): "
           f"{summary.n_below} below {summary.low}, "
           f"{summary.n_above} above {summary.high}")

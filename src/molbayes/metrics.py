@@ -13,11 +13,8 @@ right-closed, others half-open).
 
 from __future__ import annotations
 
-import csv
-import json
-import os
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TextIO
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -299,46 +296,18 @@ def aggregate_across_seeds(per_seed: Sequence[dict]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# report writers
-
-
-def write_metrics_json(path: str, payload: dict) -> None:
-    def clean(x):
-        if isinstance(x, dict):
-            return {k: clean(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [clean(v) for v in x]
-        if isinstance(x, (np.floating, np.integer)):
-            return x.item()
-        if isinstance(x, np.ndarray):
-            return x.tolist()
-        return x
-
-    with open(path, "w") as fh:
-        json.dump(clean(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_histogram_csv(fh: TextIO, hist: ConfusionHistogram) -> None:
-    """Write the histogram as CSV rows to an open text stream."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["bin_low", "bin_high", "tp", "fp", "tn", "fn"])
-    for i in range(hist.n_bins):
-        writer.writerow([f"{hist.bin_low[i]:g}", f"{hist.bin_high[i]:g}",
-                         int(hist.tp[i]), int(hist.fp[i]),
-                         int(hist.tn[i]), int(hist.fn[i])])
+# report rendering
 
 
 _PALETTE = ("#2a9d8f", "#e76f51", "#457b9d", "#e9c46a",
             "#8d5a97", "#6c757d")
 
 
-def render_histogram_svg(path: str, bin_low, bin_high,
-                         series: dict[str, np.ndarray],
-                         title: str = "") -> None:
-    """Hand-rolled stacked bar chart; one bar per bin, one layer per series."""
+def histogram_svg(bin_low, series: dict[str, np.ndarray],
+                  title: str = "") -> str:
+    """Hand-rolled stacked bar chart as SVG text; one bar per bin, labelled
+    by its lower edge, one layer per series."""
     bin_low = np.asarray(bin_low, dtype=np.float64)
-    bin_high = np.asarray(bin_high, dtype=np.float64)
     names = list(series)
     stacks = np.stack([np.asarray(series[n], dtype=np.float64)
                        for n in names])
@@ -386,7 +355,4 @@ def render_histogram_svg(path: str, bin_low, bin_high,
                  f'x2="{margin + plot_w}" y2="{margin + plot_h}" '
                  f'stroke="black"/>')
     parts.append("</svg>")
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
-    os.replace(tmp, path)
+    return "\n".join(parts) + "\n"

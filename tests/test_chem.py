@@ -125,6 +125,13 @@ def test_explicit_single_between_aromatics():
     ("C11", 2),
     ("C=1CC#1", 6),
     ("C.=C", 2),
+    # OpenSMILES digits are ASCII; '²'.isdigit() is True, int('²') fails
+    ("C²", 1),
+    ("C%²³", 1),
+    ("[²C]", 1),
+    ("[CH²]", 3),
+    ("[C+²]", 3),
+    ("[C:²]", 3),
 ])
 def test_parse_errors_carry_offsets(bad, offset):
     with pytest.raises(SmilesError) as exc:

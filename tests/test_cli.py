@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -464,9 +465,16 @@ MALFORMED_HEADERS = {
     "n_tasks_zero": _with_n_tasks(0),
     "n_tasks_negative": _with_n_tasks(-1),
     "n_tasks_fractional": _with_n_tasks(1.5),
+    "empty_samples": lambda h: {
+        **h, "meta": {**h["meta"], "mode": "samples"},
+        "arrays": [{**a, "name": "samples", "shape": [0, a["shape"][0]]}
+                   for a in h["arrays"]]},
+    "int64_tag": lambda h: {**h, "arrays": [
+        {**a, "dtype": "int64"} for a in h["arrays"]]},
 }
 # body edits that keep each doctored header's byte count honest
 MALFORMED_BODIES = {"short_point": lambda body: body[:-8],
+                    "empty_samples": lambda body: b"",
                     "bool_dimension": lambda body: body[:8],
                     "flat_swag_dev": lambda body: body * 3,
                     "swag_rank_below_columns": lambda body: body * 4}
@@ -572,6 +580,7 @@ CORRUPT_MANIFESTS = {
         k: v for k, v in m["summary"].items() if k != "sizes"}}),
     "summary_warnings_not_strings": lambda m: json.dumps(
         {**m, "summary": {**m["summary"], "warnings": [1]}}),
+    "deep_nesting": lambda m: "[" * 100_000,
 }
 
 
@@ -665,3 +674,86 @@ def test_screen_without_posterior_exits_2(synthetic_csv, tmp_path):
                    "--mode", "none", "--seeds", "0",
                    "--library", str(library)])
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# input files: every one read as strict UTF-8, every failure an exit code
+
+
+@pytest.mark.parametrize("raw", [b'{"out_dir": "\xff"}', b"[" * 100_000],
+                         ids=["non_utf8", "deep_nesting"])
+def test_unreadable_config_exits_2(tmp_path, raw):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    assert cli.main(["split", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("raw", [
+    b"smiles,activity\nCC\xffO,1\nCC,0\n",
+    # one field past csv's 131072-character limit
+    b"smiles,activity\n" + b"C" * 131_073 + b",1\nCC,0\n",
+], ids=["non_utf8", "field_over_limit"])
+def test_unreadable_dataset_exits_3(tmp_path, raw):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(raw)
+    assert cli.main(["split", *_args(bad, tmp_path), "--seeds", "0"]) == 3
+
+
+def test_non_ascii_smiles_digit_row_is_dropped(synthetic_csv, tmp_path,
+                                               capsys):
+    data = tmp_path / "data.csv"
+    with open(synthetic_csv, encoding="utf-8") as fh:
+        data.write_text(fh.read() + "C\u00b2,1\n", encoding="utf-8")
+    assert cli.main(["split", *_args(data, tmp_path), "--seeds", "0"]) == 0
+    assert "1 unparseable" in capsys.readouterr().out
+
+
+def _screen(csv, trained_dir, out, library):
+    """Screen ``library`` with the trained point posterior into ``out``."""
+    return cli.main(["screen", *_args(csv, out, "--set", "schedule.epochs=1"),
+                     "--mode", "none", "--arch", "gcn", "--seeds", "0",
+                     "--posterior", str(trained_dir / "none_seed0.post"),
+                     "--library", str(library)])
+
+
+def test_non_ascii_smiles_digit_line_is_dropped(synthetic_csv,
+                                                trained_point_dir, tmp_path):
+    library = tmp_path / "library.smi"
+    library.write_text("CCO\nC\u00b2\n[CH\u00b2]\n", encoding="utf-8")
+    assert _screen(synthetic_csv, trained_point_dir, tmp_path, library) == 0
+    summary = _read_json(tmp_path / "screen_none_summary.json")
+    assert summary["n_total"] == 1 and summary["n_dropped"] == 2
+
+
+def test_non_utf8_library_exits_3(synthetic_csv, trained_point_dir,
+                                  tmp_path):
+    library = tmp_path / "library.smi"
+    library.write_bytes(b"CCO\nC\xffC\n")
+    assert _screen(synthetic_csv, trained_point_dir, tmp_path, library) == 3
+
+
+# bytes with a SMILES- and CSV-like alphabet reach the parsers more often
+# than uniform ones, which mostly fail to decode or to find a header
+SMILES_LIKE = st.text(alphabet="CNOcn12\u00b2()=#[]+-%:H ,.\"\r\n\xff",
+                      max_size=80).map(lambda t: t.encode("utf-8"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["config", "dataset", "library"]),
+       raw=st.binary(max_size=200) | SMILES_LIKE)
+def test_arbitrary_input_bytes_end_in_an_exit_code(synthetic_csv,
+                                                   trained_point_dir, kind,
+                                                   raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(b"smiles,activity\n" + raw if kind == "dataset"
+                     else raw)
+        out = os.path.join(tmp, "out")
+        if kind == "config":
+            rc = cli.main(["split", "--config", path, "--out", out])
+        elif kind == "dataset":
+            rc = cli.main(["split", *_args(path, out), "--seeds", "0"])
+        else:
+            rc = _screen(synthetic_csv, trained_point_dir, out, path)
+    assert rc in (0, 2, 3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from molbayes import metrics
+from molbayes import cli, metrics
 from molbayes.errors import DataError
 
 
@@ -344,44 +344,29 @@ def test_aggregate_across_seeds():
         metrics.aggregate_across_seeds([])
 
 
-def test_write_metrics_json_roundtrip(tmp_path):
-    import json
-
-    path = str(tmp_path / "m.json")
-    metrics.write_metrics_json(path, {
-        "ece": {"mean": np.float64(0.19), "std": 0.07},
-        "counts": np.array([1, 2, 3])})
-    with open(path) as fh:
-        back = json.load(fh)
-    assert back["ece"]["mean"] == 0.19
-    assert back["counts"] == [1, 2, 3]
-
-
 def test_write_histogram_csv(tmp_path):
     hist = metrics.confusion_histogram(
         np.array([0.1, 0.6, 0.8]), np.array([0.0, 1.0, 0.0]))
-    path = str(tmp_path / "h.csv")
-    with open(path, "w", newline="") as fh:
-        metrics.write_histogram_csv(fh, hist)
-    lines = open(path).read().strip().splitlines()
+    base = str(tmp_path / "h")
+    cli._write_histogram(base, "d", hist.bin_low, hist.bin_high,
+                         {"tp": hist.tp, "fp": hist.fp, "tn": hist.tn,
+                          "fn": hist.fn}, "outcome mix")
+    lines = open(base + ".csv").read().strip().splitlines()[1:]
     assert lines[0] == "bin_low,bin_high,tp,fp,tn,fn"
     assert len(lines) == 21
     cells = [line.split(",") for line in lines[1:]]
     assert sum(int(c) for row in cells for c in row[2:]) == 3
 
 
-def test_render_histogram_svg(tmp_path):
+def test_render_histogram_svg():
     hist = metrics.confusion_histogram(
         np.array([0.1, 0.6, 0.8, 0.95]), np.array([0.0, 1.0, 0.0, 1.0]))
-    path = str(tmp_path / "h.svg")
-    metrics.render_histogram_svg(
-        path, hist.bin_low, hist.bin_high,
+    text = metrics.histogram_svg(
+        hist.bin_low,
         {"tp": hist.tp, "fp": hist.fp, "tn": hist.tn, "fn": hist.fn},
         title="outcome mix")
-    text = open(path).read()
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
     assert text.count("<rect") >= 5
     with pytest.raises(DataError):
-        metrics.render_histogram_svg(path, hist.bin_low, hist.bin_high,
-                                     {"tp": hist.tp[:3]})
+        metrics.histogram_svg(hist.bin_low, {"tp": hist.tp[:3]})
