@@ -68,32 +68,6 @@ class Tensor:
         tag = f", uid={self.uid}" if self.tape is not None else ""
         return f"Tensor(shape={self.shape}{tag})"
 
-    # Arithmetic sugar; scalars and arrays are lifted to constants.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -312,16 +286,6 @@ def sigmoid(x) -> Tensor:
         return (g * out * (1.0 - out),)
 
     return _emit("sigmoid", (x,), out, vjp)
-
-
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    out = np.exp(x.data)
-
-    def vjp(g):
-        return (g * out,)
-
-    return _emit("exp", (x,), out, vjp)
 
 
 def log(x) -> Tensor:

@@ -49,10 +49,10 @@ DATASET_COLUMNS = {
 
 
 class SmilesError(DataError):
-    """Parse failure; ``offset`` is the byte position of the offending token."""
+    """Parse failure at ``offset``, the character offset of the bad token."""
 
     def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} at byte offset {offset}")
+        super().__init__(f"{message} at character offset {offset}")
         self.offset = offset
 
 
@@ -106,9 +106,11 @@ _ORGANIC_TWO = ("Cl", "Br")
 _ORGANIC_ONE = set("BCNOPSFI")
 _AROMATIC_ORGANIC = set("bcnops")
 _BRACKET_AROMATIC = {"b", "c", "n", "o", "p", "s", "se", "as"}
-# OpenSMILES digits are ASCII; str.isdigit also takes '²', which int()
-# refuses
+# OpenSMILES digits and element symbols are ASCII; str.isdigit also
+# takes '²', which int() refuses, and str.isupper takes 'É'
 _DIGITS = frozenset("0123456789")
+_UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
 _BOND_CHARS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
                "/": "single", "\\": "single"}
 
@@ -132,14 +134,14 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
         pos += 1
     aromatic = False
     sym = ""
-    if pos < len(body) and body[pos].isupper():
+    if pos < len(body) and body[pos] in _UPPER:
         sym = body[pos]
         pos += 1
         # uppercase + lowercase = a two-letter element symbol
-        if pos < len(body) and body[pos].islower():
+        if pos < len(body) and body[pos] in _LOWER:
             sym += body[pos]
             pos += 1
-    elif pos < len(body) and body[pos].islower():
+    elif pos < len(body) and body[pos] in _LOWER:
         two = body[pos:pos + 2]
         if two in _BRACKET_AROMATIC:
             sym, pos, aromatic = two.capitalize(), pos + 2, True
@@ -192,7 +194,8 @@ def parse_smiles(s: str) -> MoleculeGraph:
     """Parse a SMILES string into a MoleculeGraph.
 
     Dot-separated fragments stay in one graph as separate components.
-    Raises SmilesError (a DataError) with a byte offset on malformed input.
+    Raises SmilesError (a DataError) with a character offset on malformed
+    input.
     """
     if not s:
         raise SmilesError("empty SMILES string", 0)
@@ -273,7 +276,7 @@ def parse_smiles(s: str) -> MoleculeGraph:
         elif c == "%":
             if i + 2 >= n or s[i + 1] not in _DIGITS \
                     or s[i + 2] not in _DIGITS:
-                raise SmilesError("%% ring closure needs two digits", i)
+                raise SmilesError("% ring closure needs two digits", i)
             close_ring(int(s[i + 1:i + 3]), i)
             i += 3
         elif c == "(":

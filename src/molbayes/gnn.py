@@ -2,9 +2,13 @@
 
 Every model is: input projection -> L residual node-update layers ->
 sum readout -> linear classifier. Architectures differ only in how a
-layer turns node states into the residual branch. Parameters live in a
-single flat float64 vector with a fixed coordinate order, so optimizers
-and posterior approximations can treat every model as R^n.
+layer turns node states into the residual branch, and each is declared
+in one place: ``_layer_weights`` lists a layer's weights in coordinate
+order and ``_LAYERS`` names its layer function, which maps
+(h, e, batch, *weights) to (branch, e); e is the edge state, None
+outside gatedgcn. Parameters live in a single flat float64 vector with a
+fixed coordinate order, so optimizers and posterior approximations can
+treat every model as R^n.
 """
 
 from __future__ import annotations
@@ -35,15 +39,13 @@ class ModelConfig:
     n_heads: int = 4
     n_tasks: int = 1
     dropout: float = 0.2
-    node_dim: int = NODE_DIM
-    edge_dim: int = EDGE_DIM
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.architecture!r}; "
                               f"pick one of {ARCHITECTURES}")
         for name in ("hidden_dim", "graph_dim", "n_layers", "n_heads",
-                     "n_tasks", "node_dim", "edge_dim"):
+                     "n_tasks"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.architecture == "gat" and self.hidden_dim % self.n_heads:
@@ -54,33 +56,29 @@ class ModelConfig:
             raise ConfigError("dropout rate must be in [0, 1)")
 
 
+def _layer_weights(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """One layer's (name, shape) pairs in coordinate order."""
+    d, dk = cfg.hidden_dim, cfg.hidden_dim // cfg.n_heads
+    return {
+        "gcn": [("W", (d, d))],
+        "gin": [("W1", (d, d)), ("W2", (d, d))],
+        "sage": [("W", (d, 2 * d))],
+        "gat": [(f"heads.{k}.{w}", shape) for k in range(cfg.n_heads)
+                for w, shape in (("W", (dk, d)), ("U", (2 * dk,)))],
+        "gatedgcn": [(w, (d, d)) for w in ("U", "W", "A", "B", "C")],
+    }[cfg.architecture]
+
+
 def param_specs(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Ordered (name, shape) table defining the flat coordinate layout."""
     d, dg, t = cfg.hidden_dim, cfg.graph_dim, cfg.n_tasks
-    specs: list[tuple[str, tuple[int, ...]]] = [("embed.node", (d, cfg.node_dim))]
+    specs: list[tuple[str, tuple[int, ...]]] = [("embed.node", (d, NODE_DIM))]
     if cfg.architecture == "gatedgcn":
-        specs.append(("embed.edge", (d, cfg.edge_dim)))
-    for layer in range(cfg.n_layers):
-        p = f"layers.{layer}"
-        if cfg.architecture == "gcn":
-            specs.append((f"{p}.W", (d, d)))
-        elif cfg.architecture == "gin":
-            specs.append((f"{p}.W1", (d, d)))
-            specs.append((f"{p}.W2", (d, d)))
-        elif cfg.architecture == "sage":
-            specs.append((f"{p}.W", (d, 2 * d)))
-        elif cfg.architecture == "gat":
-            dk = d // cfg.n_heads
-            for k in range(cfg.n_heads):
-                specs.append((f"{p}.heads.{k}.W", (dk, d)))
-                specs.append((f"{p}.heads.{k}.U", (2 * dk,)))
-        else:
-            for w in ("U", "W", "A", "B", "C"):
-                specs.append((f"{p}.{w}", (d, d)))
-    specs.append(("readout.W", (dg, d)))
-    specs.append(("classify.W", (t, dg)))
-    specs.append(("classify.b", (t,)))
-    return specs
+        specs.append(("embed.edge", (d, EDGE_DIM)))
+    specs += [(f"layers.{i}.{name}", shape) for i in range(cfg.n_layers)
+              for name, shape in _layer_weights(cfg)]
+    return specs + [("readout.W", (dg, d)), ("classify.W", (t, dg)),
+                    ("classify.b", (t,))]
 
 
 def spec_digest(cfg: ModelConfig) -> str:
@@ -145,29 +143,31 @@ def make_batch(graphs: Sequence[FeaturizedGraph],
 # layers
 
 
-def layer_gcn(h, batch: GraphBatch, W) -> ad.Tensor:
+def _neighbour_sum(h, batch: GraphBatch) -> ad.Tensor:
+    """Each node's sum of its in-neighbours' states."""
     src, dst = batch.edge_index[:, 0], batch.edge_index[:, 1]
-    agg = ad.segment_sum(ad.gather_rows(h, src), dst, batch.n_nodes)
-    return ad.relu(ad.linear(ad.add(agg, h), W))
+    return ad.segment_sum(ad.gather_rows(h, src), dst, batch.n_nodes)
 
 
-def layer_gin(h, batch: GraphBatch, W1, W2) -> ad.Tensor:
-    src, dst = batch.edge_index[:, 0], batch.edge_index[:, 1]
-    agg = ad.segment_sum(ad.gather_rows(h, src), dst, batch.n_nodes)
-    return ad.linear(ad.relu(ad.linear(ad.add(agg, h), W1)), W2)
+def layer_gcn(h, e, batch: GraphBatch, W):
+    return ad.relu(ad.linear(ad.add(_neighbour_sum(h, batch), h), W)), e
 
 
-def layer_sage(h, batch: GraphBatch, W) -> ad.Tensor:
-    src, dst = batch.edge_index[:, 0], batch.edge_index[:, 1]
-    agg = ad.segment_sum(ad.gather_rows(h, src), dst, batch.n_nodes)
-    return ad.relu(ad.linear(ad.concat([h, agg], axis=1), W))
+def layer_gin(h, e, batch: GraphBatch, W1, W2):
+    agg = _neighbour_sum(h, batch)
+    return ad.linear(ad.relu(ad.linear(ad.add(agg, h), W1)), W2), e
 
 
-def layer_gat(h, batch: GraphBatch, heads: Sequence[tuple]) -> ad.Tensor:
-    """heads: per-head (W, U) with W (d/K, d) and U (2d/K,)."""
+def layer_sage(h, e, batch: GraphBatch, W):
+    agg = _neighbour_sum(h, batch)
+    return ad.relu(ad.linear(ad.concat([h, agg], axis=1), W)), e
+
+
+def layer_gat(h, e, batch: GraphBatch, *weights):
+    """weights: W (d/K, d) then U (2d/K,) for each of the K heads."""
     src, dst = batch.edge_index[:, 0], batch.edge_index[:, 1]
     outs = []
-    for W, U in heads:
+    for W, U in zip(weights[0::2], weights[1::2]):
         p = ad.linear(h, W)                       # (n, dk)
         dk = p.data.shape[1]
         u_dst = ad.reshape(ad.slice1d(U, 0, dk), (dk, 1))
@@ -178,24 +178,27 @@ def layer_gat(h, batch: GraphBatch, heads: Sequence[tuple]) -> ad.Tensor:
         alpha = ad.segment_softmax(score, dst, batch.n_nodes)
         msg = ad.mul(alpha, ad.gather_rows(p, src))
         outs.append(ad.elu(ad.segment_sum(msg, dst, batch.n_nodes)))
-    return ad.concat(outs, axis=1)
+    return ad.concat(outs, axis=1), e
 
 
-def layer_gatedgcn(h, w_edge, batch: GraphBatch, U, W, A, B, C):
-    """Returns (node branch, updated edge states); gates use the update."""
+def layer_gatedgcn(h, e, batch: GraphBatch, U, W, A, B, C):
+    """Updates the edge states e first; the gates use the update."""
     src, dst = batch.edge_index[:, 0], batch.edge_index[:, 1]
     bump = ad.relu(ad.add(
         ad.add(ad.gather_rows(ad.linear(h, A), dst),
                ad.gather_rows(ad.linear(h, B), src)),
-        ad.linear(w_edge, C)))
-    w_new = ad.add(w_edge, bump)
-    numer = ad.sigmoid(w_new)
+        ad.linear(e, C)))
+    e_new = ad.add(e, bump)
+    numer = ad.sigmoid(e_new)
     denom = ad.segment_sum(numer, dst, batch.n_nodes)
     gate = ad.div(numer, ad.add(ad.gather_rows(denom, dst), GATE_EPS))
     msg = ad.mul(gate, ad.gather_rows(ad.linear(h, W), src))
     agg = ad.segment_sum(msg, dst, batch.n_nodes)
-    branch = ad.relu(ad.add(ad.linear(h, U), agg))
-    return branch, w_new
+    return ad.relu(ad.add(ad.linear(h, U), agg)), e_new
+
+
+_LAYERS = {"gcn": layer_gcn, "gin": layer_gin, "sage": layer_sage,
+           "gat": layer_gat, "gatedgcn": layer_gatedgcn}
 
 
 def bce_loss_masked(logits: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
@@ -235,6 +238,10 @@ class GnnClassifier:
             pos += size
         self.n_params = pos
         self.digest = spec_digest(cfg)
+        self.layer = _LAYERS[cfg.architecture]
+        self.layer_names = [[f"layers.{i}.{name}"
+                             for name, _ in _layer_weights(cfg)]
+                            for i in range(cfg.n_layers)]
 
     # -- parameters
 
@@ -270,39 +277,22 @@ class GnnClassifier:
                 ) -> ad.Tensor:
         """Per-graph logits (n_graphs, T)."""
         cfg = self.cfg
-        if batch.node_x.shape[1] != cfg.node_dim:
+        if batch.node_x.shape[1] != NODE_DIM:
             raise DataError(f"node features have dim {batch.node_x.shape[1]},"
-                            f" model expects {cfg.node_dim}")
+                            f" model expects {NODE_DIM}")
         use_dropout = train and cfg.dropout > 0.0
         if use_dropout and dropout_rng is None:
             raise ConfigError("dropout requires a dropout rng")
-        x = ad.Tensor(batch.node_x)
-        h = ad.linear(x, leaves["embed.node"])
-        w_edge = None
-        if cfg.architecture == "gatedgcn":
-            if batch.edge_x.shape[1] != cfg.edge_dim:
+        h = ad.linear(ad.Tensor(batch.node_x), leaves["embed.node"])
+        e = None
+        if "embed.edge" in self.offsets:
+            if batch.edge_x.shape[1] != EDGE_DIM:
                 raise DataError(
                     f"edge features have dim {batch.edge_x.shape[1]}, "
-                    f"model expects {cfg.edge_dim}")
-            w_edge = ad.linear(ad.Tensor(batch.edge_x), leaves["embed.edge"])
-        for layer in range(cfg.n_layers):
-            p = f"layers.{layer}"
-            if cfg.architecture == "gcn":
-                branch = layer_gcn(h, batch, leaves[f"{p}.W"])
-            elif cfg.architecture == "gin":
-                branch = layer_gin(h, batch, leaves[f"{p}.W1"],
-                                   leaves[f"{p}.W2"])
-            elif cfg.architecture == "sage":
-                branch = layer_sage(h, batch, leaves[f"{p}.W"])
-            elif cfg.architecture == "gat":
-                heads = [(leaves[f"{p}.heads.{k}.W"],
-                          leaves[f"{p}.heads.{k}.U"])
-                         for k in range(cfg.n_heads)]
-                branch = layer_gat(h, batch, heads)
-            else:
-                branch, w_edge = layer_gatedgcn(
-                    h, w_edge, batch, leaves[f"{p}.U"], leaves[f"{p}.W"],
-                    leaves[f"{p}.A"], leaves[f"{p}.B"], leaves[f"{p}.C"])
+                    f"model expects {EDGE_DIM}")
+            e = ad.linear(ad.Tensor(batch.edge_x), leaves["embed.edge"])
+        for names in self.layer_names:
+            branch, e = self.layer(h, e, batch, *[leaves[n] for n in names])
             if use_dropout:
                 branch = ad.dropout(branch, cfg.dropout, dropout_rng)
             h = ad.add(h, branch)

@@ -111,12 +111,14 @@ def auroc(scores, labels) -> float:
     """Mann-Whitney statistic with mid-rank ties.
 
     Equals P(score_pos > score_neg) + 0.5 P(score_pos == score_neg)
-    over all positive-negative pairs.
+    over all positive-negative pairs. Scores may be any finite reals.
     """
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels, dtype=np.float64).ravel()
     if scores.size == 0:
         raise DataError("no scores given")
+    if not np.all(np.isfinite(scores)):
+        raise DataError("scores contain non-finite values")
     if scores.shape != labels.shape:
         raise DataError(f"{labels.size} labels for {scores.size} scores")
     if not np.all((labels == 0.0) | (labels == 1.0)):
@@ -178,14 +180,6 @@ class ConfusionHistogram:
     fp: np.ndarray
     tn: np.ndarray
     fn: np.ndarray
-
-    @property
-    def n_bins(self) -> int:
-        return self.bin_low.size
-
-    def totals(self) -> dict[str, int]:
-        return {k: int(getattr(self, k).sum())
-                for k in ("tp", "fp", "tn", "fn")}
 
 
 def confusion_histogram(probs, labels, n_bins: int = 20

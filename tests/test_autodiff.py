@@ -42,7 +42,7 @@ def check_param_grads(build, x0: np.ndarray, tol: float = 1e-6):
 
 
 BINARY_OPS = [ad.add, ad.sub, ad.mul, ad.div]
-UNARY_OPS = [ad.relu, ad.leaky_relu, ad.elu, ad.sigmoid, ad.exp, ad.softplus]
+UNARY_OPS = [ad.relu, ad.leaky_relu, ad.elu, ad.sigmoid, ad.softplus]
 
 
 @pytest.mark.parametrize("op", BINARY_OPS, ids=lambda op: op.__name__)
@@ -457,7 +457,7 @@ def test_untracked_ops_record_nothing():
 
 
 ALL_KINDS = {"add", "sub", "mul", "div", "matmul", "linear", "concat",
-             "relu", "leaky_relu", "elu", "sigmoid", "exp", "log",
+             "relu", "leaky_relu", "elu", "sigmoid", "log",
              "softplus", "clip_min", "sum", "reshape", "slice",
              "gather_rows", "segment_sum", "segment_softmax", "dropout"}
 
@@ -477,8 +477,7 @@ def _every_op_tracked(tape):
     ad.concat([a, c], axis=1)
     for op in UNARY_OPS:
         op(a)
-    ad.log(ad.exp(a))
-    ad.clip_min(a, 0.1)
+    ad.log(ad.clip_min(a, 0.1))
     ad.tsum(a)
     ad.reshape(v, (2, 3))
     ad.slice1d(v, 1, 4)

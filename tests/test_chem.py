@@ -132,11 +132,22 @@ def test_explicit_single_between_aromatics():
     ("[CH²]", 3),
     ("[C+²]", 3),
     ("[C:²]", 3),
+    # element symbols are ASCII; 'É'.isupper() and 'Ω'.isupper() are True
+    ("[É]", 1),
+    ("[Ωx]", 1),
+    ("[Cé]", 2),
 ])
 def test_parse_errors_carry_offsets(bad, offset):
     with pytest.raises(SmilesError) as exc:
         parse_smiles(bad)
     assert exc.value.offset == offset
+
+
+def test_parse_error_text():
+    with pytest.raises(SmilesError) as exc:
+        parse_smiles("C%1")
+    assert str(exc.value) == ("% ring closure needs two digits "
+                              "at character offset 1")
 
 
 def test_duplicate_ring_bond_rejected():

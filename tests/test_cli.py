@@ -708,6 +708,16 @@ def test_non_ascii_smiles_digit_row_is_dropped(synthetic_csv, tmp_path,
     assert "1 unparseable" in capsys.readouterr().out
 
 
+def test_non_ascii_element_symbol_rows_are_dropped(synthetic_csv, tmp_path,
+                                                   capsys):
+    data = tmp_path / "data.csv"
+    with open(synthetic_csv, encoding="utf-8") as fh:
+        data.write_text(fh.read() + "[\u00c9],1\n[\u03a9x]C,0\n",
+                        encoding="utf-8")
+    assert cli.main(["split", *_args(data, tmp_path), "--seeds", "0"]) == 0
+    assert "2 unparseable" in capsys.readouterr().out
+
+
 def _screen(csv, trained_dir, out, library):
     """Screen ``library`` with the trained point posterior into ``out``."""
     return cli.main(["screen", *_args(csv, out, "--set", "schedule.epochs=1"),
@@ -720,6 +730,16 @@ def test_non_ascii_smiles_digit_line_is_dropped(synthetic_csv,
                                                 trained_point_dir, tmp_path):
     library = tmp_path / "library.smi"
     library.write_text("CCO\nC\u00b2\n[CH\u00b2]\n", encoding="utf-8")
+    assert _screen(synthetic_csv, trained_point_dir, tmp_path, library) == 0
+    summary = _read_json(tmp_path / "screen_none_summary.json")
+    assert summary["n_total"] == 1 and summary["n_dropped"] == 2
+
+
+def test_non_ascii_element_symbol_lines_are_dropped(synthetic_csv,
+                                                    trained_point_dir,
+                                                    tmp_path):
+    library = tmp_path / "library.smi"
+    library.write_text("CCO\n[\u00c9]\n[\u03a9x]C\n", encoding="utf-8")
     assert _screen(synthetic_csv, trained_point_dir, tmp_path, library) == 0
     summary = _read_json(tmp_path / "screen_none_summary.json")
     assert summary["n_total"] == 1 and summary["n_dropped"] == 2

@@ -45,51 +45,51 @@ def both_ways(pairs):
 def test_gcn_isolated_node_identity_weight():
     b = batch_of([], 1)
     h = t([[-1.0, 2.0]])
-    out = gnn.layer_gcn(h, b, t(np.eye(2)))
+    out, _ = gnn.layer_gcn(h, None, b, t(np.eye(2)))
     assert np.array_equal(out.data, [[0.0, 2.0]])
 
 
 def test_gcn_path_graph_hand_value():
     b = batch_of(both_ways([(0, 1)]), 2)
     h = t([[1.0, 0.0], [0.0, 1.0]])
-    out = gnn.layer_gcn(h, b, t(np.eye(2)))
+    out, _ = gnn.layer_gcn(h, None, b, t(np.eye(2)))
     assert np.array_equal(out.data, [[1.0, 1.0], [1.0, 1.0]])
 
 
 def test_gcn_zero_weight():
     b = batch_of(both_ways([(0, 1)]), 2)
-    out = gnn.layer_gcn(t(np.random.default_rng(0).normal(size=(2, 3))),
-                        b, t(np.zeros((3, 3))))
+    out, _ = gnn.layer_gcn(t(np.random.default_rng(0).normal(size=(2, 3))),
+                           None, b, t(np.zeros((3, 3))))
     assert np.all(out.data == 0.0)
 
 
 def test_gin_isolated_and_triangle():
     b = batch_of([], 1)
     h = t([[0.5, -0.5]])
-    out = gnn.layer_gin(h, b, t(np.eye(2)), t(np.eye(2)))
+    out, _ = gnn.layer_gin(h, None, b, t(np.eye(2)), t(np.eye(2)))
     assert np.array_equal(out.data, [[0.5, 0.0]])
 
     tri = batch_of(both_ways([(0, 1), (1, 2), (0, 2)]), 3)
     h = t([[1.0], [1.0], [1.0]])
-    out = gnn.layer_gin(h, tri, t([[1.0]]), t([[1.0]]))
+    out, _ = gnn.layer_gin(h, None, tri, t([[1.0]]), t([[1.0]]))
     assert np.array_equal(out.data, [[3.0], [3.0], [3.0]])
 
 
 def test_gin_has_no_outer_relu():
     b = batch_of([], 1)
-    out = gnn.layer_gin(t([[1.0]]), b, t([[1.0]]), t([[-1.0]]))
+    out, _ = gnn.layer_gin(t([[1.0]]), None, b, t([[1.0]]), t([[-1.0]]))
     assert out.data[0, 0] == -1.0
 
 
 def test_sage_excludes_self_from_neighbor_sum():
     b = batch_of([], 1)
     h = t([[1.0]])
-    out = gnn.layer_sage(h, b, t([[1.0, 1.0]]))
+    out, _ = gnn.layer_sage(h, None, b, t([[1.0, 1.0]]))
     assert out.data[0, 0] == 1.0  # neighbor block is zero
 
     edge = batch_of(both_ways([(0, 1)]), 2)
     h = t([[1.0], [1.0]])
-    out = gnn.layer_sage(h, edge, t([[1.0, 1.0]]))
+    out, _ = gnn.layer_sage(h, None, edge, t([[1.0, 1.0]]))
     assert np.array_equal(out.data, [[2.0], [2.0]])
 
 
@@ -120,10 +120,11 @@ def test_gat_singleton_softmax_and_symmetry():
     d, k = 4, 2
     heads = [(t(rng.normal(size=(2, 4), scale=0.3)), t(rng.normal(size=4)))
              for _ in range(k)]
+    flat_heads = [w for head in heads for w in head]
     # node 0 has exactly one incoming edge: alpha must be 1
     b = batch_of([(1, 0)], 2)
     h_nodes = rng.normal(size=(2, d))
-    out = gnn.layer_gat(t(h_nodes), b, heads)
+    out, _ = gnn.layer_gat(t(h_nodes), None, b, *flat_heads)
     for W, U in heads:
         p = h_nodes @ W.data.T
         want = np.where(p[1] > 0, p[1], np.expm1(np.minimum(p[1], 0)))
@@ -134,7 +135,7 @@ def test_gat_singleton_softmax_and_symmetry():
     b = batch_of([(1, 0), (2, 0)], 3)
     same = rng.normal(size=d)
     h_nodes = np.stack([rng.normal(size=d), same, same])
-    out = gnn.layer_gat(t(h_nodes), b, heads)
+    out, _ = gnn.layer_gat(t(h_nodes), None, b, *flat_heads)
     for idx, (W, U) in enumerate(heads):
         p = h_nodes @ W.data.T
         agg = 0.5 * p[1] + 0.5 * p[2]
@@ -154,7 +155,7 @@ def test_gat_matches_dense_oracle_and_alpha_sums():
     h_nodes = rng.normal(size=(4, d), scale=0.5)
     W = rng.normal(size=(dk, d), scale=0.4)
     U = rng.normal(size=2 * dk, scale=0.4)
-    out = gnn.layer_gat(t(h_nodes), b, [(t(W), t(U))])
+    out, _ = gnn.layer_gat(t(h_nodes), None, b, t(W), t(U))
     want, alphas = dense_gat_head(h_nodes, in_nbrs, W, U)
     assert np.allclose(out.data, want, atol=1e-12)
     for i, a in alphas.items():
@@ -238,7 +239,7 @@ def test_residual_update():
         w = {name: flat[lo:hi].reshape(shape)
              for name, (lo, hi, shape) in model.offsets.items()}
         h = batch.node_x @ w["embed.node"].T
-        branch = gnn.layer_gcn(t(h), batch, t(w["layers.0.W"])).data
+        branch = gnn.layer_gcn(t(h), None, batch, t(w["layers.0.W"]))[0].data
         assert np.all(branch == 0.0) == (scale == 0.0)
         pooled = ((h + branch) @ w["readout.W"].T).sum(axis=0)
         want = pooled @ w["classify.W"].T + w["classify.b"]
@@ -308,6 +309,26 @@ def test_param_shapes_per_architecture():
         assert flat.shape == (model.n_params,)
         lo, hi, _ = model.offsets["classify.b"]
         assert np.all(flat[lo:hi] == 0.0)
+
+
+# every saved posterior is tied to these coordinate layouts
+DEFAULT_LAYOUTS = {"gcn": ("53fb27fc3adde53b", 103681),
+                   "gin": ("077f847823fe6d6e", 169217),
+                   "sage": ("9fa627eb2f90a567", 169217),
+                   "gat": ("64800f71293a416d", 104705),
+                   "gatedgcn": ("a65bef4f8ac053fa", 366337)}
+SMALL_DIGESTS = {"gcn": "2084f932e94d3afd", "gin": "a7b9be8a994b2eb4",
+                 "sage": "4581e307e082e2b9", "gat": "fe683ad79472d7d6",
+                 "gatedgcn": "495d60bfeb1cb864"}
+
+
+@pytest.mark.parametrize("arch", gnn.ARCHITECTURES)
+def test_coordinate_layout_is_pinned(arch):
+    model = GnnClassifier(ModelConfig(architecture=arch))
+    assert (model.digest, model.n_params) == DEFAULT_LAYOUTS[arch]
+    small = ModelConfig(architecture=arch, hidden_dim=8, graph_dim=8,
+                        n_layers=1, n_heads=2)
+    assert gnn.spec_digest(small) == SMALL_DIGESTS[arch]
 
 
 def featurized(smiles_list):

@@ -169,6 +169,17 @@ def test_auroc_single_class_rejected():
         metrics.auroc(np.array([]), np.array([]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_auroc_non_finite_scores_rejected(bad):
+    with pytest.raises(DataError, match="non-finite"):
+        metrics.auroc([bad, 0.2, 0.3], [1.0, 0.0, 1.0])
+    # the per-epoch validation hook averages this way: a diverged
+    # prediction leaves every task undefined, so that epoch logs no auroc
+    with pytest.raises(DataError, match="every task"):
+        metrics.macro_average(metrics.auroc, [[bad], [0.2], [0.3]],
+                              [[1.0], [0.0], [1.0]])
+
+
 # ---------------------------------------------------------------------------
 # threshold metrics
 
@@ -233,11 +244,12 @@ def test_confusion_histogram_reconciles_with_metrics():
         probs, labels = random_records(rng, int(rng.integers(1, 400)))
         hist = metrics.confusion_histogram(probs, labels)
         m = metrics.classification_metrics(probs, labels)
-        assert hist.totals() == {"tp": m.tp, "fp": m.fp,
-                                 "tn": m.tn, "fn": m.fn}
-        total = sum(hist.totals().values())
+        totals = {k: int(getattr(hist, k).sum())
+                  for k in ("tp", "fp", "tn", "fn")}
+        assert totals == {"tp": m.tp, "fp": m.fp, "tn": m.tn, "fn": m.fn}
+        total = sum(totals.values())
         assert total == probs.size
-        assert hist.totals()["tp"] + hist.totals()["fn"] == labels.sum()
+        assert hist.tp.sum() + hist.fn.sum() == labels.sum()
 
 
 # ---------------------------------------------------------------------------
