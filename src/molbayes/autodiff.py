@@ -11,25 +11,31 @@ The tape holds only what ``backward`` reads. A record keeps its op kind,
 the uids (ints, never the Tensors) of its inputs and output, and a vjp
 closure over just the arrays, masks and shapes that vjp computes with:
 shapes for ``add``/``sub``/``reshape``/``slice1d``/``sum``, the row count
-for ``gather_rows``, a bool mask for ``relu``/``leaky_relu``/``clip_min``,
-the negative branch for ``elu``, and for ``linear``/``matmul``/``mul``/
-``div`` only the operands of the products a tracked input needs (none is
-computed for an untracked input). An intermediate no vjp reads (such as
-the edge rows ``gather_rows`` hands to ``segment_sum``) is therefore freed
-as soon as the forward pass drops it. ``backward`` drops each gradient once
-its producing record has been replayed: every consumer of a tensor was
-recorded after its producer, so by then the gradient is complete.
+for ``gather_rows``, the plan for ``aggregate``, a bool mask for
+``relu``/``leaky_relu``/``clip_min``, the negative branch for ``elu``, and
+for ``linear``/``matmul``/``mul``/``div`` only the operands of the products
+a tracked input needs (none is computed for an untracked input). An
+intermediate no vjp reads (such as the edge rows ``gather_rows`` hands to
+``segment_sum``) is therefore freed as soon as the forward pass drops it.
+``backward`` drops each gradient once its producing record has been
+replayed: every consumer of a tensor was recorded after its producer, so
+by then the gradient is complete.
 
 The op catalog is exactly what the graph layers and losses need: matmul /
 linear, broadcast arithmetic, concat, the activations, segment reductions
-keyed by integer ids, dropout, gather, slice and reshape. Every
-scatter-add (the ``segment_sum`` forward, the ``gather_rows`` vjp and both
-sums in ``segment_softmax``) goes through one primitive, ``_scatter_add``,
-a single flattened ``np.bincount``.
+keyed by integer ids, planned row sums, dropout, gather, slice and
+reshape. Every scatter-add (the ``segment_sum`` forward, the
+``gather_rows`` vjp and both sums in ``segment_softmax``) goes through one
+primitive, ``_scatter_add``, a single flattened ``np.bincount``. The one
+exception is ``aggregate``, the neighbour sum of the graph layers: it runs
+a ``SumPlan`` built once per batch, which adds the same rows in the same
+order without materializing an edge-sized array, so both directions are
+bit-equal to ``segment_sum(gather_rows(x, index), keys, n)``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
@@ -381,6 +387,71 @@ def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
         (index[:, None] * width + np.arange(width)).ravel()
     return np.bincount(bins, weights=values.ravel(),
                        minlength=n * width).reshape((n,) + tail)
+
+
+class SumPlan:
+    """Sums of ``x[index[e]]`` into ``n_out`` rows keyed by ``keys[e]``.
+
+    ``apply(x)`` is ``_scatter_add(keys, x[index], n_out)`` bit for bit,
+    without its (E, d) gather or its (E*d) bin array. Rows are ordered by
+    entry count, largest first, and ``ranks[r]`` holds the ``index`` value
+    of each row's r-th entry (in ascending entry order) for the rows that
+    have one, so ``ranks[r]`` covers a prefix of the ordered rows. Each rank
+    adds one gathered block into that prefix, so every row sums its entries
+    in the order ``_scatter_add`` does, starting from 0.0. The loop runs the
+    largest count times, while the work stays one row of ``x`` per entry.
+    """
+
+    def __init__(self, index: np.ndarray, keys: np.ndarray, n_in: int,
+                 n_out: int):
+        index = _check_segments(index, n_in)
+        keys = _check_segments(keys, n_out)
+        if index.shape != keys.shape or index.ndim != 1:
+            raise ShapeError(f"plan: index {index.shape} vs keys {keys.shape}")
+        self.index, self.keys = index, keys
+        self.n_in, self.n_out = n_in, n_out
+        order = np.argsort(keys, kind="stable")
+        counts = np.bincount(keys, minlength=n_out)
+        by_count = np.argsort(-counts, kind="stable")
+        place = np.empty(n_out, dtype=np.int64)
+        place[by_count] = np.arange(n_out)
+        starts = np.cumsum(counts) - counts
+        sorted_keys = keys[order]
+        rank = np.arange(keys.size) - starts[sorted_keys]
+        flat = index[order][np.argsort(rank * n_out + place[sorted_keys],
+                                       kind="stable")]
+        bounds = np.cumsum(np.bincount(rank))
+        self.ranks = np.split(flat, bounds[:-1]) if flat.size else []
+        self.unpermute = place
+
+    @functools.cached_property
+    def transpose(self) -> "SumPlan":
+        """The plan of the vjp: each input row sums the output rows it fed."""
+        return SumPlan(self.keys, self.index, self.n_out, self.n_in)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        if x.shape[0] != self.n_in:
+            raise ShapeError(f"plan over {self.n_in} rows applied to "
+                             f"{x.shape[0]}")
+        acc = np.zeros((self.n_out,) + x.shape[1:])
+        for cols in self.ranks:
+            acc[:cols.size] += x[cols]
+        return acc[self.unpermute]
+
+
+def aggregate(x, plan: SumPlan) -> Tensor:
+    """``plan.apply(x)``: per output row, the sum of its planned input rows.
+
+    Bit-equal in both directions to ``segment_sum(gather_rows(x, index),
+    keys, n_out)`` for the plan's ``(index, keys)``.
+    """
+    x = as_tensor(x)
+    out = plan.apply(x.data)
+
+    def vjp(g):
+        return (plan.transpose.apply(g),)
+
+    return _emit("aggregate", (x,), out, vjp)
 
 
 def gather_rows(x, index: np.ndarray) -> Tensor:

@@ -321,44 +321,42 @@ class FeaturizedGraph:
     edge_index: np.ndarray   # (2|E|, 2) int64 columns (src, dst)
 
 
+_ELEMENT_COLUMN = {sym: k for k, sym in enumerate(ELEMENT_VOCAB)}
+_BOND_COLUMN = {order: k for k, order in enumerate(BOND_ORDERS)}
+
+
 def featurize(m: MoleculeGraph) -> FeaturizedGraph:
     """One-hot atom and bond features; both bond directions materialized.
 
     Directed edges come out sorted by (dst, src) so downstream segment
     reductions see a canonical order.
     """
-    n = len(m.atoms)
-    node_x = np.zeros((n, NODE_DIM), dtype=np.float64)
-    deg = m.degrees()
+    n, n_bonds = len(m.atoms), len(m.bonds)
+    other = len(ELEMENT_VOCAB) - 1
     lo, hi = CHARGE_RANGE
-    for idx, atom in enumerate(m.atoms):
-        col = ELEMENT_VOCAB.index(atom.symbol) \
-            if atom.symbol in ELEMENT_VOCAB else len(ELEMENT_VOCAB) - 1
-        node_x[idx, col] = 1.0
-        d = min(int(deg[idx]), MAX_DEGREE)
-        node_x[idx, len(ELEMENT_VOCAB) + d] = 1.0
-        q = min(max(atom.charge, lo), hi)
-        node_x[idx, len(ELEMENT_VOCAB) + MAX_DEGREE + 1 + (q - lo)] = 1.0
-        node_x[idx, NODE_DIM - 1] = 1.0 if atom.aromatic else 0.0
-    pairs = []
-    feats = []
-    for b in m.bonds:
-        row = np.zeros(EDGE_DIM, dtype=np.float64)
-        row[BOND_ORDERS.index(b.order)] = 1.0
-        pairs.append((b.i, b.j))
-        feats.append(row)
-        pairs.append((b.j, b.i))
-        feats.append(row)
-    if pairs:
-        edge_index = np.array(pairs, dtype=np.int64)
-        edge_x = np.stack(feats)
-        key = np.lexsort((edge_index[:, 0], edge_index[:, 1]))
-        edge_index = edge_index[key]
-        edge_x = edge_x[key]
-    else:
-        edge_index = np.zeros((0, 2), dtype=np.int64)
-        edge_x = np.zeros((0, EDGE_DIM), dtype=np.float64)
-    return FeaturizedGraph(node_x, edge_x, edge_index)
+    # clipped before it enters an int64 array: a bracket charge has no bound
+    element = np.fromiter((_ELEMENT_COLUMN.get(a.symbol, other)
+                           for a in m.atoms), np.int64, n)
+    charge = np.fromiter((min(max(a.charge, lo), hi) for a in m.atoms),
+                         np.int64, n)
+    pairs = np.empty((2 * n_bonds, 2), dtype=np.int64)
+    pairs[0::2] = np.fromiter((end for b in m.bonds for end in (b.i, b.j)),
+                              np.int64, 2 * n_bonds).reshape(n_bonds, 2)
+    pairs[1::2] = pairs[0::2, ::-1]
+    degree = np.bincount(pairs[:, 0], minlength=n)
+    rows = np.arange(n)
+    node_x = np.zeros((n, NODE_DIM), dtype=np.float64)
+    node_x[rows, element] = 1.0
+    node_x[rows, other + 1 + np.minimum(degree, MAX_DEGREE)] = 1.0
+    node_x[rows, other + MAX_DEGREE + 2 + charge - lo] = 1.0
+    node_x[:, NODE_DIM - 1] = np.fromiter((a.aromatic for a in m.atoms),
+                                          bool, n)
+    bond_col = np.repeat(np.fromiter((_BOND_COLUMN[b.order]
+                                      for b in m.bonds), np.int64, n_bonds), 2)
+    key = np.lexsort((pairs[:, 0], pairs[:, 1]))
+    edge_x = np.zeros((2 * n_bonds, EDGE_DIM), dtype=np.float64)
+    edge_x[np.arange(2 * n_bonds), bond_col[key]] = 1.0
+    return FeaturizedGraph(node_x, edge_x, pairs[key])
 
 
 # ---------------------------------------------------------------------------

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
+import functools
 import hashlib
 import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from typing import Optional
 
@@ -528,6 +529,8 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
         payloads.append((cfg, ds, seed, manifest))
     workers = _worker_count(cfg["workers"], len(payloads))
     if workers > 1:
+        # imported here: no other command starts a pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_train_one_seed, p) for p in payloads]
             outcomes = [_settle(f.result) for f in futures]
@@ -725,7 +728,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters: blocks below the mmap threshold come from the
+# heap, and the heap is returned to the OS only past the trim threshold,
+# so the multi-MB temporaries of each op reuse pages the process holds
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20      # glibc's largest allowed value on 64-bit
+TRIM_THRESHOLD = 1 << 30
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep freed heap memory in the process instead of faulting it back
+    in on the next op; forked workers inherit the setting. A no-op off
+    glibc. Allocation never changes arithmetic, so no output depends on
+    it."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     commands = {"split": cmd_split, "train": cmd_train,
                 "eval": cmd_eval, "screen": cmd_screen}

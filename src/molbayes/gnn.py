@@ -13,6 +13,7 @@ treat every model as R^n.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
@@ -104,6 +105,13 @@ class GraphBatch:
     def n_nodes(self) -> int:
         return int(self.node_x.shape[0])
 
+    @functools.cached_property
+    def neighbour_plan(self) -> ad.SumPlan:
+        """Sum plan of each node's in-neighbours, built on first use and
+        shared by every layer and draw that runs on this batch."""
+        src, dst = self.edge_index[:, 0], self.edge_index[:, 1]
+        return ad.SumPlan(src, dst, self.n_nodes, self.n_nodes)
+
 
 def make_batch(graphs: Sequence[FeaturizedGraph],
                labels: np.ndarray) -> GraphBatch:
@@ -133,9 +141,12 @@ def make_batch(graphs: Sequence[FeaturizedGraph],
         labels=labels,
         n_graphs=len(graphs),
     )
-    if batch.edge_index.size and (batch.edge_index.min() < 0
-                                  or batch.edge_index.max() >= batch.n_nodes):
+    ei = batch.edge_index
+    if ei.size and (ei.min() < 0 or ei.max() >= batch.n_nodes):
         raise DataError("edge endpoints outside batch node range")
+    if not np.array_equal(batch.node_graph[ei[:, 0]],
+                          batch.node_graph[ei[:, 1]]):
+        raise DataError("an edge joins atoms of two different graphs")
     return batch
 
 
@@ -145,8 +156,7 @@ def make_batch(graphs: Sequence[FeaturizedGraph],
 
 def _neighbour_sum(h, batch: GraphBatch) -> ad.Tensor:
     """Each node's sum of its in-neighbours' states."""
-    src, dst = batch.edge_index[:, 0], batch.edge_index[:, 1]
-    return ad.segment_sum(ad.gather_rows(h, src), dst, batch.n_nodes)
+    return ad.aggregate(h, batch.neighbour_plan)
 
 
 def layer_gcn(h, e, batch: GraphBatch, W):

@@ -369,6 +369,76 @@ def test_scatter_ops_bit_equal_add_at(case):
                      want_vjp(grad))
 
 
+@st.composite
+def aggregate_cases(draw):
+    """Unsorted, asymmetric and repeated edges over n nodes (some
+    isolated, possibly no edges at all), 1-D or 2-D rows, and an upstream
+    gradient."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(0, 16))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    src = np.array(draw(ends), dtype=np.int64)
+    dst = np.array(draw(ends), dtype=np.int64)
+    shape = (n,) + draw(st.sampled_from([(), (1,), (3,)]))
+    floats = st.floats(-1e12, 1e12, allow_subnormal=True)
+    x = draw(hnp.arrays(np.float64, shape, elements=floats))
+    grad = draw(hnp.arrays(np.float64, shape, elements=floats))
+    return src, dst, x, grad
+
+
+@settings(max_examples=200, deadline=None)
+@given(aggregate_cases())
+def test_aggregate_bit_equal_gather_then_segment_sum(case):
+    src, dst, x, grad = case
+    n = x.shape[0]
+    plan = ad.SumPlan(src, dst, n, n)
+    outs, grads = [], []
+    for op in (lambda h: ad.aggregate(h, plan),
+               lambda h: ad.segment_sum(ad.gather_rows(h, src), dst, n)):
+        tape = ad.Tape()
+        out = op(tape.parameter("x", x))
+        outs.append(out.data)
+        grads.append(ad.backward(tape, ad.tsum(ad.mul(out, grad)))["x"])
+    assert same_bits(*outs)
+    assert same_bits(*grads)
+
+
+def test_sum_plan_holds_one_index_entry_per_edge():
+    # a hub with 300 in-edges runs 300 ranks, but the plan stores E ids
+    rng = np.random.default_rng(3)
+    n = 40
+    src = np.concatenate([rng.integers(0, n, 300), rng.integers(0, n, 50)])
+    dst = np.concatenate([np.zeros(300, dtype=np.int64),
+                          rng.integers(1, n, 50)])
+    plan = ad.SumPlan(src, dst, n, n)
+    assert len(plan.ranks) == 300
+    assert sum(cols.size for cols in plan.ranks) == src.size
+    x = rng.normal(size=(n, 3))
+    assert same_bits(plan.apply(x), _add_at(dst, x[src], n))
+
+
+def test_aggregate_grads_and_plan_checks():
+    rng = np.random.default_rng(47)
+    n_in, n_out, d = 5, 3, 2
+    index = rng.integers(0, n_in, size=9)
+    keys = rng.integers(0, n_out, size=9)
+    plan = ad.SumPlan(index, keys, n_in, n_out)
+
+    def build(flat):
+        tape = ad.Tape()
+        x = tape.parameter("x", flat.reshape(n_in, d))
+        out = ad.aggregate(x, plan)
+        return tape, ad.tsum(ad.mul(out, out))
+
+    check_param_grads(build, rng.normal(size=n_in * d))
+    with pytest.raises(ad.ShapeError):
+        ad.aggregate(np.zeros((n_out, d)), plan)
+    for bad in ((index, np.array([0] * 8 + [n_out])),
+                (np.array([-1] + [0] * 8), keys), (index, keys[:-1])):
+        with pytest.raises(ad.ShapeError):
+            ad.SumPlan(*bad, n_in, n_out)
+
+
 def test_dropout_semantics_and_grad():
     rng = np.random.default_rng(41)
     x = np.ones((4, 3))
@@ -459,7 +529,8 @@ def test_untracked_ops_record_nothing():
 ALL_KINDS = {"add", "sub", "mul", "div", "matmul", "linear", "concat",
              "relu", "leaky_relu", "elu", "sigmoid", "log",
              "softplus", "clip_min", "sum", "reshape", "slice",
-             "gather_rows", "segment_sum", "segment_softmax", "dropout"}
+             "gather_rows", "segment_sum", "segment_softmax", "aggregate",
+             "dropout"}
 
 
 def _every_op_tracked(tape):
@@ -484,6 +555,7 @@ def _every_op_tracked(tape):
     ad.gather_rows(a, seg)
     ad.segment_sum(a, seg, 3)
     ad.segment_softmax(a, seg, 3)
+    ad.aggregate(a, ad.SumPlan(seg, np.array([1, 0, 3, 3]), 4, 4))
     ad.dropout(a, 0.5, rng)
 
 

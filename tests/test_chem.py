@@ -10,6 +10,7 @@ from molbayes.chem import (Bond, MoleculeGraph, SmilesError, canonical_form,
                            featurize, load_dataset, murcko_scaffold,
                            parse_smiles, scaffold_split)
 from molbayes.errors import DataError
+from conftest import synthetic_rows
 
 MOLECULES = [
     "CC(=O)Oc1ccccc1C(=O)O",          # aspirin
@@ -215,6 +216,48 @@ def test_edges_sorted_by_destination():
     # both directions present
     fwd = {tuple(e) for e in fg.edge_index}
     assert all((b, a) in fwd for a, b in fwd)
+
+
+def _featurize_per_atom(m):
+    """The per-atom, per-bond featurizer that ``featurize`` replaced."""
+    n = len(m.atoms)
+    node_x = np.zeros((n, chem.NODE_DIM), dtype=np.float64)
+    deg = m.degrees()
+    lo, hi = chem.CHARGE_RANGE
+    nv = len(chem.ELEMENT_VOCAB)
+    for idx, atom in enumerate(m.atoms):
+        col = chem.ELEMENT_VOCAB.index(atom.symbol) \
+            if atom.symbol in chem.ELEMENT_VOCAB else nv - 1
+        node_x[idx, col] = 1.0
+        node_x[idx, nv + min(int(deg[idx]), chem.MAX_DEGREE)] = 1.0
+        q = min(max(atom.charge, lo), hi)
+        node_x[idx, nv + chem.MAX_DEGREE + 1 + (q - lo)] = 1.0
+        node_x[idx, chem.NODE_DIM - 1] = 1.0 if atom.aromatic else 0.0
+    pairs, feats = [], []
+    for b in m.bonds:
+        row = np.zeros(chem.EDGE_DIM, dtype=np.float64)
+        row[chem.BOND_ORDERS.index(b.order)] = 1.0
+        pairs += [(b.i, b.j), (b.j, b.i)]
+        feats += [row, row]
+    if not pairs:
+        return (node_x, np.zeros((0, chem.EDGE_DIM)),
+                np.zeros((0, 2), dtype=np.int64))
+    edge_index = np.array(pairs, dtype=np.int64)
+    key = np.lexsort((edge_index[:, 0], edge_index[:, 1]))
+    return node_x, np.stack(feats)[key], edge_index[key]
+
+
+def test_featurize_matches_per_atom_reference():
+    smiles = [s for s, _ in synthetic_rows()] + MOLECULES + [
+        "[O-]C(=O)C", "[Fe+++]", "[Cu-5]", "[N+9]C", "[C-]#[O+]",
+        "[nH]1cccc1", "[Se]1C=CC=C1", "[13CH3:7]O", "[U]", "[Xe]",
+        "c1ccccc1.[Na+]", "CC.CC.O", "C", "C=C#N", "CC(C)(C)(C)(C)C"]
+    for s in smiles:
+        got = featurize(parse_smiles(s))
+        want = _featurize_per_atom(parse_smiles(s))
+        for a, b in zip((got.node_x, got.edge_x, got.edge_index), want):
+            assert a.dtype == b.dtype and a.shape == b.shape, s
+            assert a.flags.c_contiguous and np.array_equal(a, b), s
 
 
 # ---------------------------------------------------------------------------

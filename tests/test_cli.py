@@ -305,6 +305,41 @@ def test_pinned_blas_pool_matches_serial(synthetic_csv, tmp_path):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+def test_importing_the_cli_leaves_the_pool_module_out():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)),
+         os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, molbayes.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "False"
+
+
+def _no_libc(name):
+    raise OSError(f"cannot load {name}")
+
+
+@pytest.mark.parametrize("load", [_no_libc, lambda name: object()],
+                         ids=["no-libc", "no-mallopt"])
+def test_commands_run_without_the_allocator_policy(
+        synthetic_csv, trained_point_dir, tmp_path, monkeypatch, load):
+    library = tmp_path / "library.smi"
+    library.write_text("CCO\nc1ccccc1O\nC1CCNCC1\n")
+    calls = []
+    outs = [tmp_path / "policy", tmp_path / "without"]
+    for out in outs:
+        cli._keep_freed_memory.cache_clear()
+        assert _screen(synthetic_csv, trained_point_dir, out, library) == 0
+        monkeypatch.setattr(cli.ctypes, "CDLL",
+                            lambda name: calls.append(name) or load(name))
+    assert calls == ["libc.so.6"]
+    names = sorted(os.listdir(outs[0]))
+    assert names and names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_train_reports_each_seed_when_one_fails(synthetic_csv, tmp_path,
                                                  monkeypatch, capsys):
     train = bayes.train

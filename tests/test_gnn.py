@@ -354,6 +354,24 @@ def test_make_batch_rejects_bad_labels():
         make_batch([], np.zeros((0, 1)))
 
 
+def test_make_batch_rejects_an_edge_between_graphs():
+    # atom 0 names atom 2, which is the first atom of the next graph
+    reaching = FeaturizedGraph(np.zeros((2, 40)), np.zeros((2, 4)),
+                               np.array([[0, 2], [2, 0]], dtype=np.int64))
+    with pytest.raises(DataError):
+        make_batch([reaching, *featurized(["CC"])], np.zeros((2, 1)))
+
+
+def test_neighbour_plan_is_built_once_per_batch():
+    batch = make_batch(featurized(["CCO", "c1ccccc1"]), np.zeros((2, 1)))
+    plan = batch.neighbour_plan
+    assert batch.neighbour_plan is plan
+    src, dst = batch.edge_index[:, 0], batch.edge_index[:, 1]
+    h = np.random.default_rng(0).normal(size=(batch.n_nodes, 3))
+    assert np.array_equal(plan.apply(h),
+                          ad.segment_sum(h[src], dst, batch.n_nodes).data)
+
+
 # ---------------------------------------------------------------------------
 # whole-model properties
 
