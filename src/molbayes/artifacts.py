@@ -44,10 +44,11 @@ def read_file(path: str, error: type[Exception] = DataError) -> bytes:
 
 
 def read_text(path: str, error: type[Exception] = DataError) -> str:
-    """The text of ``path`` as strict UTF-8; a failure raises ``error``."""
+    """The text of ``path`` as strict UTF-8, less a leading byte-order
+    mark; a failure raises ``error``."""
     raw = read_file(path, error)
     try:
-        return raw.decode("utf-8")
+        return raw.decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise error(f"{path} is not UTF-8 text: {e}") from None
 

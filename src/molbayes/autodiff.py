@@ -10,33 +10,31 @@ vjp would read.
 The tape holds only what ``backward`` reads. A record keeps its op kind,
 the uids (ints, never the Tensors) of its inputs and output, and a vjp
 closure over just the arrays, masks and shapes that vjp computes with:
-shapes for ``add``/``sub``/``reshape``/``slice1d``/``sum``, the row count
-for ``gather_rows``, the plan for ``aggregate``, a bool mask for
-``relu``/``leaky_relu``/``clip_min``, the negative branch for ``elu``, and
-for ``linear``/``matmul``/``mul``/``div`` only the operands of the products
-a tracked input needs (none is computed for an untracked input). An
-intermediate no vjp reads (such as the edge rows ``gather_rows`` hands to
-``segment_sum``) is therefore freed as soon as the forward pass drops it.
-``backward`` drops each gradient once its producing record has been
-replayed: every consumer of a tensor was recorded after its producer, so
-by then the gradient is complete.
+shapes for ``add``/``sub``/``reshape``/``slice1d``/``sum``, the plan for
+``gather_rows``/``segment_sum``/``segment_softmax``/``aggregate``, a bool
+mask for ``relu``/``leaky_relu``/``clip_min``, the negative branch for
+``elu``, and for ``linear``/``matmul``/``mul``/``div`` only the operands of
+the products a tracked input needs (none is computed for an untracked
+input). An intermediate no vjp reads (such as the edge rows
+``gather_rows`` hands to ``segment_sum``) is therefore freed as soon as
+the forward pass drops it. ``backward`` drops each gradient once its
+producing record has been replayed: every consumer of a tensor was
+recorded after its producer, so by then the gradient is complete.
 
 The op catalog is exactly what the graph layers and losses need: matmul /
-linear, broadcast arithmetic, concat, the activations, segment reductions
-keyed by integer ids, planned row sums, dropout, gather, slice and
-reshape. Every scatter-add (the ``segment_sum`` forward, the
-``gather_rows`` vjp and both sums in ``segment_softmax``) goes through one
-primitive, ``_scatter_add``, a single flattened ``np.bincount``. The one
-exception is ``aggregate``, the neighbour sum of the graph layers: it runs
-a ``SumPlan`` built once per batch, which adds the same rows in the same
-order without materializing an edge-sized array, so both directions are
-bit-equal to ``segment_sum(gather_rows(x, index), keys, n)``.
+linear, broadcast arithmetic, concat, the activations, gathers and
+segment reductions, planned row sums, dropout, slice and reshape. Every
+reduction over rows (the ``segment_sum`` forward, the ``gather_rows``
+vjp, the peak and both sums in ``segment_softmax``, and ``aggregate``)
+runs one primitive, ``SumPlan.apply``. A plan is built once per batch and
+index set, and checks its ids when it is built; each output row folds its
+entries in ascending entry order, so every sum is bit-equal to
+``np.add.at`` and the peak to ``np.maximum.at``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -374,32 +372,17 @@ def _check_segments(segments: np.ndarray, n_segments: int) -> np.ndarray:
     return segments
 
 
-def _scatter_add(index: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Sum the rows of ``values`` into ``n`` rows keyed by ``index``.
-
-    One flattened ``bincount`` over the bins ``index * width + column``. Each
-    bin adds its rows in ascending row order starting from 0.0, the order
-    ``np.add.at`` uses, so the result is bit-equal to it.
-    """
-    tail = values.shape[1:]
-    width = math.prod(tail)
-    bins = index if width == 1 else \
-        (index[:, None] * width + np.arange(width)).ravel()
-    return np.bincount(bins, weights=values.ravel(),
-                       minlength=n * width).reshape((n,) + tail)
-
-
 class SumPlan:
     """Sums of ``x[index[e]]`` into ``n_out`` rows keyed by ``keys[e]``.
 
-    ``apply(x)`` is ``_scatter_add(keys, x[index], n_out)`` bit for bit,
-    without its (E, d) gather or its (E*d) bin array. Rows are ordered by
-    entry count, largest first, and ``ranks[r]`` holds the ``index`` value
-    of each row's r-th entry (in ascending entry order) for the rows that
-    have one, so ``ranks[r]`` covers a prefix of the ordered rows. Each rank
-    adds one gathered block into that prefix, so every row sums its entries
-    in the order ``_scatter_add`` does, starting from 0.0. The loop runs the
-    largest count times, while the work stays one row of ``x`` per entry.
+    ``apply(x)`` adds each output row's entries in ascending entry order,
+    starting from 0.0, the order ``np.add.at`` uses, so it is bit-equal to
+    it, without an (E, d) gather. Rows are ordered by entry count, largest
+    first, and ``ranks[r]`` holds the ``index`` value of each row's r-th
+    entry for the rows that have one, so ``ranks[r]`` covers a prefix of
+    the ordered rows. Each rank folds one gathered block into that prefix.
+    The loop runs the largest count times, while the work stays one row of
+    ``x`` per entry. The ids are checked here, once per plan.
     """
 
     def __init__(self, index: np.ndarray, keys: np.ndarray, n_in: int,
@@ -424,26 +407,36 @@ class SumPlan:
         self.ranks = np.split(flat, bounds[:-1]) if flat.size else []
         self.unpermute = place
 
+    @classmethod
+    def segments(cls, keys: np.ndarray, n_out: int) -> "SumPlan":
+        """The plan that sums row e of its input into row ``keys[e]``."""
+        return cls(np.arange(len(keys)), keys, len(keys), n_out)
+
     @functools.cached_property
     def transpose(self) -> "SumPlan":
         """The plan of the vjp: each input row sums the output rows it fed."""
         return SumPlan(self.keys, self.index, self.n_out, self.n_in)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def apply(self, x: np.ndarray, fold=np.add, fill: float = 0.0
+              ) -> np.ndarray:
+        """Fold each output row's entries into ``fill`` with ``fold``:
+        sums by default, the per-column peak with ``np.maximum``."""
         if x.shape[0] != self.n_in:
             raise ShapeError(f"plan over {self.n_in} rows applied to "
                              f"{x.shape[0]}")
-        acc = np.zeros((self.n_out,) + x.shape[1:])
+        acc = np.full((self.n_out,) + x.shape[1:], fill)
         for cols in self.ranks:
-            acc[:cols.size] += x[cols]
+            head = acc[:cols.size]
+            fold(head, x[cols], out=head)
         return acc[self.unpermute]
 
 
 def aggregate(x, plan: SumPlan) -> Tensor:
     """``plan.apply(x)``: per output row, the sum of its planned input rows.
 
-    Bit-equal in both directions to ``segment_sum(gather_rows(x, index),
-    keys, n_out)`` for the plan's ``(index, keys)``.
+    Bit-equal in both directions to ``segment_sum(gather_rows(x, p),
+    q)`` for the segment plans ``p`` of its ``index`` and ``q`` of its
+    ``keys``.
     """
     x = as_tensor(x)
     out = plan.apply(x.data)
@@ -454,71 +447,59 @@ def aggregate(x, plan: SumPlan) -> Tensor:
     return _emit("aggregate", (x,), out, vjp)
 
 
-def gather_rows(x, index: np.ndarray) -> Tensor:
+def gather_rows(x, plan: SumPlan) -> Tensor:
+    """Row ``plan.keys[e]`` of x for each entry e of a segment plan; the
+    vjp sums the rows back with the same plan."""
     x = as_tensor(x)
-    index = _check_segments(index, x.data.shape[0])
-    out = x.data[index]
-    n = x.data.shape[0]
+    if x.data.shape[0] != plan.n_out:
+        raise ShapeError(f"gather_rows: plan over {plan.n_out} rows, x has "
+                         f"{x.data.shape[0]}")
+    out = x.data[plan.keys]
 
     def vjp(g):
-        return (_scatter_add(index, g, n),)
+        return (plan.apply(g),)
 
     return _emit("gather_rows", (x,), out, vjp)
 
 
-def segment_sum(x, segments: np.ndarray, n_segments: int) -> Tensor:
-    """Sum rows of x into n_segments buckets keyed by ``segments``."""
+def segment_sum(x, plan: SumPlan) -> Tensor:
+    """Sum row e of x into row ``plan.keys[e]`` of a segment plan."""
     x = as_tensor(x)
-    segments = _check_segments(segments, n_segments)
-    if segments.shape[0] != x.data.shape[0]:
-        raise ShapeError(
-            f"segment_sum: {x.data.shape[0]} rows vs {segments.shape[0]} ids")
-    out = _scatter_add(segments, x.data, n_segments)
+    out = plan.apply(x.data)
 
     def vjp(g):
-        return (g[segments],)
+        return (g[plan.keys],)
 
     return _emit("segment_sum", (x,), out, vjp)
 
 
-def segment_softmax(x, segments: np.ndarray, n_segments: int) -> Tensor:
-    """Softmax over the rows of each segment, per column, max-shifted.
+def segment_softmax(x, plan: SumPlan) -> Tensor:
+    """Softmax over the rows of each segment of a segment plan, per
+    column, max-shifted.
 
     Empty segments simply contribute no rows; softmax over an empty set is
     the empty set.
     """
     x = as_tensor(x)
-    segments = _check_segments(segments, n_segments)
-    if segments.shape[0] != x.data.shape[0]:
-        raise ShapeError(
-            f"segment_softmax: {x.data.shape[0]} rows vs {segments.shape[0]} ids")
-    tail = x.data.shape[1:]
-    peak = np.full((n_segments,) + tail, -np.inf)
-    np.maximum.at(peak, segments, x.data)
-    shifted = np.exp(x.data - peak[segments])
-    denom = _scatter_add(segments, shifted, n_segments)
-    out = shifted / denom[segments]
+    keys = plan.keys
+    peak = plan.apply(x.data, np.maximum, -np.inf)
+    shifted = np.exp(x.data - peak[keys])
+    out = shifted / plan.apply(shifted)[keys]
 
     def vjp(g):
-        dot = _scatter_add(segments, g * out, n_segments)
-        return (out * (g - dot[segments]),)
+        return (out * (g - plan.apply(g * out)[keys]),)
 
     return _emit("segment_softmax", (x,), out, vjp)
 
 
-def dropout(x, p: float, rng: np.random.Generator,
-            mask: Optional[np.ndarray] = None) -> Tensor:
-    """Inverted dropout: survivors are scaled by 1/(1-p) at apply time.
-
-    A caller-supplied mask overrides the rng draw (tests fix masks by hand).
-    """
+def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: survivors are scaled by 1/(1-p) at apply time."""
     x = as_tensor(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    if mask is None:
-        mask = (rng.random(x.data.shape) >= p).astype(np.float64)
+    mask = (rng.random(x.data.shape) >= p).astype(np.float64)
     scale = 1.0 / (1.0 - p)
     out = x.data * mask * scale
 

@@ -105,12 +105,25 @@ class GraphBatch:
     def n_nodes(self) -> int:
         return int(self.node_x.shape[0])
 
+    # each plan is built on first use and shared by every layer, head and
+    # draw that runs on this batch
     @functools.cached_property
     def neighbour_plan(self) -> ad.SumPlan:
-        """Sum plan of each node's in-neighbours, built on first use and
-        shared by every layer and draw that runs on this batch."""
+        """Sum plan of each node's in-neighbours."""
         src, dst = self.edge_index[:, 0], self.edge_index[:, 1]
         return ad.SumPlan(src, dst, self.n_nodes, self.n_nodes)
+
+    @functools.cached_property
+    def edges_by_src(self) -> ad.SumPlan:
+        return ad.SumPlan.segments(self.edge_index[:, 0], self.n_nodes)
+
+    @functools.cached_property
+    def edges_by_dst(self) -> ad.SumPlan:
+        return ad.SumPlan.segments(self.edge_index[:, 1], self.n_nodes)
+
+    @functools.cached_property
+    def nodes_by_graph(self) -> ad.SumPlan:
+        return ad.SumPlan.segments(self.node_graph, self.n_graphs)
 
 
 def make_batch(graphs: Sequence[FeaturizedGraph],
@@ -175,7 +188,7 @@ def layer_sage(h, e, batch: GraphBatch, W):
 
 def layer_gat(h, e, batch: GraphBatch, *weights):
     """weights: W (d/K, d) then U (2d/K,) for each of the K heads."""
-    src, dst = batch.edge_index[:, 0], batch.edge_index[:, 1]
+    src, dst = batch.edges_by_src, batch.edges_by_dst
     outs = []
     for W, U in zip(weights[0::2], weights[1::2]):
         p = ad.linear(h, W)                       # (n, dk)
@@ -185,25 +198,25 @@ def layer_gat(h, e, batch: GraphBatch, *weights):
         score = ad.add(ad.matmul(ad.gather_rows(p, dst), u_dst),
                        ad.matmul(ad.gather_rows(p, src), u_src))
         score = ad.leaky_relu(score, LEAKY_SLOPE)  # (E, 1)
-        alpha = ad.segment_softmax(score, dst, batch.n_nodes)
+        alpha = ad.segment_softmax(score, dst)
         msg = ad.mul(alpha, ad.gather_rows(p, src))
-        outs.append(ad.elu(ad.segment_sum(msg, dst, batch.n_nodes)))
+        outs.append(ad.elu(ad.segment_sum(msg, dst)))
     return ad.concat(outs, axis=1), e
 
 
 def layer_gatedgcn(h, e, batch: GraphBatch, U, W, A, B, C):
     """Updates the edge states e first; the gates use the update."""
-    src, dst = batch.edge_index[:, 0], batch.edge_index[:, 1]
+    src, dst = batch.edges_by_src, batch.edges_by_dst
     bump = ad.relu(ad.add(
         ad.add(ad.gather_rows(ad.linear(h, A), dst),
                ad.gather_rows(ad.linear(h, B), src)),
         ad.linear(e, C)))
     e_new = ad.add(e, bump)
     numer = ad.sigmoid(e_new)
-    denom = ad.segment_sum(numer, dst, batch.n_nodes)
+    denom = ad.segment_sum(numer, dst)
     gate = ad.div(numer, ad.add(ad.gather_rows(denom, dst), GATE_EPS))
     msg = ad.mul(gate, ad.gather_rows(ad.linear(h, W), src))
-    agg = ad.segment_sum(msg, dst, batch.n_nodes)
+    agg = ad.segment_sum(msg, dst)
     return ad.relu(ad.add(ad.linear(h, U), agg)), e_new
 
 
@@ -307,7 +320,7 @@ class GnnClassifier:
                 branch = ad.dropout(branch, cfg.dropout, dropout_rng)
             h = ad.add(h, branch)
         pooled = ad.segment_sum(ad.linear(h, leaves["readout.W"]),
-                                batch.node_graph, batch.n_graphs)
+                                batch.nodes_by_graph)
         logits = ad.linear(pooled, leaves["classify.W"])
         return ad.add(logits, leaves["classify.b"])
 

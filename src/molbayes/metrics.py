@@ -146,12 +146,11 @@ class ClassificationMetrics:
     zero_predicted_positives: bool
 
 
-def classification_metrics(probs, labels,
-                           threshold: float = THRESHOLD
-                           ) -> ClassificationMetrics:
-    """Threshold metrics; degenerate ratios fall back to 0 with a flag."""
+def classification_metrics(probs, labels) -> ClassificationMetrics:
+    """Metrics at ``THRESHOLD``; degenerate ratios fall back to 0 with a
+    flag."""
     probs, labels = _validate(probs, labels)
-    pred = probs >= threshold
+    pred = probs >= THRESHOLD
     pos = labels == 1.0
     tp = int(np.sum(pred & pos))
     fp = int(np.sum(pred & ~pos))

@@ -1,5 +1,7 @@
 """Gradient correctness and optimizer behaviour for the tape engine."""
 
+import ast
+import pathlib
 import weakref
 
 import numpy as np
@@ -228,7 +230,7 @@ def test_concat_reshape_slice_gather_grads():
             b = tape.parameter("b", flat[n:])
             joined = ad.concat([a, b], axis=0)
             mat = ad.reshape(joined, (3, 4))
-            rows = ad.gather_rows(mat, index)
+            rows = ad.gather_rows(mat, ad.SumPlan.segments(index, 3))
             piece = ad.slice1d(ad.reshape(rows, (20,)), 2, 15)
             return tape, ad.tsum(ad.mul(piece, piece))
 
@@ -238,7 +240,7 @@ def test_concat_reshape_slice_gather_grads():
 def test_gather_rows_accumulates_repeated_indices():
     tape = ad.Tape()
     x = tape.parameter("x", np.array([[1.0], [2.0]]))
-    out = ad.gather_rows(x, np.array([0, 0, 1]))
+    out = ad.gather_rows(x, ad.SumPlan.segments(np.array([0, 0, 1]), 2))
     grads = ad.backward(tape, ad.tsum(out))
     assert np.array_equal(grads["x"], [[2.0], [1.0]])
 
@@ -246,18 +248,18 @@ def test_gather_rows_accumulates_repeated_indices():
 def test_segment_sum_values_and_grads():
     tape = ad.Tape()
     x = tape.parameter("x", np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    out = ad.segment_sum(x, np.array([1, 0, 1]), 3)
+    out = ad.segment_sum(x, ad.SumPlan.segments(np.array([1, 0, 1]), 3))
     assert np.array_equal(out.data, [[3.0, 4.0], [6.0, 8.0], [0.0, 0.0]])
 
     rng = np.random.default_rng(31)
     for trial in range(10):
         n, d, k = 7, 3, 4
-        seg = rng.integers(0, k, size=n)
+        seg = ad.SumPlan.segments(rng.integers(0, k, size=n), k)
 
         def build(flat):
             tape = ad.Tape()
             x = tape.parameter("x", flat.reshape(n, d))
-            out = ad.segment_sum(x, seg, k)
+            out = ad.segment_sum(x, seg)
             return tape, ad.tsum(ad.mul(out, out))
 
         check_param_grads(build, rng.normal(size=n * d))
@@ -268,8 +270,9 @@ def test_segment_softmax_matches_per_segment_softmax():
     for trial in range(10):
         n, d, k = 8, 2, 3
         seg = rng.integers(0, k, size=n)
+        plan = ad.SumPlan.segments(seg, k)
         x = rng.normal(size=(n, d))
-        out = ad.segment_softmax(ad.Tensor(x), seg, k).data
+        out = ad.segment_softmax(ad.Tensor(x), plan).data
         for s in range(k):
             rows = seg == s
             if not rows.any():
@@ -282,7 +285,7 @@ def test_segment_softmax_matches_per_segment_softmax():
         def build(flat):
             tape = ad.Tape()
             xv = tape.parameter("x", flat.reshape(n, d))
-            out = ad.segment_softmax(xv, seg, k)
+            out = ad.segment_softmax(xv, plan)
             return tape, ad.tsum(ad.mul(out, out))
 
         check_param_grads(build, x.ravel())
@@ -290,21 +293,32 @@ def test_segment_softmax_matches_per_segment_softmax():
 
 def test_segment_softmax_empty_segment_is_fine():
     x = np.array([[0.0], [1.0]])
-    out = ad.segment_softmax(ad.Tensor(x), np.array([2, 2]), 4).data
+    out = ad.segment_softmax(ad.Tensor(x),
+                             ad.SumPlan.segments(np.array([2, 2]), 4)).data
     e = np.exp(x - 1.0)
     assert np.allclose(out, e / e.sum())
 
 
 def test_segment_ids_out_of_range_raise():
+    # ids are checked once, when the plan is built
     with pytest.raises(ad.ShapeError):
-        ad.segment_sum(ad.Tensor(np.zeros((2, 1))), np.array([0, 5]), 3)
+        ad.segment_sum(ad.Tensor(np.zeros((2, 1))),
+                       ad.SumPlan.segments(np.array([0, 5]), 3))
 
 
 def test_gather_rows_index_out_of_range_raises():
     x = ad.Tensor(np.zeros((3, 2)))
     for index in ([0, -1], [0, 3]):
         with pytest.raises(ad.ShapeError):
-            ad.gather_rows(x, np.array(index))
+            ad.gather_rows(x, ad.SumPlan.segments(np.array(index), 3))
+
+
+def test_ops_reject_a_plan_over_the_wrong_row_count():
+    plan = ad.SumPlan.segments(np.array([0, 2, 2, 1]), 3)   # 4 rows -> 3
+    for op, rows in ((ad.gather_rows, 4), (ad.segment_sum, 3),
+                     (ad.segment_softmax, 3), (ad.aggregate, 3)):
+        with pytest.raises(ad.ShapeError):
+            op(ad.Tensor(np.zeros((rows, 2))), plan)
 
 
 # ---------------------------------------------------------------------------
@@ -351,22 +365,63 @@ def scatter_cases(draw):
 @given(scatter_cases())
 def test_scatter_ops_bit_equal_add_at(case):
     index, values, grad, n = case
-    assert same_bits(ad.segment_sum(values, index, n).data,
+    plan = ad.SumPlan.segments(index, n)
+    assert same_bits(ad.segment_sum(values, plan).data,
                      _add_at(index, values, n))
 
     tape = ad.Tape()
     x = tape.parameter("x", np.zeros((n,) + values.shape[1:]))
-    out = ad.gather_rows(x, index)
+    out = ad.gather_rows(x, plan)
     assert same_bits(ad.backward(tape, ad.tsum(ad.mul(out, grad)))["x"],
                      _add_at(index, grad, n))
 
     tape = ad.Tape()
     x = tape.parameter("x", values)
-    out = ad.segment_softmax(x, index, n)
+    out = ad.segment_softmax(x, plan)
     want, want_vjp = _softmax_at(values, index, n)
     assert same_bits(out.data, want)
     assert same_bits(ad.backward(tape, ad.tsum(ad.mul(out, grad)))["x"],
                      want_vjp(grad))
+
+
+@st.composite
+def max_fold_cases(draw):
+    """Repeated ids over n rows (some left empty), with values drawn
+    mostly from the signed zeros, the infinities and NaN."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 16))
+    index = np.array(draw(st.lists(st.integers(0, n - 1),
+                                   min_size=m, max_size=m)), dtype=np.int64)
+    shape = (m,) + draw(st.sampled_from([(), (1,), (3,)]))
+    special = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
+    values = draw(hnp.arrays(np.float64, shape,
+                             elements=special | st.floats(-4.0, 4.0)))
+    return index, values, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(max_fold_cases())
+def test_max_fold_bit_equal_maximum_at(case):
+    index, values, n = case
+    want = np.full((n,) + values.shape[1:], -np.inf)
+    with np.errstate(invalid="ignore"):
+        np.maximum.at(want, index, values)
+    got = ad.SumPlan.segments(index, n).apply(values, np.maximum, -np.inf)
+    assert same_bits(got, want)
+
+
+def test_sum_plan_is_the_only_reduction():
+    # every row reduction runs SumPlan.apply: no ufunc.at, no weighted
+    # bincount anywhere in the op layer
+    tree = ast.parse(pathlib.Path(ad.__file__).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = node.func.attr
+            if name == "at" or (name == "bincount" and any(
+                    kw.arg == "weights" for kw in node.keywords)):
+                found.append((name, node.lineno))
+    assert found == []
 
 
 @st.composite
@@ -392,9 +447,10 @@ def test_aggregate_bit_equal_gather_then_segment_sum(case):
     src, dst, x, grad = case
     n = x.shape[0]
     plan = ad.SumPlan(src, dst, n, n)
+    by_src, by_dst = ad.SumPlan.segments(src, n), ad.SumPlan.segments(dst, n)
     outs, grads = [], []
     for op in (lambda h: ad.aggregate(h, plan),
-               lambda h: ad.segment_sum(ad.gather_rows(h, src), dst, n)):
+               lambda h: ad.segment_sum(ad.gather_rows(h, by_src), by_dst)):
         tape = ad.Tape()
         out = op(tape.parameter("x", x))
         outs.append(out.data)
@@ -443,7 +499,8 @@ def test_dropout_semantics_and_grad():
     rng = np.random.default_rng(41)
     x = np.ones((4, 3))
     mask = (rng.random(x.shape) >= 0.5).astype(np.float64)
-    out = ad.dropout(ad.Tensor(x), 0.5, rng, mask=mask).data
+    assert 0.0 < mask.mean() < 1.0
+    out = ad.dropout(ad.Tensor(x), 0.5, np.random.default_rng(41)).data
     assert np.allclose(out, mask * 2.0)
 
     # p=0 passes through untouched
@@ -451,9 +508,10 @@ def test_dropout_semantics_and_grad():
     assert ad.dropout(t, 0.0, rng) is t
 
     def build(flat):
+        # a fresh stream per call draws the same mask every time
         tape = ad.Tape()
         a = tape.parameter("a", flat.reshape(4, 3))
-        out = ad.dropout(a, 0.5, rng, mask=mask)
+        out = ad.dropout(a, 0.5, np.random.default_rng(41))
         return tape, ad.tsum(ad.mul(out, out))
 
     check_param_grads(build, rng.normal(size=12))
@@ -541,6 +599,7 @@ def _every_op_tracked(tape):
     v = tape.parameter("v", rng.normal(size=6))
     c = ad.Tensor(rng.normal(size=(4, 3)))
     seg = np.array([0, 2, 2, 1])
+    plan = ad.SumPlan.segments(seg, 3)
     for op in (ad.add, ad.sub, ad.mul, ad.div):
         op(a, c)
     ad.matmul(a, ad.Tensor(np.ones((3, 2))))
@@ -552,9 +611,9 @@ def _every_op_tracked(tape):
     ad.tsum(a)
     ad.reshape(v, (2, 3))
     ad.slice1d(v, 1, 4)
-    ad.gather_rows(a, seg)
-    ad.segment_sum(a, seg, 3)
-    ad.segment_softmax(a, seg, 3)
+    ad.gather_rows(a, ad.SumPlan.segments(seg, 4))
+    ad.segment_sum(a, plan)
+    ad.segment_softmax(a, plan)
     ad.aggregate(a, ad.SumPlan(seg, np.array([1, 0, 3, 3]), 4, 4))
     ad.dropout(a, 0.5, rng)
 
@@ -582,9 +641,10 @@ def test_records_keep_uids_and_no_tensors():
 def test_intermediate_no_vjp_reads_is_freed():
     tape = ad.Tape()
     h = tape.parameter("h", np.arange(6.0).reshape(3, 2))
-    rows = ad.gather_rows(h, np.array([0, 1, 1, 2]))
+    rows = ad.gather_rows(h, ad.SumPlan.segments(np.array([0, 1, 1, 2]), 3))
     gone = weakref.ref(rows.data)
-    agg = ad.segment_sum(rows, np.array([0, 0, 1, 2]), 3)
+    agg = ad.segment_sum(rows,
+                         ad.SumPlan.segments(np.array([0, 0, 1, 2]), 3))
     del rows          # segment_sum's vjp needs only the ids
     assert gone() is None
     grads = ad.backward(tape, ad.tsum(agg))

@@ -787,6 +787,33 @@ def test_non_utf8_library_exits_3(synthetic_csv, trained_point_dir,
     assert _screen(synthetic_csv, trained_point_dir, tmp_path, library) == 3
 
 
+@pytest.mark.parametrize("kind", ["config", "dataset", "library"])
+def test_byte_order_mark_reads_as_the_plain_file(synthetic_csv,
+                                                 trained_point_dir, tmp_path,
+                                                 kind):
+    with open(synthetic_csv, "rb") as fh:
+        plain = {"config": json.dumps({"dataset": {
+                     "path": str(synthetic_csv), "smiles_column": "smiles",
+                     "label_columns": ["activity"]}}).encode(),
+                 "dataset": fh.read(),
+                 "library": b"CCO\nc1ccccc1\nCCN\n"}[kind]
+    source = tmp_path / "input"
+    outputs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        source.write_bytes(prefix + plain)
+        out = tmp_path / f"out{len(prefix)}"
+        if kind == "config":
+            rc = cli.main(["split", "--config", str(source), "--out",
+                           str(out), "--seeds", "0"])
+        elif kind == "dataset":
+            rc = cli.main(["split", *_args(source, out), "--seeds", "0"])
+        else:
+            rc = _screen(synthetic_csv, trained_point_dir, out, source)
+        assert rc == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 # bytes with a SMILES- and CSV-like alphabet reach the parsers more often
 # than uniform ones, which mostly fail to decode or to find a header
 SMILES_LIKE = st.text(alphabet="CNOcn12\u00b2()=#[]+-%:H ,.\"\r\n\xff",

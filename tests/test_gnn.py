@@ -362,14 +362,48 @@ def test_make_batch_rejects_an_edge_between_graphs():
         make_batch([reaching, *featurized(["CC"])], np.zeros((2, 1)))
 
 
+def _add_at(keys, rows, n):
+    out = np.zeros((n,) + rows.shape[1:])
+    np.add.at(out, keys, rows)
+    return out
+
+
 def test_neighbour_plan_is_built_once_per_batch():
     batch = make_batch(featurized(["CCO", "c1ccccc1"]), np.zeros((2, 1)))
-    plan = batch.neighbour_plan
-    assert batch.neighbour_plan is plan
     src, dst = batch.edge_index[:, 0], batch.edge_index[:, 1]
-    h = np.random.default_rng(0).normal(size=(batch.n_nodes, 3))
-    assert np.array_equal(plan.apply(h),
-                          ad.segment_sum(h[src], dst, batch.n_nodes).data)
+    rng = np.random.default_rng(0)
+    h = rng.normal(size=(batch.n_nodes, 3))
+    e = rng.normal(size=(src.size, 3))
+    n = batch.n_nodes
+    # each plan: its input rows and the np.add.at sum it must reproduce
+    plans = {"neighbour_plan": (h, _add_at(dst, h[src], n)),
+             "edges_by_src": (e, _add_at(src, e, n)),
+             "edges_by_dst": (e, _add_at(dst, e, n)),
+             "nodes_by_graph": (h, _add_at(batch.node_graph, h,
+                                           batch.n_graphs))}
+    for name, (rows, want) in plans.items():
+        plan = getattr(batch, name)
+        assert getattr(batch, name) is plan, name
+        assert np.array_equal(plan.apply(rows), want), name
+
+
+@pytest.mark.parametrize("arch", ["gat", "gatedgcn"])
+def test_predictions_build_each_plan_once(arch, monkeypatch):
+    built = []
+    init = ad.SumPlan.__init__
+
+    def counting(self, index, keys, n_in, n_out):
+        built.append((n_in, n_out))
+        init(self, index, keys, n_in, n_out)
+
+    monkeypatch.setattr(ad.SumPlan, "__init__", counting)
+    batch = make_batch(featurized(["CCO", "c1ccccc1"]), np.zeros((2, 1)))
+    model = GnnClassifier(small_config(arch, T=1))
+    flat = model.init_params(np.random.default_rng(0))
+    first = model.predict_proba(flat, batch)
+    assert len(built) == 3      # edges by source and by destination, readout
+    assert np.array_equal(model.predict_proba(flat, batch), first)
+    assert len(built) == 3
 
 
 # ---------------------------------------------------------------------------
