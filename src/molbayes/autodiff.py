@@ -12,14 +12,15 @@ the uids (ints, never the Tensors) of its inputs and output, and a vjp
 closure over just the arrays, masks and shapes that vjp computes with:
 shapes for ``add``/``sub``/``reshape``/``slice1d``/``sum``, the plan for
 ``gather_rows``/``segment_sum``/``segment_softmax``/``aggregate``, a bool
-mask for ``relu``/``leaky_relu``/``clip_min``, the negative branch for
-``elu``, and for ``linear``/``matmul``/``mul``/``div`` only the operands of
-the products a tracked input needs (none is computed for an untracked
-input). An intermediate no vjp reads (such as the edge rows
-``gather_rows`` hands to ``segment_sum``) is therefore freed as soon as
-the forward pass drops it. ``backward`` drops each gradient once its
-producing record has been replayed: every consumer of a tensor was
-recorded after its producer, so by then the gradient is complete.
+mask for ``relu``/``leaky_relu``/``clip_min``/``dropout``, the negative
+branch for ``elu``, and for ``linear``/``matmul``/``mul``/``div`` and a
+weighted ``aggregate`` only the operands of the products a tracked input
+needs (none is computed for an untracked input). An intermediate no vjp
+reads (such as the edge rows ``gather_rows`` hands to ``segment_sum``) is
+therefore freed as soon as the forward pass drops it. ``backward`` drops
+each gradient once its producing record has been replayed: every consumer
+of a tensor was recorded after its producer, so by then the gradient is
+complete.
 
 The op catalog is exactly what the graph layers and losses need: matmul /
 linear, broadcast arithmetic, concat, the activations, gathers and
@@ -30,6 +31,14 @@ runs one primitive, ``SumPlan.apply``. A plan is built once per batch and
 index set, and checks its ids when it is built; each output row folds its
 entries in ascending entry order, so every sum is bit-equal to
 ``np.add.at`` and the peak to ``np.maximum.at``.
+
+``aggregate`` takes an optional per-entry weight, which ``apply`` multiplies
+into each planned row just before the fold, in the forward pass and, through
+``plan.transpose``, in the vjp. A weighted neighbour sum (GAT's attention
+messages, gatedgcn's gated ones) therefore never builds or keeps an (E, d)
+copy of its node rows. GAT's edge score needs no such copy either: each
+head computes its two attention logits per node and gathers only those
+(n, 1) columns to the edges.
 """
 
 from __future__ import annotations
@@ -393,6 +402,12 @@ class SumPlan:
             raise ShapeError(f"plan: index {index.shape} vs keys {keys.shape}")
         self.index, self.keys = index, keys
         self.n_in, self.n_out = n_in, n_out
+        self.unpermute, self.ranks = self._layout(index)
+
+    def _layout(self, values: np.ndarray) -> tuple[np.ndarray, list]:
+        """Each output row's place (rows by entry count, largest first),
+        and ``values`` of each entry in fold order, split rank by rank."""
+        keys, n_out = self.keys, self.n_out
         order = np.argsort(keys, kind="stable")
         counts = np.bincount(keys, minlength=n_out)
         by_count = np.argsort(-counts, kind="stable")
@@ -401,11 +416,17 @@ class SumPlan:
         starts = np.cumsum(counts) - counts
         sorted_keys = keys[order]
         rank = np.arange(keys.size) - starts[sorted_keys]
-        flat = index[order][np.argsort(rank * n_out + place[sorted_keys],
-                                       kind="stable")]
+        flat = values[order][np.argsort(rank * n_out + place[sorted_keys],
+                                        kind="stable")]
         bounds = np.cumsum(np.bincount(rank))
-        self.ranks = np.split(flat, bounds[:-1]) if flat.size else []
-        self.unpermute = place
+        return place, np.split(flat, bounds[:-1]) if flat.size else []
+
+    @functools.cached_property
+    def entry_ranks(self) -> list[np.ndarray]:
+        """The entry id behind each id in ``ranks``: where ``apply`` reads
+        a per-entry weight. Laid out again on first weighted use, so an
+        unweighted plan keeps no entry ids."""
+        return self._layout(np.arange(self.index.size))[1]
 
     @classmethod
     def segments(cls, keys: np.ndarray, n_out: int) -> "SumPlan":
@@ -417,34 +438,56 @@ class SumPlan:
         """The plan of the vjp: each input row sums the output rows it fed."""
         return SumPlan(self.keys, self.index, self.n_out, self.n_in)
 
-    def apply(self, x: np.ndarray, fold=np.add, fill: float = 0.0
-              ) -> np.ndarray:
+    def apply(self, x: np.ndarray, fold=np.add, fill: float = 0.0,
+              weight: Optional[np.ndarray] = None) -> np.ndarray:
         """Fold each output row's entries into ``fill`` with ``fold``:
-        sums by default, the per-column peak with ``np.maximum``."""
+        sums by default, the per-column peak with ``np.maximum``. A
+        ``weight`` (one row per entry, of width 1 or of x's width) scales
+        each entry's row of x just before the fold."""
         if x.shape[0] != self.n_in:
             raise ShapeError(f"plan over {self.n_in} rows applied to "
                              f"{x.shape[0]}")
+        if weight is not None and weight.shape[0] != self.index.size:
+            raise ShapeError(f"plan over {self.index.size} entries weighted "
+                             f"by {weight.shape[0]} rows")
         acc = np.full((self.n_out,) + x.shape[1:], fill)
-        for cols in self.ranks:
+        for r, cols in enumerate(self.ranks):
             head = acc[:cols.size]
-            fold(head, x[cols], out=head)
+            rows = x[cols]
+            if weight is not None:
+                rows *= weight[self.entry_ranks[r]]
+            fold(head, rows, out=head)
         return acc[self.unpermute]
 
 
-def aggregate(x, plan: SumPlan) -> Tensor:
-    """``plan.apply(x)``: per output row, the sum of its planned input rows.
+def aggregate(x, plan: SumPlan, weight=None) -> Tensor:
+    """``plan.apply(x, weight=w)``: per output row, the sum of its planned
+    input rows, each scaled by its entry's row of ``weight`` if given.
 
-    Bit-equal in both directions to ``segment_sum(gather_rows(x, p),
-    q)`` for the segment plans ``p`` of its ``index`` and ``q`` of its
-    ``keys``.
+    Bit-equal in both directions to ``segment_sum(mul(w, gather_rows(x,
+    p)), q)`` (``segment_sum(gather_rows(x, p), q)`` without a weight)
+    for the segment plans ``p`` of its ``index`` and ``q`` of its
+    ``keys``, without the (E, d) copies of x that pair keeps on the tape.
     """
     x = as_tensor(x)
-    out = plan.apply(x.data)
+    if weight is None:
+        out = plan.apply(x.data)
+        return _emit("aggregate", (x,), out,
+                     lambda g: (plan.transpose.apply(g),))
+    w = as_tensor(weight)
+    out = plan.apply(x.data, weight=w.data)
+    sw = w.data.shape
+    # each operand is kept only for the other's gradient, if that is tracked
+    w_data = w.data if x.uid >= 0 else None
+    x_data = x.data if w.uid >= 0 else None
 
     def vjp(g):
-        return (plan.transpose.apply(g),)
+        return (None if w_data is None else
+                plan.transpose.apply(g, weight=w_data),
+                None if x_data is None else
+                _unbroadcast(g[plan.keys] * x_data[plan.index], sw))
 
-    return _emit("aggregate", (x,), out, vjp)
+    return _emit("aggregate", (x, w), out, vjp)
 
 
 def gather_rows(x, plan: SumPlan) -> Tensor:
@@ -499,12 +542,16 @@ def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    mask = (rng.random(x.data.shape) >= p).astype(np.float64)
+    # a bool mask: x * True is x and x * False the zero x * 0.0 gives
+    keep = rng.random(x.data.shape) >= p
     scale = 1.0 / (1.0 - p)
-    out = x.data * mask * scale
+    out = x.data * keep
+    out *= scale
 
     def vjp(g):
-        return (g * mask * scale,)
+        gx = g * keep
+        gx *= scale
+        return (gx,)
 
     return _emit("dropout", (x,), out, vjp)
 

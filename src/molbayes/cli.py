@@ -144,6 +144,10 @@ def _validate_config(cfg: dict) -> None:
             raise ConfigError(f"{key} must be at least {least}")
     if cfg["prior_sigma"] <= 0:
         raise ConfigError("prior_sigma must be positive")
+    if cfg["mode"] == "mcdo" and cfg["model"]["dropout"] == 0:
+        # mcdo without dropout would train a MAP point and report its
+        # identical passes as draws
+        raise ConfigError("mode mcdo needs model.dropout above 0")
     _dataset_columns(cfg)
     ModelConfig(**cfg["model"])
     _schedule_for(cfg)

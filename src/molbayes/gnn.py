@@ -187,7 +187,12 @@ def layer_sage(h, e, batch: GraphBatch, W):
 
 
 def layer_gat(h, e, batch: GraphBatch, *weights):
-    """weights: W (d/K, d) then U (2d/K,) for each of the K heads."""
+    """weights: W (d/K, d) then U (2d/K,) for each of the K heads.
+
+    The edge score U^T [p_dst || p_src] is the sum of two per-node logits,
+    so only those two columns are gathered to the edges, and the message
+    sum weights each neighbour's row by its attention in one planned sum.
+    """
     src, dst = batch.edges_by_src, batch.edges_by_dst
     outs = []
     for W, U in zip(weights[0::2], weights[1::2]):
@@ -195,12 +200,11 @@ def layer_gat(h, e, batch: GraphBatch, *weights):
         dk = p.data.shape[1]
         u_dst = ad.reshape(ad.slice1d(U, 0, dk), (dk, 1))
         u_src = ad.reshape(ad.slice1d(U, dk, 2 * dk), (dk, 1))
-        score = ad.add(ad.matmul(ad.gather_rows(p, dst), u_dst),
-                       ad.matmul(ad.gather_rows(p, src), u_src))
+        score = ad.add(ad.gather_rows(ad.matmul(p, u_dst), dst),
+                       ad.gather_rows(ad.matmul(p, u_src), src))
         score = ad.leaky_relu(score, LEAKY_SLOPE)  # (E, 1)
         alpha = ad.segment_softmax(score, dst)
-        msg = ad.mul(alpha, ad.gather_rows(p, src))
-        outs.append(ad.elu(ad.segment_sum(msg, dst)))
+        outs.append(ad.elu(ad.aggregate(p, batch.neighbour_plan, alpha)))
     return ad.concat(outs, axis=1), e
 
 
@@ -215,8 +219,7 @@ def layer_gatedgcn(h, e, batch: GraphBatch, U, W, A, B, C):
     numer = ad.sigmoid(e_new)
     denom = ad.segment_sum(numer, dst)
     gate = ad.div(numer, ad.add(ad.gather_rows(denom, dst), GATE_EPS))
-    msg = ad.mul(gate, ad.gather_rows(ad.linear(h, W), src))
-    agg = ad.segment_sum(msg, dst)
+    agg = ad.aggregate(ad.linear(h, W), batch.neighbour_plan, gate)
     return ad.relu(ad.add(ad.linear(h, U), agg)), e_new
 
 

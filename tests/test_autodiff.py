@@ -459,6 +459,48 @@ def test_aggregate_bit_equal_gather_then_segment_sum(case):
     assert same_bits(*grads)
 
 
+@st.composite
+def weighted_aggregate_cases(draw):
+    """Unsorted and repeated edges over n nodes (some isolated, possibly
+    no edges at all), with up to 24 more into a hub, node 0; rows of
+    width d, one weight per edge of width 1 or d, and an upstream
+    gradient."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(0, 16))
+    hub = draw(st.integers(0, 24))
+    ends = st.lists(st.integers(0, n - 1), min_size=m + hub,
+                    max_size=m + hub)
+    src = np.array(draw(ends), dtype=np.int64)
+    dst = np.array(draw(ends)[:m] + [0] * hub, dtype=np.int64)
+    order = np.array(draw(st.permutations(range(m + hub))), dtype=np.int64)
+    d = draw(st.integers(1, 3))
+    floats = st.floats(-1e12, 1e12, allow_subnormal=True)
+    x = draw(hnp.arrays(np.float64, (n, d), elements=floats))
+    w = draw(hnp.arrays(np.float64, (m + hub, draw(st.sampled_from([1, d]))),
+                        elements=floats))
+    grad = draw(hnp.arrays(np.float64, (n, d), elements=floats))
+    return src[order], dst[order], x, w, grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(weighted_aggregate_cases())
+def test_weighted_aggregate_bit_equal_mul_then_segment_sum(case):
+    src, dst, x, w, grad = case
+    n = x.shape[0]
+    plan = ad.SumPlan(src, dst, n, n)
+    by_src, by_dst = ad.SumPlan.segments(src, n), ad.SumPlan.segments(dst, n)
+    runs = []
+    for op in (lambda h, a: ad.aggregate(h, plan, a),
+               lambda h, a: ad.segment_sum(
+                   ad.mul(a, ad.gather_rows(h, by_src)), by_dst)):
+        tape = ad.Tape()
+        out = op(tape.parameter("x", x), tape.parameter("w", w))
+        grads = ad.backward(tape, ad.tsum(ad.mul(out, grad)))
+        runs.append((out.data, grads["x"], grads["w"]))
+    for got, want in zip(*runs):
+        assert same_bits(got, want)
+
+
 def test_sum_plan_holds_one_index_entry_per_edge():
     # a hub with 300 in-edges runs 300 ranks, but the plan stores E ids
     rng = np.random.default_rng(3)
@@ -489,6 +531,8 @@ def test_aggregate_grads_and_plan_checks():
     check_param_grads(build, rng.normal(size=n_in * d))
     with pytest.raises(ad.ShapeError):
         ad.aggregate(np.zeros((n_out, d)), plan)
+    with pytest.raises(ad.ShapeError):
+        ad.aggregate(np.zeros((n_in, d)), plan, np.ones((8, 1)))
     for bad in ((index, np.array([0] * 8 + [n_out])),
                 (np.array([-1] + [0] * 8), keys), (index, keys[:-1])):
         with pytest.raises(ad.ShapeError):
@@ -515,6 +559,27 @@ def test_dropout_semantics_and_grad():
         return tape, ad.tsum(ad.mul(out, out))
 
     check_param_grads(build, rng.normal(size=12))
+
+
+def test_dropout_bits_match_the_float_mask_formula():
+    # negative values, both signed zeros, NaN and the infinities: a bool
+    # mask gives the bits of x * mask * scale with a float64 mask
+    special = [-0.0, 0.0, -1.5, -1e-300, -np.inf, np.inf, np.nan, 2.0]
+    rng = np.random.default_rng(17)
+    x = np.array(special * 8).reshape(8, 8)
+    g = rng.permutation(x.ravel()).reshape(8, 8)
+    for p in (0.2, 0.5):
+        mask = (np.random.default_rng(3).random(x.shape) >= p
+                ).astype(np.float64)
+        scale = 1.0 / (1.0 - p)
+        tape = ad.Tape()
+        with np.errstate(invalid="ignore"):
+            out = ad.dropout(tape.parameter("x", x), p,
+                             np.random.default_rng(3))
+            assert same_bits(out.data, x * mask * scale)
+            got = ad.backward(tape, ad.tsum(ad.mul(out, g)))["x"]
+            assert same_bits(got, g * mask * scale)
+        assert 0.0 < mask.mean() < 1.0
 
 
 def test_dropout_keep_rate_is_unbiased():
@@ -657,12 +722,20 @@ def test_vjp_skips_products_for_untracked_inputs():
     w = tape.parameter("w", rng.normal(size=(2, 3)))
     x = rng.normal(size=(4, 3))
     w_t = ad.reshape(w, (3, 2))
+    # two entries: x rows 3 and 0 into rows 1 and 0 of two
+    plan = ad.SumPlan(np.array([3, 0]), np.array([1, 0]), 4, 2)
+    back = ad.SumPlan(np.array([1, 0]), np.array([1, 1]), 2, 2)
     for build, want in ((lambda: ad.linear(x, w), lambda g: (None, g.T @ x)),
                         (lambda: ad.matmul(x, w_t), lambda g: (None, x.T @ g)),
                         (lambda: ad.matmul(w_t, x[:2]),
                          lambda g: (g @ x[:2].T, None)),
                         (lambda: ad.mul(w, x[:2]),
-                         lambda g: (g * x[:2], None))):
+                         lambda g: (g * x[:2], None)),
+                        (lambda: ad.aggregate(x, plan, w),
+                         lambda g: (None, g[[1, 0]] * x[[3, 0]])),
+                        (lambda: ad.aggregate(w, back, x[:2]),
+                         lambda g: (back.transpose.apply(g, weight=x[:2]),
+                                    None))):
         g = rng.normal(size=build().shape)
         got = tape.records[-1].vjp(g)
         for gi, wi in zip(got, want(g)):

@@ -576,6 +576,20 @@ def test_other_modes_roundtrip(synthetic_csv, tmp_path, mode, extra):
     assert row["n_draws"] == expect
 
 
+def test_mcdo_without_dropout_exits_2(synthetic_csv, tmp_path, capsys):
+    # _args sets model.dropout=0.0: mc dropout would train a MAP point and
+    # report its identical passes as draws
+    library = tmp_path / "library.smi"
+    library.write_text("CCO\nc1ccccc1\n")
+    base = _args(synthetic_csv, tmp_path, "--mode", "mcdo", "--seeds", "0")
+    for argv in (["split", *base], ["train", *base], ["eval", *base],
+                 ["screen", *base, "--library", str(library)]):
+        assert cli.main(argv) == 2, argv[0]
+        assert "model.dropout" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["library.smi"]
+    assert cli.main(["split", *base, "--set", "model.dropout=0.1"]) == 0
+
+
 def test_config_file_plus_set_override(synthetic_csv, tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({

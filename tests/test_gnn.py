@@ -162,6 +162,51 @@ def test_gat_matches_dense_oracle_and_alpha_sums():
         assert abs(a.sum() - 1.0) < 1e-12
 
 
+def per_edge_layer_gat(h, e, batch: GraphBatch, *weights):
+    """The earlier GAT layer: both halves of the score and the message
+    each gather a head's (E, d/K) projection to the edges."""
+    src, dst = batch.edges_by_src, batch.edges_by_dst
+    outs = []
+    for W, U in zip(weights[0::2], weights[1::2]):
+        p = ad.linear(h, W)
+        dk = p.data.shape[1]
+        u_dst = ad.reshape(ad.slice1d(U, 0, dk), (dk, 1))
+        u_src = ad.reshape(ad.slice1d(U, dk, 2 * dk), (dk, 1))
+        score = ad.add(ad.matmul(ad.gather_rows(p, dst), u_dst),
+                       ad.matmul(ad.gather_rows(p, src), u_src))
+        score = ad.leaky_relu(score, gnn.LEAKY_SLOPE)
+        alpha = ad.segment_softmax(score, dst)
+        msg = ad.mul(alpha, ad.gather_rows(p, src))
+        outs.append(ad.elu(ad.segment_sum(msg, dst)))
+    return ad.concat(outs, axis=1), e
+
+
+@pytest.mark.parametrize("train", [False, True], ids=["eval", "dropout"])
+def test_gat_matches_the_per_edge_layer(train):
+    # per-node logits and the weighted neighbour sum change only rounding
+    batch = make_batch(
+        featurized(["CC(=O)Oc1ccccc1C(=O)O", "c1ccc2[nH]ccc2c1",
+                    "CCN(CC)CCNC(=O)c1ccc(N)cc1", "C1CC1"]),
+        np.array([[1.0, 0.0], [0.0, np.nan], [1.0, 1.0], [np.nan, 0.0]]))
+    cfg = ModelConfig(architecture="gat", hidden_dim=16, graph_dim=8,
+                      n_layers=2, n_heads=4, n_tasks=2, dropout=0.2)
+    model, reference = GnnClassifier(cfg), GnnClassifier(cfg)
+    reference.layer = per_edge_layer_gat
+    flat = model.init_params(np.random.default_rng(8))
+    results = []
+    for m in (model, reference):
+        tape = ad.Tape()
+        theta = tape.parameter("theta", flat)
+        logits = m.forward(batch, m.leaves(theta), train=train,
+                           dropout_rng=np.random.default_rng(9))
+        loss = bce_loss_masked(logits, batch.labels)
+        results.append((logits.data, ad.backward(tape, loss)["theta"]))
+    (logits, grad), (want_logits, want_grad) = results
+    assert np.allclose(logits, want_logits, rtol=1e-9, atol=1e-12)
+    assert np.allclose(grad, want_grad, rtol=1e-9, atol=1e-12)
+    assert np.abs(grad).max() > 1e-3
+
+
 def dense_gatedgcn(h, w_edge, edges, U, W, A, B, C, eps=1e-6):
     n = h.shape[0]
     w_new = np.zeros_like(w_edge)
@@ -401,9 +446,10 @@ def test_predictions_build_each_plan_once(arch, monkeypatch):
     model = GnnClassifier(small_config(arch, T=1))
     flat = model.init_params(np.random.default_rng(0))
     first = model.predict_proba(flat, batch)
-    assert len(built) == 3      # edges by source and by destination, readout
+    # edges by source and by destination, neighbours, readout
+    assert len(built) == 4
     assert np.array_equal(model.predict_proba(flat, batch), first)
-    assert len(built) == 3
+    assert len(built) == 4
 
 
 # ---------------------------------------------------------------------------

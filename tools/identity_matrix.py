@@ -13,6 +13,10 @@ difference in the program. Models are small (width 8, one layer) and the
 schedules short; swag trains at lr 0.01 because the default lr diverges.
 Both trees run in the caller's environment, BLAS thread settings included.
 
+The last line counts the differing or one-sided output files of each
+architecture, so a change meant to move one architecture's outputs can
+show that no other architecture's moved.
+
 Exit status: 0 when every command exits 0 under both trees and every
 output is byte-identical; 1 otherwise, after listing each difference and
 each failed command.
@@ -141,16 +145,22 @@ def compare(work: str, srcs: tuple[str, str]) -> int:
             n_cmds += len(old)
             problems += diff_runs(old, new)
     files = [tree_files(os.path.join(side, "runs")) for side in sides]
+    moved = dict.fromkeys(ARCHS, 0)
     for rel in sorted(set(files[0]) | set(files[1])):
         if rel not in files[0] or rel not in files[1]:
             which = "new" if rel not in files[0] else "old"
             problems.append(f"only under {which}: {rel}")
         elif files[0][rel] != files[1][rel]:
             problems.append(f"file differs: {rel}")
+        else:
+            continue
+        moved[rel.split(os.sep)[0]] += 1
     for line in problems:
         print(line)
     print(f"{n_cmds} commands per tree, {len(files[0])} output files, "
           f"{len(problems)} problems")
+    print("differing files per architecture: " + ", ".join(
+        f"{arch} {count}" for arch, count in moved.items()))
     return 1 if problems else 0
 
 
