@@ -8,23 +8,27 @@ inference; an untracked op returns before it computes anything only its
 vjp would read.
 
 The tape holds only what ``backward`` reads. A record keeps its op kind,
-the uids (ints, never the Tensors) of its inputs and output, and a vjp
+the uids (ints, never the Tensors) of its inputs and outputs, and a vjp
 closure over just the arrays, masks and shapes that vjp computes with:
-shapes for ``add``/``sub``/``reshape``/``slice1d``/``sum``, the plan for
-``gather_rows``/``segment_sum``/``segment_softmax``/``aggregate``, a bool
-mask for ``relu``/``leaky_relu``/``clip_min``/``dropout``, the negative
-branch for ``elu``, and for ``linear``/``matmul``/``mul``/``div`` and a
-weighted ``aggregate`` only the operands of the products a tracked input
-needs (none is computed for an untracked input). An intermediate no vjp
-reads (such as the edge rows ``gather_rows`` hands to ``segment_sum``) is
-therefore freed as soon as the forward pass drops it. ``backward`` drops
-each gradient once its producing record has been replayed: every consumer
-of a tensor was recorded after its producer, so by then the gradient is
-complete.
+shapes for ``add``/``sub``/``sum``, piece sizes for ``split``, the plan
+for ``gather_rows``/``segment_sum``/``segment_softmax``/``aggregate``, a
+bool mask for ``relu``/``leaky_relu``/``clip_min``/``dropout``, the
+negative branch for ``elu``, and for ``linear``/``matmul``/``mul``/``div``
+and a weighted ``aggregate`` only the operands of the products a tracked
+input needs (none is computed for an untracked input). An intermediate no
+vjp reads (such as the edge rows ``gather_rows`` hands to
+``segment_sum``) is therefore freed as soon as the forward pass drops it.
+The parameter registry keeps uids and shapes too, so no tape is in a
+reference cycle: it is freed with its last tracked tensor. ``split`` is
+the one op with several outputs; its vjp takes one gradient per output,
+None for a piece that got none. ``backward`` drops each gradient once its
+producing record has been replayed: every consumer of a tensor was
+recorded after its producer, so by then the gradient is complete.
 
 The op catalog is exactly what the graph layers and losses need: matmul /
 linear, broadcast arithmetic, concat, the activations, gathers and
-segment reductions, planned row sums, dropout, slice and reshape. Every
+segment reductions, planned row sums, dropout, and ``split``, which cuts
+a flat weight vector into shaped pieces with one record. Every
 reduction over rows (the ``segment_sum`` forward, the ``gather_rows``
 vjp, the peak and both sums in ``segment_softmax``, and ``aggregate``)
 runs one primitive, ``SumPlan.apply``. A plan is built once per batch and
@@ -90,8 +94,8 @@ def as_tensor(x) -> Tensor:
 class _Record:
     kind: str
     inputs: tuple[int, ...]     # input uids; -1 marks an untracked input
-    out_uid: int
-    vjp: Callable[[np.ndarray], tuple]
+    outputs: tuple[int, ...]    # output uids, one per gradient vjp takes
+    vjp: Callable[..., tuple]
 
 
 class Tape:
@@ -99,7 +103,7 @@ class Tape:
 
     def __init__(self):
         self.records: list[_Record] = []
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, tuple[int, tuple[int, ...]]] = {}
         self._next_uid = 0
 
     def _new_uid(self) -> int:
@@ -116,7 +120,7 @@ class Tape:
         if name in self.params:
             raise ValueError(f"parameter {name!r} registered twice")
         t = self.track(data)
-        self.params[name] = t
+        self.params[name] = (t.uid, t.data.shape)
         return t
 
 
@@ -137,7 +141,7 @@ def _emit(kind: str, inputs: tuple[Tensor, ...], out_data: np.ndarray,
         return Tensor(out_data)
     out = tape.track(out_data)
     tape.records.append(
-        _Record(kind, tuple(t.uid for t in inputs), out.uid, vjp))
+        _Record(kind, tuple(t.uid for t in inputs), (out.uid,), vjp))
     return out
 
 
@@ -243,12 +247,10 @@ def linear(x, w) -> Tensor:
 def concat(parts: Sequence, axis: int = -1) -> Tensor:
     ts = tuple(as_tensor(p) for p in parts)
     out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+    bounds = np.cumsum([t.data.shape[axis] for t in ts])[:-1]
 
     def vjp(g):
-        return tuple(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-                     for i in range(len(sizes)))
+        return tuple(np.split(g, bounds, axis=axis))
 
     return _emit("concat", ts, out, vjp)
 
@@ -346,30 +348,33 @@ def tsum(x) -> Tensor:
     return _emit("sum", (x,), out, vjp)
 
 
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
+def split(x, shapes: Sequence[tuple[int, ...]]) -> list[Tensor]:
+    """Consecutive pieces of a vector, each in its shape, covering it.
+
+    The pieces are views of x's data. One record serves every piece: its
+    vjp takes one gradient per piece and concatenates them, with zeros
+    for a piece that got none.
+    """
     x = as_tensor(x)
-    out = x.data.reshape(shape)
-    in_shape = x.data.shape
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    if x.data.ndim != 1 or sum(sizes) != x.data.shape[0]:
+        raise ShapeError(f"split: pieces of {sum(sizes)} entries from "
+                         f"{x.data.shape}")
+    bounds = np.cumsum(sizes)[:-1]
+    pieces = [piece.reshape(shape)
+              for piece, shape in zip(np.split(x.data, bounds), shapes)]
+    tape = x.tape
+    if tape is None:
+        return [Tensor(piece) for piece in pieces]
+    outs = [tape.track(piece) for piece in pieces]
 
-    def vjp(g):
-        return (g.reshape(in_shape),)
+    def vjp(*grads):
+        return (np.concatenate([np.zeros(n) if g is None else g.ravel()
+                                for g, n in zip(grads, sizes)]),)
 
-    return _emit("reshape", (x,), out, vjp)
-
-
-def slice1d(x, start: int, stop: int) -> Tensor:
-    x = as_tensor(x)
-    if x.data.ndim != 1:
-        raise ShapeError(f"slice1d expects a vector, got {x.data.shape}")
-    out = x.data[start:stop].copy()
-    n = x.data.shape[0]
-
-    def vjp(g):
-        full = np.zeros(n)
-        full[start:stop] = g
-        return (full,)
-
-    return _emit("slice", (x,), out, vjp)
+    tape.records.append(
+        _Record("split", (x.uid,), tuple(t.uid for t in outs), vjp))
+    return outs
 
 
 def _check_segments(segments: np.ndarray, n_segments: int) -> np.ndarray:
@@ -575,19 +580,17 @@ def backward(tape: Tape, loss: Tensor) -> dict[str, np.ndarray]:
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
     partial: dict[int, np.ndarray] = {loss.uid: np.asarray(1.0)}
     for rec in reversed(tape.records):
-        # every consumer was recorded later, so this gradient is complete
-        g = partial.pop(rec.out_uid, None)
-        if g is None:
+        # every consumer was recorded later, so these gradients are complete
+        grads = [partial.pop(uid, None) for uid in rec.outputs]
+        if all(g is None for g in grads):
             continue
-        for uid, gi in zip(rec.inputs, rec.vjp(g)):
+        for uid, gi in zip(rec.inputs, rec.vjp(*grads)):
             if uid < 0 or gi is None:
                 continue
             acc = partial.get(uid)
             partial[uid] = gi if acc is None else acc + gi
-    return {
-        name: partial.get(p.uid, np.zeros_like(p.data))
-        for name, p in tape.params.items()
-    }
+    return {name: partial.get(uid, np.zeros(shape))
+            for name, (uid, shape) in tape.params.items()}
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], params: np.ndarray,

@@ -419,9 +419,7 @@ def _grad_flat(model: FlatModel, flat: np.ndarray, batch,
     tape = ad.Tape()
     theta = tape.parameter("theta", flat)
     loss = model.nll(tape, theta, batch, train=train, rng=rng)
-    grads = ad.backward(tape, loss)
-    tape.records.clear()    # the tape is in a cycle; frees the step's records
-    return loss.item(), grads["theta"]
+    return loss.item(), ad.backward(tape, loss)["theta"]
 
 
 def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
@@ -445,14 +443,22 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
     pull. sgld takes pSGLD steps on -(N * grad_nll + weight_decay * w), the
     decay doubling as a Gaussian prior precision, and keeps snapshot-epoch
     weights as samples. swag folds snapshot epochs into running moments
-    and the last ``swag_rank`` deviations from the updated mean. An
-    ensemble is one MAP run per ``member_seeds`` entry (default
-    ``m_members`` derived seeds), dropping members that diverge.
+    and the last ``swag_rank`` deviations from the updated mean; too few
+    snapshot epochs raise ConfigError before the first. An ensemble is one
+    MAP run per ``member_seeds`` entry (default ``m_members`` derived
+    seeds), dropping members that diverge.
     """
     mode = schedule.mode
     if mode == "ensemble":
         return _train_ensemble(model, data, schedule, seed, m_members,
                                member_seeds, valid_eval)
+    n_snapshots = sum(is_snapshot_epoch(schedule, epoch)
+                      for epoch in range(1, schedule.epochs + 1))
+    if mode == "sgld" and not n_snapshots:
+        raise ConfigError("schedule produced zero posterior samples")
+    if mode == "swag" and n_snapshots < 2:
+        raise ConfigError(f"swag needs at least 2 snapshots; the schedule "
+                          f"took {n_snapshots}")
     n = model.n_params
     shuffle_rng = stream(seed, "shuffle")
     w = model.init_params(stream(seed, "init"))
@@ -465,8 +471,7 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
 
         def objective(w: np.ndarray, batch) -> tuple[float, np.ndarray]:
             tape = ad.Tape()
-            mu_t = tape.parameter("mu", w[:n])
-            rho_t = tape.parameter("rho", w[n:])
+            mu_t, rho_t = ad.split(tape.parameter("w", w), [(n,), (n,)])
             sigma_t = ad.clip_min(ad.softplus(rho_t), SIGMA_FLOOR)
             total = None
             for _ in range(n_draws):
@@ -477,9 +482,7 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
             if kl_scale != 0.0:
                 kl = _kl_tensor(mu_t, sigma_t, prior_sigma)
                 loss = ad.add(loss, ad.mul(kl, kl_scale / data.n_examples))
-            grads = ad.backward(tape, loss)
-            tape.records.clear()
-            return loss.item(), np.concatenate([grads["mu"], grads["rho"]])
+            return loss.item(), ad.backward(tape, loss)["w"]
     else:
         dropout_rng = stream(seed, "dropout") if mode == "mcdo" else None
 
@@ -553,16 +556,11 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
         return PosteriorRepresentation(mode="bbb", digest=digest, mu=w[:n],
                                        rho=rho, meta=meta), log
     if mode == "sgld":
-        if not kept:
-            raise ConfigError("schedule produced zero posterior samples")
         meta["precondition"] = True
         return PosteriorRepresentation(mode="samples", digest=digest,
                                        samples=np.stack(kept),
                                        meta=meta), log
     if mode == "swag":
-        if k < 2:
-            raise ConfigError(f"swag needs at least 2 snapshots; the "
-                              f"schedule took {k}")
         meta["n_snapshots"] = k
         return PosteriorRepresentation(
             mode="swag", digest=digest, swag_mean=mean,

@@ -167,22 +167,18 @@ def make_batch(graphs: Sequence[FeaturizedGraph],
 # layers
 
 
-def _neighbour_sum(h, batch: GraphBatch) -> ad.Tensor:
-    """Each node's sum of its in-neighbours' states."""
-    return ad.aggregate(h, batch.neighbour_plan)
-
-
 def layer_gcn(h, e, batch: GraphBatch, W):
-    return ad.relu(ad.linear(ad.add(_neighbour_sum(h, batch), h), W)), e
+    agg = ad.aggregate(h, batch.neighbour_plan)
+    return ad.relu(ad.linear(ad.add(agg, h), W)), e
 
 
 def layer_gin(h, e, batch: GraphBatch, W1, W2):
-    agg = _neighbour_sum(h, batch)
+    agg = ad.aggregate(h, batch.neighbour_plan)
     return ad.linear(ad.relu(ad.linear(ad.add(agg, h), W1)), W2), e
 
 
 def layer_sage(h, e, batch: GraphBatch, W):
-    agg = _neighbour_sum(h, batch)
+    agg = ad.aggregate(h, batch.neighbour_plan)
     return ad.relu(ad.linear(ad.concat([h, agg], axis=1), W)), e
 
 
@@ -198,8 +194,7 @@ def layer_gat(h, e, batch: GraphBatch, *weights):
     for W, U in zip(weights[0::2], weights[1::2]):
         p = ad.linear(h, W)                       # (n, dk)
         dk = p.data.shape[1]
-        u_dst = ad.reshape(ad.slice1d(U, 0, dk), (dk, 1))
-        u_src = ad.reshape(ad.slice1d(U, dk, 2 * dk), (dk, 1))
+        u_dst, u_src = ad.split(U, [(dk, 1), (dk, 1)])
         score = ad.add(ad.gather_rows(ad.matmul(p, u_dst), dst),
                        ad.gather_rows(ad.matmul(p, u_src), src))
         score = ad.leaky_relu(score, LEAKY_SLOPE)  # (E, 1)
@@ -287,13 +282,9 @@ class GnnClassifier:
         return flat
 
     def leaves(self, theta: ad.Tensor) -> dict[str, ad.Tensor]:
-        """Slice one flat tensor into named weight views."""
-        out = {}
-        for name, shape in self.specs:
-            lo, hi, _ = self.offsets[name]
-            piece = ad.slice1d(theta, lo, hi)
-            out[name] = ad.reshape(piece, shape) if len(shape) > 1 else piece
-        return out
+        """Split one flat tensor into named weights of their shapes."""
+        pieces = ad.split(theta, [shape for _, shape in self.specs])
+        return {name: t for (name, _), t in zip(self.specs, pieces)}
 
     # -- forward
 

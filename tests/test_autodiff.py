@@ -1,6 +1,7 @@
 """Gradient correctness and optimizer behaviour for the tape engine."""
 
 import ast
+import gc
 import pathlib
 import weakref
 
@@ -218,7 +219,7 @@ def test_matmul_shape_mismatch_raises():
         ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 5))))
 
 
-def test_concat_reshape_slice_gather_grads():
+def test_concat_split_gather_grads():
     rng = np.random.default_rng(29)
     for trial in range(10):
         n = 6
@@ -229,12 +230,45 @@ def test_concat_reshape_slice_gather_grads():
             a = tape.parameter("a", flat[:n])
             b = tape.parameter("b", flat[n:])
             joined = ad.concat([a, b], axis=0)
-            mat = ad.reshape(joined, (3, 4))
-            rows = ad.gather_rows(mat, ad.SumPlan.segments(index, 3))
-            piece = ad.slice1d(ad.reshape(rows, (20,)), 2, 15)
-            return tape, ad.tsum(ad.mul(piece, piece))
+            mat, row = ad.split(joined, [(3, 3), (1, 3)])
+            rows = ad.gather_rows(ad.concat([mat, row], axis=0),
+                                  ad.SumPlan.segments(index, 4))
+            return tape, ad.tsum(ad.mul(rows, rows))
 
         check_param_grads(build, rng.normal(size=2 * n))
+
+
+def test_split_piece_without_gradient_gets_zeros():
+    rng = np.random.default_rng(37)
+    x0 = rng.normal(size=11)
+
+    def build(flat):
+        tape = ad.Tape()
+        theta = tape.parameter("theta", flat)
+        first, unused, last = ad.split(theta, [(2, 3), (3,), (1, 2)])
+        return tape, ad.add(ad.tsum(ad.mul(first, first)),
+                            ad.tsum(ad.mul(last, ad.sigmoid(last))))
+
+    check_param_grads(build, x0)
+    tape, loss = build(x0)
+    grad = ad.backward(tape, loss)["theta"]
+    assert np.array_equal(grad[6:9], np.zeros(3))
+
+
+def test_split_is_one_record_of_views_in_their_shapes():
+    tape = ad.Tape()
+    v = tape.parameter("v", np.arange(10.0))
+    n_before = len(tape.records)
+    pieces = ad.split(v, [(2, 3), (4,)])
+    assert len(tape.records) == n_before + 1
+    assert [t.shape for t in pieces] == [(2, 3), (4,)]
+    assert np.array_equal(pieces[0].data, np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(pieces[1].data, np.arange(6.0, 10.0))
+    assert all(np.shares_memory(t.data, v.data) for t in pieces)
+    assert tape.records[-1].outputs == tuple(t.uid for t in pieces)
+    for shapes in ([(2, 3)], [(2, 3), (5,)]):
+        with pytest.raises(ad.ShapeError):
+            ad.split(v, shapes)
 
 
 def test_gather_rows_accumulates_repeated_indices():
@@ -642,7 +676,24 @@ def test_untracked_ops_record_nothing():
     tape.parameter("a", np.ones(2))
     n_before = len(tape.records)
     ad.mul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones(3)))
+    ad.split(ad.Tensor(np.ones(3)), [(1,), (2,)])
     assert len(tape.records) == n_before
+
+
+def test_tape_is_freed_without_the_cycle_collector():
+    gc.collect()
+    gc.disable()
+    try:
+        tape = ad.Tape()
+        w = tape.parameter("w", np.arange(3.0).reshape(1, 3))
+        b = tape.parameter("b", np.ones(1))
+        loss = ad.tsum(ad.add(ad.linear(np.ones((2, 3)), w), b))
+        ad.backward(tape, loss)
+        gone = weakref.ref(tape)
+        del tape, w, b, loss
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +702,7 @@ def test_untracked_ops_record_nothing():
 
 ALL_KINDS = {"add", "sub", "mul", "div", "matmul", "linear", "concat",
              "relu", "leaky_relu", "elu", "sigmoid", "log",
-             "softplus", "clip_min", "sum", "reshape", "slice",
+             "softplus", "clip_min", "sum", "split",
              "gather_rows", "segment_sum", "segment_softmax", "aggregate",
              "dropout"}
 
@@ -674,8 +725,7 @@ def _every_op_tracked(tape):
         op(a)
     ad.log(ad.clip_min(a, 0.1))
     ad.tsum(a)
-    ad.reshape(v, (2, 3))
-    ad.slice1d(v, 1, 4)
+    ad.split(v, [(2, 2), (2,)])
     ad.gather_rows(a, ad.SumPlan.segments(seg, 4))
     ad.segment_sum(a, plan)
     ad.segment_softmax(a, plan)
@@ -697,7 +747,8 @@ def test_records_keep_uids_and_no_tensors():
     _every_op_tracked(tape)
     assert {rec.kind for rec in tape.records} == ALL_KINDS
     for rec in tape.records:
-        assert all(type(uid) is int for uid in rec.inputs), rec.kind
+        assert all(type(uid) is int
+                   for uid in rec.inputs + rec.outputs), rec.kind
         for cell in rec.vjp.__closure__ or ():
             for obj in _held(cell.cell_contents):
                 assert not isinstance(obj, (ad.Tensor, ad.Tape)), rec.kind
@@ -721,7 +772,7 @@ def test_vjp_skips_products_for_untracked_inputs():
     tape = ad.Tape()
     w = tape.parameter("w", rng.normal(size=(2, 3)))
     x = rng.normal(size=(4, 3))
-    w_t = ad.reshape(w, (3, 2))
+    w_t = tape.parameter("w_t", rng.normal(size=(3, 2)))
     # two entries: x rows 3 and 0 into rows 1 and 0 of two
     plan = ad.SumPlan(np.array([3, 0]), np.array([1, 0]), 4, 2)
     back = ad.SumPlan(np.array([1, 0]), np.array([1, 1]), 2, 2)

@@ -36,8 +36,7 @@ class TinyLogistic:
 
     def nll(self, tape, theta, batch, train=False, rng=None):
         X, y = batch
-        w = ad.reshape(ad.slice1d(theta, 0, self.d), (1, self.d))
-        b = ad.slice1d(theta, self.d, self.d + 1)
+        w, b = ad.split(theta, [(1, self.d), (1,)])
         z = ad.add(ad.linear(X, w), b)
         per = ad.sub(ad.softplus(z), ad.mul(y, z))
         return ad.div(ad.tsum(per), float(z.data.size))
@@ -257,8 +256,8 @@ def test_train_map_valid_eval_hook():
 
 @pytest.mark.parametrize("mode", ["none", "bbb"])
 def test_train_frees_each_step_tape(mode):
-    # a tape is a reference cycle (Tape.params -> Tensor.tape), so with
-    # the cycle collector off only training itself can free its records
+    # with the cycle collector off, a record outlives its step only if
+    # something in training still holds the step's tape
     graphs = [featurize(parse_smiles(s)) for s in ("CCO", "c1ccccc1")]
     batch = make_batch(graphs, np.array([[0.0], [1.0]]))
     model = GnnClassifier(ModelConfig(architecture="gcn", hidden_dim=8,
@@ -683,6 +682,27 @@ def test_train_swa_swag_needs_snapshots():
     for mode in ("swa", "other"):
         with pytest.raises(ConfigError):
             dataclasses.replace(sched, mode=mode)
+
+
+class NeverTrained(TinyLogistic):
+    """A model whose loss must never be evaluated."""
+
+    def nll(self, *args, **kwargs):
+        raise AssertionError("a schedule without enough snapshots trained")
+
+
+@pytest.mark.parametrize("sched, match", [
+    (bayes.default_schedule("swag", epochs=8), "took 0"),
+    (swag_schedule(6, 4), "took 1"),
+    (bayes.default_schedule("sgld", epochs=1), "zero posterior samples"),
+    (bayes.TrainSchedule(mode="sgld", epochs=3, optimizer="sgd", lr=1e-3,
+                         burn_in=2, cadence=2), "zero posterior samples"),
+], ids=["swag-default-8", "swag-one", "sgld-default-1", "sgld-cadence"])
+def test_short_schedule_fails_before_the_first_epoch(sched, match):
+    base = toy_logistic()
+    model = NeverTrained(base.X, base.y)
+    with pytest.raises(ConfigError, match=match):
+        bayes.train(model, full_batch_data(base), sched, SEED)
 
 
 def hand_swag(snapshots, rank=20):
