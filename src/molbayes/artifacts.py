@@ -128,7 +128,11 @@ def read_container(path: str,
         if off + nbytes > len(raw):
             raise DataError(f"{path}: truncated container "
                             f"(array {item['name']!r})")
-        arr = np.frombuffer(raw[off:off + nbytes], dtype=dt).reshape(shape)
+        try:
+            arr = np.frombuffer(raw[off:off + nbytes], dtype=dt).reshape(shape)
+        except ValueError as e:  # a shape numpy cannot hold, e.g. 70 dims
+            raise DataError(f"{path}: array {item['name']!r} has shape "
+                            f"{list(shape)}: {e}") from None
         arrays[item["name"]] = arr.astype(np.float64)
         off += nbytes
     if off != len(raw):

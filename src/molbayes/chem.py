@@ -4,7 +4,9 @@ The parser covers the organic subset, bracket atoms, ring closures,
 branches and dot-separated fragments. Stereo markers are accepted and
 discarded; hydrogens stay implicit. Scaffolds are computed by pruning
 non-ring side chains and serialized through a canonical writer so that
-isomorphic scaffolds share one key string.
+isomorphic scaffolds share one key string. The writer's search over
+tie-broken DFS trees is one loop over a worklist, so no graph is too
+deep for it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -81,13 +82,6 @@ class MoleculeGraph:
 
     atoms: list[Atom]
     bonds: list[Bond]
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(len(self.atoms), dtype=np.int64)
-        for b in self.bonds:
-            deg[b.i] += 1
-            deg[b.j] += 1
-        return deg
 
     def adjacency(self) -> list[list[tuple[int, str]]]:
         adj: list[list[tuple[int, str]]] = [[] for _ in self.atoms]
@@ -399,12 +393,11 @@ def _components(m: MoleculeGraph) -> list[list[int]]:
     return comps
 
 
-def _wl_colors(g: MoleculeGraph) -> list[int]:
+def _wl_colors(g: MoleculeGraph,
+               adj: list[list[tuple[int, str]]]) -> list[int]:
     """Iterative neighborhood refinement; returns a stable color per atom."""
-    adj = g.adjacency()
-    deg = g.degrees()
     keys = [
-        (a.symbol, a.charge, a.aromatic, int(deg[i]),
+        (a.symbol, a.charge, a.aromatic, len(adj[i]),
          tuple(sorted(o for _, o in adj[i])))
         for i, a in enumerate(g.atoms)
     ]
@@ -461,112 +454,86 @@ def _ring_digit(k: int) -> str:
     raise _BudgetExceeded  # pathological ring count, fall back to hashing
 
 
+def _write_tree(g: MoleculeGraph, adj: list[list[tuple[int, str]]],
+                order: list[int], parent: dict[int, int]) -> str:
+    """The SMILES a finished search writes from its ``order`` and ``parent``.
+
+    Every bond off the tree is a ring closure, numbered by the discovery
+    of its later end, then of its earlier end. Each atom writes its digits
+    in closure order, the bond token at the opening end, then its children
+    in discovery order, all but the last in parentheses.
+    """
+    atoms = g.atoms
+    rank = {u: k for k, u in enumerate(order)}
+    digits: list[list[str]] = [[] for _ in order]
+    kids: list[list[tuple[int, str]]] = [[] for _ in order]
+    closures = 0
+    for u in order:
+        for _, v, bond in sorted((rank[v], v, bond) for v, bond in adj[u]
+                                 if rank[v] < rank[u]):
+            if v == parent[u]:
+                kids[v].append((u, bond))
+                continue
+            closures += 1
+            digits[v].append(_bond_token(bond, atoms[v], atoms[u])
+                             + _ring_digit(closures))
+            digits[u].append(_ring_digit(closures))
+    text: dict[int, str] = {}
+    for u in reversed(order):
+        branches = [_bond_token(bond, atoms[u], atoms[v]) + text[v]
+                    for v, bond in kids[u]]
+        text[u] = "".join([_atom_token(atoms[u]), *digits[u],
+                           *(f"({b})" for b in branches[:-1]),
+                           *branches[-1:]])
+    return text[order[0]]
+
+
 def _canon_component(g: MoleculeGraph, budget: list[int]) -> str:
+    """Smallest string over every min-colour root and tie-broken DFS.
+
+    One loop over a worklist of search states: the open path, the atoms in
+    discovery order, and each entered atom's tree parent. Each state taken
+    costs one step of ``budget``, which the molecule's components share.
+    An empty path is a finished search, written by ``_write_tree``. A path
+    whose last atom has no unvisited neighbour comes back without it, so
+    each backtrack pop is a step too. Otherwise the state's successors
+    extend the path by each min-colour unvisited neighbour, taken in
+    ascending atom index.
+    """
     n = len(g.atoms)
     if n == 1:
         return _atom_token(g.atoms[0])
     adj = g.adjacency()
-    colors = _wl_colors(g)
-    cmin = min(colors[i] for i in range(n))
-    roots = [i for i in range(n) if colors[i] == cmin]
-
-    visited = [False] * n
-    disc = [-1] * n
-    children: list[list[tuple[int, str]]] = [[] for _ in range(n)]
-    # ring marks: per atom, list of (closure id, order, open end flag, other)
-    marks: list[list[tuple[int, str, bool, int]]] = [[] for _ in range(n)]
-    used: set[frozenset] = set()
-    state = {"clock": 0, "closures": 0}
-    best: list[Optional[str]] = [None]
-
-    def assemble(u: int) -> str:
-        out = [_atom_token(g.atoms[u])]
-        for cid, order, is_open, other in marks[u]:
-            tok = _bond_token(order, g.atoms[u], g.atoms[other]) if is_open else ""
-            out.append(tok + _ring_digit(cid + 1))
-        kids = children[u]
-        for pos, (v, order) in enumerate(kids):
-            inner = _bond_token(order, g.atoms[u], g.atoms[v]) + assemble(v)
-            out.append(inner if pos == len(kids) - 1 else f"({inner})")
-        return "".join(out)
-
-    def enter(u: int) -> list:
-        """Mark u visited, record ring closures found here; return undo log."""
-        undo: list = []
-        visited[u] = True
-        disc[u] = state["clock"]
-        state["clock"] += 1
-        undo.append(("visit", u))
-        back = sorted(
-            ((disc[v], v, order) for v, order in adj[u]
-             if visited[v] and frozenset((u, v)) not in used),
-            key=lambda t: t[0])
-        for _, v, order in back:
-            used.add(frozenset((u, v)))
-            cid = state["closures"]
-            state["closures"] += 1
-            marks[v].append((cid, order, True, u))
-            marks[u].append((cid, order, False, v))
-            undo.append(("ring", u, v))
-        return undo
-
-    def undo_all(undo: list):
-        for entry in reversed(undo):
-            if entry[0] == "visit":
-                visited[entry[1]] = False
-                state["clock"] -= 1
-            else:
-                _, u, v = entry
-                used.discard(frozenset((u, v)))
-                marks[v].pop()
-                marks[u].pop()
-                state["closures"] -= 1
-
-    def step(path: list[int], root: int):
+    colors = _wl_colors(g, adj)
+    cmin = min(colors)
+    work = [([r], [r], {r: r})
+            for r in reversed(range(n)) if colors[r] == cmin]
+    best: Optional[str] = None
+    while work:
+        path, order, parent = work.pop()
         budget[0] -= 1
         if budget[0] <= 0:
             raise _BudgetExceeded
         if not path:
-            s = assemble(root)
-            if best[0] is None or s < best[0]:
-                best[0] = s
-            return
+            s = _write_tree(g, adj, order, parent)
+            if best is None or s < best:
+                best = s
+            continue
         u = path[-1]
-        unvis = sorted({v for v, _ in adj[u] if not visited[v]})
-        if not unvis:
-            tail = path.pop()
-            step(path, root)
-            path.append(tail)
-            return
-        pick = min(colors[v] for v in unvis)
-        for v in unvis:
-            if colors[v] != pick:
-                continue
-            order = next(o for w, o in adj[u] if w == v)
-            used.add(frozenset((u, v)))  # tree bond, not a ring closure
-            undo = enter(v)
-            children[u].append((v, order))
-            path.append(v)
-            step(path, root)
+        unvisited = [v for v, _ in adj[u] if v not in parent]
+        if not unvisited:
             path.pop()
-            children[u].pop()
-            undo_all(undo)
-            used.discard(frozenset((u, v)))
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * n + 200))
-    try:
-        for root in roots:
-            undo = enter(root)
-            step([root], root)
-            undo_all(undo)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    return best[0]
+            work.append((path, order, parent))
+            continue
+        pick = min(colors[v] for v in unvisited)
+        for v in reversed(unvisited):
+            if colors[v] == pick:
+                work.append((path + [v], order + [v], {**parent, v: u}))
+    return best
 
 
 def _wl_fingerprint(m: MoleculeGraph) -> str:
-    colors = _wl_colors(m)
+    colors = _wl_colors(m, m.adjacency())
     atom_part = sorted(
         (colors[i], a.symbol, a.charge, a.aromatic)
         for i, a in enumerate(m.atoms))
@@ -583,7 +550,9 @@ def canonical_form(m: MoleculeGraph) -> str:
     Components are canonicalized separately, sorted, and joined with dots.
     Ties in the refinement coloring are resolved by trying every tied root
     and DFS continuation and keeping the lexicographically smallest string.
-    Graphs symmetric enough to exhaust the search budget fall back to a
+    The search spends one step per state it takes and one per backtrack
+    pop, shared across components. A graph that reaches step
+    ``_CANON_BUDGET`` or needs more than 99 ring closures falls back to a
     refinement-hash key (still order-independent, but not parseable).
     """
     if not m.atoms:

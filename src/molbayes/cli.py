@@ -258,8 +258,8 @@ _SUMMARY = {"sizes": [0], "quotas": [0], "n_scaffolds": 0, "overrun": 0,
 def _ensure_manifest(cfg: dict, ds: LabeledDataset, seed: int) -> dict:
     """Load the seed's manifest, or create and persist it. A stored one
     must be an object whose train, valid and test are lists of indices
-    into ``ds`` and whose summary is an object with the ``_SUMMARY``
-    fields."""
+    into ``ds``, no index listed twice in or across them, and whose
+    summary is an object with the ``_SUMMARY`` fields."""
     path = _manifest_path(cfg, seed)
     sd = split_digest(cfg)
     if os.path.isfile(path):
@@ -275,11 +275,17 @@ def _ensure_manifest(cfg: dict, ds: LabeledDataset, seed: int) -> dict:
                 f"manifest {path} was made under a different dataset/split "
                 f"config (digest {manifest.get('split_digest')} != {sd}); "
                 f"remove it or use a fresh out_dir")
+        seen: set[int] = set()
         for part in ("train", "valid", "test"):
             idx = manifest.get(part)
             if not _fits([0], idx) or not all(0 <= i < len(ds) for i in idx):
                 raise DataError(f"manifest {path}: {part!r} must be a list "
                                 f"of molecule indices below {len(ds)}")
+            for i in idx:
+                if i in seen:
+                    raise DataError(f"manifest {path}: molecule index {i} "
+                                    f"is listed twice, again in {part!r}")
+                seen.add(i)
         summary = manifest.get("summary")
         if not isinstance(summary, dict) or not all(
                 _fits(v, summary.get(k)) for k, v in _SUMMARY.items()):

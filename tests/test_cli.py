@@ -506,6 +506,13 @@ MALFORMED_HEADERS = {
                    for a in h["arrays"]]},
     "int64_tag": lambda h: {**h, "arrays": [
         {**a, "dtype": "int64"} for a in h["arrays"]]},
+    # empty shapes numpy cannot hold: each passes the byte count
+    "dimension_overflow": lambda h: {**h, "arrays": [
+        {**a, "shape": [0, 2 ** 63]} for a in h["arrays"]]},
+    "seventy_dimensions": lambda h: {**h, "arrays": [
+        {**a, "shape": [0] * 70} for a in h["arrays"]]},
+    "array_too_big": lambda h: {**h, "arrays": [
+        {**a, "shape": [2 ** 62, 0, 5]} for a in h["arrays"]]},
 }
 # body edits that keep each doctored header's byte count honest
 MALFORMED_BODIES = {"short_point": lambda body: body[:-8],
@@ -630,6 +637,10 @@ CORRUPT_MANIFESTS = {
     "summary_warnings_not_strings": lambda m: json.dumps(
         {**m, "summary": {**m["summary"], "warnings": [1]}}),
     "deep_nesting": lambda m: "[" * 100_000,
+    "index_in_train_and_test": lambda m: json.dumps(
+        {**m, "test": m["test"] + m["train"][:1]}),
+    "index_repeated": lambda m: json.dumps(
+        {**m, "train": m["train"] + m["train"][:1]}),
 }
 
 

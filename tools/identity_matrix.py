@@ -51,9 +51,13 @@ SCHEDULE = {
 DEFAULT_SCHEDULE = ("--set", "schedule.epochs=3")
 
 # ring cores x substituents, plus chains: several scaffold groups, both
-# classes (label: contains oxygen) in each; the last rows do not parse
+# classes (label: contains oxygen) in each; the last rows do not parse.
+# Decalin, bicyclopentyl, adamantane and cubane have tied refinement
+# colours, so the split manifests depend on tie-broken canonical keys.
 CORES = ("C1CC1", "C1CCCC1", "C1CCCCC1", "c1ccccc1", "c1ccncc1",
-         "c1ccc2ccccc2c1", "C1CCNCC1", "C1CCSC1", "c1ccsc1", "C1CNCCN1")
+         "c1ccc2ccccc2c1", "C1CCNCC1", "C1CCSC1", "c1ccsc1", "C1CNCCN1",
+         "C1CCC2CCCCC2C1", "C1CCC(C1)C1CCCC1", "C1C2CC3CC1CC(C2)C3",
+         "C12C3C4C1C5C2C3C45")
 SUBSTITUENTS = ("", "C", "O", "CC(=O)N", "N")
 CHAINS = ("CC", "CCC", "CCO", "CCCN", "CC(C)O", "OCCO")
 BAD_ROWS = ("C1CC", "C(C", "C%1C")
