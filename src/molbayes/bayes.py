@@ -11,9 +11,10 @@ whose per-batch step and end-of-epoch snapshot depend on the schedule's
 mode. Every mode ends in a PosteriorRepresentation; `marginalize` turns
 one into mean probabilities plus the spread-based uncertainty
 u = sqrt(p(1-p)). It is the one prediction path: an mcdo point is
-marginalized as a sample set of identical rows whose predictor draws
-fresh dropout masks on each call, and `draw_count` gives every mode's
-number of draws.
+marginalized as a sample set of identical rows whose predictor keys
+fresh dropout masks by the draw's index, and `draw_count` gives every
+mode's number of draws. Draws are independent, so `marginalize` can run
+them on a pool of threads; results are averaged in draw order.
 
 Models are anything exposing `n_params`, `init_params(rng)` and
 `nll(tape, theta, batch, train=, rng=)`; training data is a callable
@@ -22,9 +23,10 @@ producing one epoch's batches from a seeded generator.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Callable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -51,13 +53,16 @@ STREAM_IDS = {
     "bbb-noise": 5,
     "split": 6,
     "eval-draw": 7,
+    "eval-dropout": 8,     # keyed by (pass, batch)
 }
 
 
-def stream(seed: int, purpose: str) -> np.random.Generator:
-    """Named RNG stream; streams never overlap across purposes or seeds."""
-    return np.random.default_rng(
-        np.random.SeedSequence((int(seed), STREAM_IDS[purpose])))
+def stream(seed: int, purpose: str, *key: int) -> np.random.Generator:
+    """Named RNG stream, optionally keyed further by integers; streams
+    never overlap across purposes or seeds, nor across keys of one length.
+    Trailing zero keys add nothing, so each purpose keeps one key length."""
+    return np.random.default_rng(np.random.SeedSequence(
+        (int(seed), STREAM_IDS[purpose], *map(int, key))))
 
 
 def member_seed(seed: int, index: int) -> int:
@@ -612,21 +617,39 @@ def draw_count(mode: str, requested: int = 0) -> int:
     return requested or (100 if mode == "bbb" else 30)
 
 
-def marginalize(predict: Callable[[np.ndarray], np.ndarray],
+def draws_of(post: PosteriorRepresentation, n_samples: int) -> int:
+    """Predictions ``marginalize`` averages for ``post``: one for a
+    point, one per stored sample, else ``n_samples`` fresh draws."""
+    if post.mode == "point":
+        return 1
+    return len(post.samples) if post.mode == "samples" else n_samples
+
+
+def marginalize(predict: Callable[[np.ndarray, int], np.ndarray],
                 post: PosteriorRepresentation, n_samples: int = 30,
-                rng: Optional[np.random.Generator] = None
-                ) -> PredictiveDistribution:
+                rng: Optional[np.random.Generator] = None,
+                workers: int = 1) -> PredictiveDistribution:
     """Probability-space average of per-draw predictions.
 
-    ``predict`` maps one flat weight vector to probabilities. Point
-    posteriors ignore n_samples; sample sets use every stored member (for
-    mc-dropout, identical rows that ``predict`` masks afresh each call);
-    bbb and swag draw ``n_samples`` fresh weight vectors from ``rng``.
+    ``predict`` maps one flat weight vector and its draw index to
+    probabilities. Point posteriors ignore n_samples; sample sets use
+    every stored member (for mc-dropout, identical rows that ``predict``
+    masks by draw index); bbb and swag draw ``n_samples`` fresh weight
+    vectors from ``rng``, in the calling thread and in draw order.
+
+    With ``workers`` above 1 and more than one draw, ``predict`` runs on
+    min(workers, draws) threads, with at most ``workers`` weight vectors
+    in flight, so their memory does not grow with the draw count.
+    Predictions are stacked by draw index, so the mean equals the serial
+    one whenever ``predict``'s result does not depend on the thread that
+    runs it. The threads overlap numpy work that releases the interpreter
+    lock; a caller gains only where BLAS leaves them cores to run on.
     """
+    count = draws_of(post, n_samples)
     if post.mode == "point":
-        draws = [predict(post.point)]
+        weights = iter([post.point])
     elif post.mode == "samples":
-        draws = [predict(s) for s in post.samples]
+        weights = iter(post.samples)
     else:
         if n_samples < 1:
             raise ConfigError("need at least one marginalization draw")
@@ -634,9 +657,36 @@ def marginalize(predict: Callable[[np.ndarray], np.ndarray],
             raise ConfigError(f"{post.mode} marginalization needs an rng")
         if post.mode == "bbb":
             sigma = post.bbb_sigma
-            draws = [predict(post.mu + sigma * rng.standard_normal(
-                post.mu.shape)) for _ in range(n_samples)]
+            weights = (post.mu + sigma * rng.standard_normal(post.mu.shape)
+                       for _ in range(n_samples))
         else:
-            draws = [predict(swag_sample(post, rng)) for _ in range(n_samples)]
-    probs = np.stack(draws)
-    return PredictiveDistribution(probs.mean(axis=0), len(draws))
+            weights = (swag_sample(post, rng) for _ in range(n_samples))
+    draws = _run_draws(predict, weights, min(workers, count))
+    return PredictiveDistribution(np.stack(draws).mean(axis=0), len(draws))
+
+
+def _run_draws(predict: Callable[[np.ndarray, int], np.ndarray],
+               weights: Iterator[np.ndarray], workers: int
+               ) -> list[np.ndarray]:
+    """``predict(w, k)`` for the k-th vector of ``weights``, listed by k;
+    on ``workers`` threads when above 1, each vector taken from
+    ``weights`` in this thread only once a thread is free for it."""
+    if workers < 2:
+        return [predict(w, k) for k, w in enumerate(weights)]
+    # imported here: only a pooled prediction needs threads
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+    done: dict[int, np.ndarray] = {}
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        running: dict = {}
+        for k in itertools.count():
+            if len(running) == workers:
+                finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    done[running.pop(future)] = future.result()
+            w = next(weights, None)
+            if w is None:
+                break
+            running[pool.submit(predict, w, k)] = k
+        for future, k in running.items():
+            done[k] = future.result()
+    return [done[k] for k in range(len(done))]

@@ -48,7 +48,7 @@ DEFAULT_CONFIG: dict = {
     "seeds": [0, 1, 2, 3, 4, 5, 6, 7],
     "batch_size": 128,
     "out_dir": "runs",
-    "workers": 0,              # 0 = as many as the cores hold beside BLAS
+    "workers": 0,              # train processes, draw threads; 0 = by cores
 }
 
 # details that do not change any single artifact's content: execution
@@ -373,13 +373,18 @@ def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
 
 
 def _stacked_predictor(model: GnnClassifier, batches: list,
-                       dropout_rng: Optional[np.random.Generator] = None):
-    """Probabilities over all batches; with ``dropout_rng``, every call
-    runs under fresh dropout masks drawn from it."""
-    def predict(flat: np.ndarray) -> np.ndarray:
+                       dropout_seed: Optional[int] = None):
+    """Probabilities over all batches for one draw's weights; with
+    ``dropout_seed``, draw k runs batch i under dropout masks from the
+    ``eval-dropout`` stream keyed (k, i), so a pass's masks depend on
+    neither the other passes nor the thread that runs it."""
+    def predict(flat: np.ndarray, draw: int = 0) -> np.ndarray:
+        if dropout_seed is None:
+            return np.vstack([model.predict_proba(flat, b) for b in batches])
         return np.vstack([model.predict_proba(
-            flat, b, train=dropout_rng is not None, dropout_rng=dropout_rng)
-            for b in batches])
+            flat, b, train=True,
+            dropout_rng=bayes.stream(dropout_seed, "eval-dropout", draw, i))
+            for i, b in enumerate(batches)])
     return predict
 
 
@@ -392,17 +397,41 @@ def _predictive(cfg: dict, model: GnnClassifier,
         post = bayes.PosteriorRepresentation(mode="point", digest=post.digest,
                                              point=getattr(post, name))
     n_draws = bayes.draw_count(mode, cfg["eval_samples"])
-    rng = bayes.stream(seed, "eval-draw")
-    if mode != "mcdo":
-        return bayes.marginalize(_stacked_predictor(model, batches), post,
-                                 n_samples=n_draws, rng=rng)
-    if post.mode != "point":
-        raise ConfigError("mc-dropout evaluation needs a point artifact")
-    # n_draws copies of the point (a view, no copy), each under new masks
-    passes = bayes.PosteriorRepresentation(
-        mode="samples", digest=post.digest,
-        samples=np.broadcast_to(post.point, (n_draws, post.point.size)))
-    return bayes.marginalize(_stacked_predictor(model, batches, rng), passes)
+    dropout_seed = None
+    if mode == "mcdo":
+        if post.mode != "point":
+            raise ConfigError("mc-dropout evaluation needs a point artifact")
+        # n_draws copies of the point (a view, no copy), each under new masks
+        post = bayes.PosteriorRepresentation(
+            mode="samples", digest=post.digest,
+            samples=np.broadcast_to(post.point, (n_draws, post.point.size)))
+        dropout_seed = seed
+    return _marginalize(cfg["workers"],
+                        _stacked_predictor(model, batches, dropout_seed),
+                        post, n_draws, bayes.stream(seed, "eval-draw"))
+
+
+def _marginalize(workers: int, predict, post: bayes.PosteriorRepresentation,
+                 n_draws: int, rng: np.random.Generator
+                 ) -> bayes.PredictiveDistribution:
+    """``bayes.marginalize`` on a pool of ``workers`` threads (0: one per
+    core), with OpenBLAS held to one thread while the pool runs, so that
+    the draws, not BLAS, share the cores. The bits do not move: a forward
+    pass contracts only over feature widths, whose products give the same
+    bits under one and two OpenBLAS threads (a test checks the default
+    dims). With one worker or draw left, or no OpenBLAS control found,
+    the draws run in this thread and BLAS is left as it is."""
+    workers = min(workers or _cores(), bayes.draws_of(post, n_draws))
+    blas = _openblas_threads() if workers > 1 else None
+    if blas is None:
+        return bayes.marginalize(predict, post, n_draws, rng)
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        return bayes.marginalize(predict, post, n_draws, rng, workers=workers)
+    finally:
+        set_threads(before)
 
 
 def _check_artifact(cfg: dict, model: GnnClassifier,
@@ -488,6 +517,16 @@ def _train_one_seed(payload: tuple) -> dict:
             "valid_auroc": final.get("valid_auroc")}
 
 
+def _cores() -> int:
+    """Cores this process may run on: its affinity set, which a
+    cpuset-limited container narrows below the host's count, where the
+    OS reports one, else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _blas_threads() -> int:
     """Threads each process's BLAS runs: the first positive count among
     its thread variables, else one per core, the OpenBLAS and MKL default."""
@@ -498,7 +537,7 @@ def _blas_threads() -> int:
             continue
         if n > 0:
             return n
-    return os.cpu_count() or 1
+    return _cores()
 
 
 def _worker_count(workers: int, n_seeds: int) -> int:
@@ -507,12 +546,12 @@ def _worker_count(workers: int, n_seeds: int) -> int:
 
     On a host where BLAS takes every core, seeds train one after another
     in this process, because parallel workers would only contend for the
-    cores. BLAS thread counts are read, never set: they change the bits
-    of a matrix product, so pinning them here would make an artifact
-    depend on the worker count.
+    cores. Training never sets a BLAS thread count: it changes the bits
+    of the weight gradient's long contractions, so pinning it here would
+    make an artifact depend on the worker count.
     """
     if workers == 0:
-        workers = max(1, (os.cpu_count() or 1) // _blas_threads())
+        workers = max(1, _cores() // _blas_threads())
     return min(workers, n_seeds)
 
 
@@ -760,6 +799,44 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+# OpenBLAS's thread-count functions under the names its builds export:
+# plain, and the symbol-suffixed builds numpy and scipy wheels ship
+_OPENBLAS_THREAD_CALLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"))
+
+
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS mapped into
+    this process, or None where none is found: off Linux, under another
+    BLAS, or where it exports none of the known names."""
+    try:
+        maps = artifacts.read_file("/proc/self/maps")
+    except DataError:
+        return None
+    # each mapping: address, perms, offset, device, inode and a path if any
+    paths = {fields[-1] for fields in map(bytes.split, maps.splitlines())
+             if len(fields) == 6
+             and b"openblas" in os.path.basename(fields[-1]).lower()}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(os.fsdecode(path))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            get_threads = getattr(lib, get_name, None)
+            set_threads = getattr(lib, set_name, None)
+            if get_threads is not None and set_threads is not None:
+                get_threads.argtypes = ()
+                get_threads.restype = ctypes.c_int
+                set_threads.argtypes = (ctypes.c_int,)
+                set_threads.restype = None
+                return get_threads, set_threads
+    return None
 
 
 def main(argv=None) -> int:

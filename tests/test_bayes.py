@@ -3,6 +3,9 @@
 import dataclasses
 import gc
 import random
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -376,24 +379,27 @@ def test_ensemble_excludes_diverging_member():
 # mc-dropout prediction
 
 
-def mc_dropout(predict, n_passes, rng):
+def mc_dropout(predict, n_passes, seed, workers=1):
     """Marginalize as eval does for mcdo: ``n_passes`` identical rows of
-    one point, each predicted under masks from ``rng``."""
+    one point, pass k predicted under masks from the seed's
+    ``eval-dropout`` stream keyed (k, 0)."""
     point = np.zeros(2)
     passes = bayes.PosteriorRepresentation(
         mode="samples", digest="d",
         samples=np.broadcast_to(point, (n_passes, point.size)))
-    return bayes.marginalize(lambda flat: predict(rng), passes)
+    return bayes.marginalize(
+        lambda flat, k: predict(bayes.stream(seed, "eval-dropout", k, 0)),
+        passes, workers=workers)
 
 
 def test_mc_dropout_rejects_zero_passes():
     with pytest.raises(ConfigError):
-        mc_dropout(lambda rng: np.zeros((1, 1)), 0, np.random.default_rng(0))
+        mc_dropout(lambda rng: np.zeros((1, 1)), 0, 0)
 
 
 def test_mc_dropout_constant_predictor():
     const = np.full((3, 1), 0.25)
-    out = mc_dropout(lambda rng: const, 7, np.random.default_rng(0))
+    out = mc_dropout(lambda rng: const, 7, 0)
     assert np.allclose(out.mean, 0.25)
     assert out.n_samples == 7
 
@@ -402,8 +408,9 @@ def test_mc_dropout_single_pass_matches_stream():
     def predict(rng):
         return np.array([[rng.uniform()]])
 
-    out = mc_dropout(predict, 1, np.random.default_rng(11))
-    assert out.mean[0, 0] == np.random.default_rng(11).uniform()
+    out = mc_dropout(predict, 1, 11)
+    assert out.mean[0, 0] == \
+        bayes.stream(11, "eval-dropout", 0, 0).uniform()
 
 
 def test_mc_dropout_enumerated_masks():
@@ -423,7 +430,7 @@ def test_mc_dropout_enumerated_masks():
     def predict(rng):
         return np.array([[prob(queue.pop(0))]])
 
-    out = mc_dropout(predict, 4, np.random.default_rng(0))
+    out = mc_dropout(predict, 4, 0)
     assert abs(out.mean[0, 0] - hand) < 1e-15
 
 
@@ -587,7 +594,7 @@ def test_train_sgld_zero_lr_marginalizes_to_point():
     assert np.array_equal(post.samples[0], init)
     assert np.array_equal(post.samples[1], init)
 
-    def predict(flat):
+    def predict(flat, draw=0):
         return np.array([[1.0 / (1.0 + np.exp(-flat[0]))]])
 
     marg = bayes.marginalize(predict, post)
@@ -818,7 +825,7 @@ def test_posterior_save_load_roundtrip(tmp_path):
     loaded = bayes.load_posterior(str(tmp_path / "point.post"))
     assert loaded.meta["trained"] == "none"
 
-    def predict(flat):
+    def predict(flat, draw):
         return np.atleast_2d(1.0 / (1.0 + np.exp(-flat[:2])))
 
     for name in ("point", "samples"):
@@ -836,7 +843,7 @@ def test_marginalize_two_draws():
     post = bayes.PosteriorRepresentation(
         mode="samples", digest="d",
         samples=np.array([[0.2], [0.8]]))
-    out = bayes.marginalize(lambda w: np.array([[w[0]]]), post)
+    out = bayes.marginalize(lambda w, k: np.array([[w[0]]]), post)
     assert out.mean[0, 0] == 0.5
     assert out.uncertainty[0, 0] == 0.5
     assert out.n_samples == 2
@@ -845,7 +852,7 @@ def test_marginalize_two_draws():
 def test_marginalize_point_ignores_n_samples():
     post = bayes.PosteriorRepresentation(mode="point", digest="d",
                                          point=np.array([0.3]))
-    out = bayes.marginalize(lambda w: np.array([[w[0]]]), post,
+    out = bayes.marginalize(lambda w, k: np.array([[w[0]]]), post,
                             n_samples=50)
     assert out.mean[0, 0] == 0.3
     assert out.n_samples == 1
@@ -855,7 +862,7 @@ def test_uncertainty_endpoints_and_peak():
     ys = np.array([[0.0], [1.0], [0.5], [0.25]])
     post = bayes.PosteriorRepresentation(mode="samples", digest="d",
                                          samples=np.array([[0.0]]))
-    out = bayes.marginalize(lambda w: ys, post)
+    out = bayes.marginalize(lambda w, k: ys, post)
     u = out.uncertainty
     assert u[0, 0] == 0.0 and u[1, 0] == 0.0
     assert u[2, 0] == 0.5
@@ -867,12 +874,12 @@ def test_marginalize_bbb_and_swag_need_rng():
     bbb = bayes.PosteriorRepresentation(mode="bbb", digest="d",
                                         mu=np.zeros(1), rho=np.zeros(1))
     with pytest.raises(ConfigError):
-        bayes.marginalize(lambda w: np.array([[0.5]]), bbb)
+        bayes.marginalize(lambda w, k: np.array([[0.5]]), bbb)
     with pytest.raises(ConfigError):
-        bayes.marginalize(lambda w: np.array([[0.5]]), bbb, n_samples=0,
+        bayes.marginalize(lambda w, k: np.array([[0.5]]), bbb, n_samples=0,
                           rng=np.random.default_rng(0))
-    out = bayes.marginalize(lambda w: np.array([[0.5]]), bbb, n_samples=3,
-                            rng=np.random.default_rng(0))
+    out = bayes.marginalize(lambda w, k: np.array([[0.5]]), bbb,
+                            n_samples=3, rng=np.random.default_rng(0))
     assert out.n_samples == 3
 
 
@@ -882,7 +889,7 @@ def test_marginalize_bbb_tight_posterior_recovers_mu():
     post = bayes.PosteriorRepresentation(mode="bbb", digest="d", mu=mu,
                                          rho=rho)
 
-    def predict(flat):
+    def predict(flat, draw):
         return np.atleast_2d(flat.copy())
 
     out = bayes.marginalize(predict, post, n_samples=10,
@@ -892,10 +899,119 @@ def test_marginalize_bbb_tight_posterior_recovers_mu():
 
 def test_marginalize_swag_draws():
     post = hand_swag([np.array([0.2, 0.4]), np.array([0.4, 0.2])])
-    out = bayes.marginalize(lambda w: np.atleast_2d(np.clip(w, 0, 1)), post,
-                            n_samples=5, rng=np.random.default_rng(0))
+    out = bayes.marginalize(lambda w, k: np.atleast_2d(np.clip(w, 0, 1)),
+                            post, n_samples=5, rng=np.random.default_rng(0))
     assert out.n_samples == 5
     assert out.mean.shape == (1, 2)
+
+
+def gnn_posteriors():
+    """A small gat on generated molecules, its init as a point, and one
+    posterior of each stored layout around it; mcdo is the point
+    repeated, as eval marginalizes it."""
+    model = GnnClassifier(ModelConfig(architecture="gat", hidden_dim=16,
+                                      graph_dim=16, n_layers=2))
+    batch = generated_batch(16)
+    point = model.init_params(bayes.stream(SEED, "init"))
+    rng = np.random.default_rng(3)
+    near = point + 0.1 * rng.standard_normal((5, point.size))
+    posts = {
+        "point": bayes.PosteriorRepresentation(mode="point", digest="d",
+                                               point=point),
+        "ensemble": bayes.PosteriorRepresentation(mode="samples", digest="d",
+                                                  samples=near[:3]),
+        "sgld": bayes.PosteriorRepresentation(mode="samples", digest="d",
+                                              samples=near),
+        "bbb": bayes.PosteriorRepresentation(
+            mode="bbb", digest="d", mu=point,
+            rho=np.full(point.size, bayes._softplus_inv(0.05))),
+        "swag": hand_swag(list(near)),
+        "mcdo": bayes.PosteriorRepresentation(
+            mode="samples", digest="d",
+            samples=np.broadcast_to(point, (7, point.size))),
+    }
+    return model, batch, posts
+
+
+@pytest.mark.parametrize("name", ["point", "ensemble", "sgld", "bbb", "swag",
+                                  "mcdo"])
+def test_pooled_marginalize_matches_serial(name):
+    model, batch, posts = gnn_posteriors()
+
+    def predict(flat, draw):
+        if name != "mcdo":
+            return model.predict_proba(flat, batch)
+        return model.predict_proba(
+            flat, batch, train=True,
+            dropout_rng=bayes.stream(SEED, "eval-dropout", draw, 0))
+
+    serial, pooled = (
+        bayes.marginalize(predict, posts[name], n_samples=6,
+                          rng=bayes.stream(SEED, "eval-draw"),
+                          workers=workers)
+        for workers in (1, 2))
+    assert pooled.mean.tobytes() == serial.mean.tobytes()
+    assert pooled.n_samples == serial.n_samples
+
+
+@pytest.mark.parametrize("mode", ["bbb", "swag"])
+def test_pool_draws_in_order_with_bounded_vectors_in_flight(mode):
+    # more threads than cores and a short switch interval: each draw's
+    # vector must reach the pass of its index, and no more than
+    # ``workers`` vectors may be drawn and not yet predicted
+    workers, n_draws = 4, 40
+    post = {"bbb": bayes.PosteriorRepresentation(
+                mode="bbb", digest="d", mu=np.zeros(3), rho=np.zeros(3)),
+            "swag": hand_swag([np.arange(3.0), np.ones(3), -np.ones(3)])}[mode]
+    lock = threading.Lock()
+    count = {"drawn": 0, "predicted": 0}
+    in_flight = []
+
+    class CountingRng:
+        """Counts weight vectors: each draw starts with a call of the
+        weights' shape (swag adds one of its rank)."""
+
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, shape):
+            if isinstance(shape, tuple):
+                with lock:
+                    count["drawn"] += 1
+                    in_flight.append(count["drawn"] - count["predicted"])
+            return self.rng.standard_normal(shape)
+
+    def predict(flat, draw):
+        time.sleep(0.001 * (draw % 3))
+        with lock:
+            count["predicted"] += 1
+        return np.atleast_2d(1.0 / (1.0 + np.exp(-flat)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = bayes.marginalize(predict, post, n_samples=n_draws,
+                                   rng=CountingRng(np.random.default_rng(5)),
+                                   workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = bayes.marginalize(predict, post, n_samples=n_draws,
+                               rng=np.random.default_rng(5))
+    assert pooled.mean.tobytes() == serial.mean.tobytes()
+    assert len(in_flight) == n_draws and max(in_flight) <= workers
+
+
+def test_pool_raises_a_failed_pass():
+    post = bayes.PosteriorRepresentation(mode="samples", digest="d",
+                                         samples=np.zeros((6, 1)))
+
+    def predict(flat, draw):
+        if draw == 3:
+            raise NumericError("pass 3 failed")
+        return np.full((1, 1), 0.5)
+
+    with pytest.raises(NumericError, match="pass 3"):
+        bayes.marginalize(predict, post, workers=2)
 
 
 def test_predictive_validation():

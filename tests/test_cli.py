@@ -280,7 +280,15 @@ def test_train_determinism_across_runs_and_workers(synthetic_csv, tmp_path):
     (2, {}, 5, 2, 2),
 ])
 def test_worker_count(monkeypatch, cores, env, workers, n_seeds, expected):
-    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    # cores come from the affinity set, never the host's larger count;
+    # without an affinity call, from the host's count, which may be unknown
+    if cores is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cores)))
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
@@ -303,6 +311,43 @@ def test_pinned_blas_pool_matches_serial(synthetic_csv, tmp_path):
             env=env, check=True, capture_output=True, timeout=300)
     for name in ("none_seed0.post", "none_seed1.post"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+def test_draw_pool_holds_blas_to_one_thread_and_restores_it():
+    blas = cli._openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread control found in this process")
+    get_threads, set_threads = blas
+    original = get_threads()
+    seen, failing = [], {2}
+
+    def predict(flat, draw):
+        seen.append(get_threads())
+        if draw in failing:
+            raise NumericError(f"pass {draw} failed")
+        return np.full((1, 1), 0.5)
+
+    passes = bayes.PosteriorRepresentation(mode="samples", digest="d",
+                                           samples=np.zeros((4, 1)))
+    point = bayes.PosteriorRepresentation(mode="point", digest="d",
+                                          point=np.zeros(2))
+    rng = np.random.default_rng(0)
+    set_threads(2)
+    try:
+        with pytest.raises(NumericError, match="pass 2"):
+            cli._marginalize(2, predict, passes, 4, rng)
+        assert get_threads() == 2 and set(seen) == {1}
+        seen.clear()
+        failing.clear()
+        assert cli._marginalize(3, predict, passes, 4, rng).n_samples == 4
+        assert get_threads() == 2 and set(seen) == {1}
+        # one draw or one worker: no pool and no change to BLAS
+        seen.clear()
+        cli._marginalize(0, predict, point, 4, rng)
+        cli._marginalize(1, predict, passes, 4, rng)
+        assert seen == [2] * 5
+    finally:
+        set_threads(original)
 
 
 def test_importing_the_cli_leaves_the_pool_module_out():
@@ -713,6 +758,48 @@ def test_screen_training_set_with_converged_model(synthetic_csv, tmp_path):
     assert rc == 0
     summary = _read_json(tmp_path / "screen_none_summary.json")
     assert summary["extreme_fraction"] > 0.5, summary
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_screen_nan_weight_exits_4(synthetic_csv, trained_point_dir,
+                                   tmp_path, workers):
+    # three draws, the second with a NaN weight: the pool must surface
+    # the non-finite mean as the serial loop does
+    point = bayes.load_posterior(str(trained_point_dir / "none_seed0.post"))
+    samples = np.stack([point.point] * 3)
+    samples[1, 0] = np.nan
+    path = tmp_path / "nan.post"
+    bayes.save_posterior(str(path), bayes.PosteriorRepresentation(
+        mode="samples", digest=point.digest, samples=samples,
+        meta=point.meta))
+    library = tmp_path / "library.smi"
+    library.write_text("CCO\nc1ccccc1O\n")
+    rc = cli.main(["screen", *_args(synthetic_csv, tmp_path,
+                                    "--set", "schedule.epochs=1"),
+                   "--mode", "none", "--arch", "gcn", "--seeds", "0",
+                   "--posterior", str(path), "--library", str(library),
+                   "--set", f"workers={workers}"])
+    assert rc == 4
+
+
+def test_mcdo_eval_and_screen_do_not_depend_on_workers(synthetic_csv,
+                                                       tmp_path):
+    extra = ("--set", "model.dropout=0.2", "--set", "schedule.epochs=2",
+             "--set", "eval_samples=5")
+    base = [*_args(synthetic_csv, tmp_path, *extra), "--mode", "mcdo",
+            "--arch", "gcn", "--seeds", "0"]
+    library = tmp_path / "library.smi"
+    library.write_text("CCO\nc1ccccc1O\nC1CCNCC1\n")
+    assert cli.main(["train", *base]) == 0
+    outputs = ("eval_mcdo.json", "mcdo_seed0_confusion.csv",
+               "screen_mcdo_ranking.csv")
+    runs = []
+    for workers in (1, 2, 2):
+        for command in (["eval"], ["screen", "--library", str(library)]):
+            assert cli.main([*command, *base,
+                             "--set", f"workers={workers}"]) == 0
+        runs.append([(tmp_path / name).read_bytes() for name in outputs])
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_screen_empty_library_exits_3(synthetic_csv, tmp_path):

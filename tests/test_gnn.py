@@ -1,5 +1,9 @@
 """Layer semantics, batch mechanics, equivariance and gradients."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -565,3 +569,46 @@ def test_dropout_changes_training_forward_only():
     with pytest.raises(ConfigError):
         model.logits(flat, batch, train=True)
 
+
+
+# one sha256 of the raw float64 logits per batch size and architecture,
+# at the default dims, on drug-sized molecules of ring and linker pieces
+LOGIT_HASHES = """
+import hashlib, random
+import numpy as np
+from molbayes.chem import featurize, parse_smiles
+from molbayes.gnn import ARCHITECTURES, GnnClassifier, ModelConfig, make_batch
+RINGS = ("c1ccccc1", "C1CCNCC1", "c1ccncc1", "C1CCOC1", "c1ccsc1")
+LINKS = ("C", "CC", "CO", "CN", "C(=O)N", "CCO", "C(C)C")
+rnd = random.Random(5)
+for n in (128, 512):
+    smiles = ["".join(rnd.choice(RINGS) + rnd.choice(LINKS)
+                      for _ in range(rnd.randint(2, 4))) for _ in range(n)]
+    batch = make_batch([featurize(parse_smiles(s)) for s in smiles],
+                       np.zeros((n, 1)))
+    for arch in ARCHITECTURES:
+        model = GnnClassifier(ModelConfig(architecture=arch))
+        logits = model.logits(model.init_params(np.random.default_rng(0)),
+                              batch)
+        print(n, arch, hashlib.sha256(logits.tobytes()).hexdigest())
+"""
+
+
+def test_forward_bits_do_not_depend_on_blas_threads():
+    # prediction pins BLAS to one thread while its draws run on a pool;
+    # that keeps outputs only because no forward product is split across
+    # BLAS threads: each contracts over at most graph_dim = 256 columns
+    src = os.path.dirname(os.path.dirname(gnn.__file__))
+    runs = [subprocess.Popen(
+        [sys.executable, "-c", LOGIT_HASHES], stdout=subprocess.PIPE,
+        text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                            PYTHONPATH=os.pathsep.join(
+                                [src, os.environ.get("PYTHONPATH", "")])))
+        for threads in ("1", "2")]
+    hashes = []
+    for run in runs:
+        out, _ = run.communicate(timeout=300)
+        assert run.returncode == 0
+        hashes.append(out.splitlines())
+    assert len(hashes[0]) == 2 * len(gnn.ARCHITECTURES)
+    assert hashes[0] == hashes[1]

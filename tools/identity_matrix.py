@@ -2,6 +2,7 @@
 
 Usage:
     python tools/identity_matrix.py OLD_SRC NEW_SRC [--work DIR]
+                                    [--new-workers N]
 
 OLD_SRC and NEW_SRC are directories holding the ``molbayes`` package (a
 checkout's ``src``). For every architecture and trained mode the script
@@ -12,10 +13,14 @@ difference in an output file, in standard output or in an exit code is a
 difference in the program. Models are small (width 8, one layer) and the
 schedules short; swag trains at lr 0.01 because the default lr diverges.
 Both trees run in the caller's environment, BLAS thread settings included.
+Every command runs with ``workers=1``; ``--new-workers N`` runs NEW_SRC's
+commands with ``workers=N`` instead, so that passing one tree twice
+compares its serial and pooled paths.
 
-The last line counts the differing or one-sided output files of each
-architecture, so a change meant to move one architecture's outputs can
-show that no other architecture's moved.
+The last two lines count the differing or one-sided output files of each
+architecture and of each mode's chain (``swa`` outputs are in ``swag``'s),
+so a change meant to move one architecture's or mode's outputs can show
+that no other's moved.
 
 Exit status: 0 when every command exits 0 under both trees and every
 output is byte-identical; 1 otherwise, after listing each difference and
@@ -38,7 +43,7 @@ COMMON = ("--set", "dataset.path=../inputs/corpus.csv",
           "--set", 'dataset.label_columns=["activity"]',
           "--set", "model.hidden_dim=8", "--set", "model.graph_dim=8",
           "--set", "model.n_layers=1", "--set", "model.n_heads=2",
-          "--set", "batch_size=16", "--set", "workers=1",
+          "--set", "batch_size=16",
           "--set", "ensemble_members=2", "--set", "eval_samples=4",
           "--seeds", "0,1")
 SCHEDULE = {
@@ -81,11 +86,12 @@ def write_inputs(root: str) -> None:
         fh.write("\n".join(LIBRARY) + "\n")
 
 
-def chain(arch: str, mode: str) -> list[tuple[str, list[str]]]:
+def chain(arch: str, mode: str,
+          workers: int = 1) -> list[tuple[str, list[str]]]:
     """The (label, argv) commands run for one architecture and mode."""
     out = f"runs/{arch}/{mode}"
     base = [*COMMON, *SCHEDULE.get(mode, DEFAULT_SCHEDULE), "--arch", arch,
-            "--out", out]
+            "--set", f"workers={workers}", "--out", out]
     library = ["--library", "../inputs/library.smi"]
     cmds = [("split", ["split", *base, "--mode", mode]),
             ("train", ["train", *base, "--mode", mode]),
@@ -99,11 +105,12 @@ def chain(arch: str, mode: str) -> list[tuple[str, list[str]]]:
     return [(f"{arch} {mode} {label}", argv) for label, argv in cmds]
 
 
-def run_chain(side_dir: str, src: str, arch: str, mode: str) -> list:
+def run_chain(side_dir: str, src: str, arch: str, mode: str,
+              workers: int) -> list:
     """Run one chain under one tree; (label, exit code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
     results = []
-    for label, argv in chain(arch, mode):
+    for label, argv in chain(arch, mode, workers):
         proc = subprocess.run([sys.executable, "-m", "molbayes", *argv],
                               cwd=side_dir, env=env, capture_output=True)
         results.append((label, proc.returncode, proc.stdout, proc.stderr))
@@ -135,7 +142,7 @@ def diff_runs(old: list, new: list) -> list[str]:
     return problems
 
 
-def compare(work: str, srcs: tuple[str, str]) -> int:
+def compare(work: str, srcs: tuple[str, str], new_workers: int) -> int:
     write_inputs(work)
     sides = [os.path.join(work, name) for name in ("old", "new")]
     for side in sides:
@@ -144,12 +151,14 @@ def compare(work: str, srcs: tuple[str, str]) -> int:
     n_cmds = 0
     for arch in ARCHS:
         for mode in MODES:
-            old, new = (run_chain(side, src, arch, mode)
-                        for side, src in zip(sides, srcs))
+            old, new = (run_chain(side, src, arch, mode, workers)
+                        for side, src, workers in
+                        zip(sides, srcs, (1, new_workers)))
             n_cmds += len(old)
             problems += diff_runs(old, new)
     files = [tree_files(os.path.join(side, "runs")) for side in sides]
     moved = dict.fromkeys(ARCHS, 0)
+    moved_modes = dict.fromkeys(MODES, 0)
     for rel in sorted(set(files[0]) | set(files[1])):
         if rel not in files[0] or rel not in files[1]:
             which = "new" if rel not in files[0] else "old"
@@ -158,13 +167,17 @@ def compare(work: str, srcs: tuple[str, str]) -> int:
             problems.append(f"file differs: {rel}")
         else:
             continue
-        moved[rel.split(os.sep)[0]] += 1
+        arch, mode = rel.split(os.sep)[:2]
+        moved[arch] += 1
+        moved_modes[mode] += 1
     for line in problems:
         print(line)
     print(f"{n_cmds} commands per tree, {len(files[0])} output files, "
           f"{len(problems)} problems")
     print("differing files per architecture: " + ", ".join(
         f"{arch} {count}" for arch, count in moved.items()))
+    print("differing files per mode: " + ", ".join(
+        f"{mode} {count}" for mode, count in moved_modes.items()))
     return 1 if problems else 0
 
 
@@ -174,7 +187,11 @@ def main(argv=None) -> int:
     parser.add_argument("new_src")
     parser.add_argument("--work", help="new directory to keep every output "
                         "in (default: a removed temporary one)")
+    parser.add_argument("--new-workers", type=int, default=1, metavar="N",
+                        help="workers for NEW_SRC's commands (default 1)")
     args = parser.parse_args(argv)
+    if args.new_workers < 0:
+        parser.error("--new-workers must be 0 or more")
     for src in (args.old_src, args.new_src):
         if not os.path.isdir(os.path.join(src, "molbayes")):
             parser.error(f"{src} holds no molbayes package")
@@ -183,9 +200,9 @@ def main(argv=None) -> int:
         if os.path.exists(args.work):
             parser.error(f"{args.work} already exists")
         os.makedirs(args.work)
-        return compare(args.work, srcs)
+        return compare(args.work, srcs, args.new_workers)
     with tempfile.TemporaryDirectory(prefix="identity-matrix-") as work:
-        return compare(work, srcs)
+        return compare(work, srcs, args.new_workers)
 
 
 if __name__ == "__main__":
