@@ -13,8 +13,10 @@ one into mean probabilities plus the spread-based uncertainty
 u = sqrt(p(1-p)). It is the one prediction path: an mcdo point is
 marginalized as a sample set of identical rows whose predictor keys
 fresh dropout masks by the draw's index, and `draw_count` gives every
-mode's number of draws. Draws are independent, so `marginalize` can run
-them on a pool of threads; results are averaged in draw order.
+mode's number of draws. Each draw is a pure function of the run seed
+and its index (bbb and swag weights come from the `eval-draw` stream
+keyed by it), so `marginalize` can run draws on a pool of threads;
+results are averaged in draw order.
 
 Models are anything exposing `n_params`, `init_params(rng)` and
 `nll(tape, theta, batch, train=, rng=)`; training data is a callable
@@ -23,10 +25,9 @@ producing one epoch's batches from a seeded generator.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -52,7 +53,7 @@ STREAM_IDS = {
     "swag-draw": 4,
     "bbb-noise": 5,
     "split": 6,
-    "eval-draw": 7,
+    "eval-draw": 7,        # keyed by draw
     "eval-dropout": 8,     # keyed by (pass, batch)
 }
 
@@ -626,67 +627,47 @@ def draws_of(post: PosteriorRepresentation, n_samples: int) -> int:
 
 
 def marginalize(predict: Callable[[np.ndarray, int], np.ndarray],
-                post: PosteriorRepresentation, n_samples: int = 30,
-                rng: Optional[np.random.Generator] = None,
-                workers: int = 1) -> PredictiveDistribution:
+                post: PosteriorRepresentation, seed: int,
+                n_samples: int = 30, workers: int = 1
+                ) -> PredictiveDistribution:
     """Probability-space average of per-draw predictions.
 
     ``predict`` maps one flat weight vector and its draw index to
     probabilities. Point posteriors ignore n_samples; sample sets use
     every stored member (for mc-dropout, identical rows that ``predict``
-    masks by draw index); bbb and swag draw ``n_samples`` fresh weight
-    vectors from ``rng``, in the calling thread and in draw order.
+    masks by draw index); bbb and swag make ``n_samples`` fresh weight
+    vectors, draw k from the ``eval-draw`` stream of ``seed`` keyed by k,
+    so each draw depends on nothing but (seed, k).
 
-    With ``workers`` above 1 and more than one draw, ``predict`` runs on
-    min(workers, draws) threads, with at most ``workers`` weight vectors
-    in flight, so their memory does not grow with the draw count.
-    Predictions are stacked by draw index, so the mean equals the serial
+    With ``workers`` above 1 and more than one draw, the draws run on
+    min(workers, draws) threads. Each makes its own weight vector, so no
+    more than ``workers`` are held at once, whatever the draw count.
+    Predictions are averaged in draw order, so the mean equals the serial
     one whenever ``predict``'s result does not depend on the thread that
     runs it. The threads overlap numpy work that releases the interpreter
     lock; a caller gains only where BLAS leaves them cores to run on.
     """
     count = draws_of(post, n_samples)
-    if post.mode == "point":
-        weights = iter([post.point])
-    elif post.mode == "samples":
-        weights = iter(post.samples)
-    else:
-        if n_samples < 1:
-            raise ConfigError("need at least one marginalization draw")
-        if rng is None:
-            raise ConfigError(f"{post.mode} marginalization needs an rng")
-        if post.mode == "bbb":
-            sigma = post.bbb_sigma
-            weights = (post.mu + sigma * rng.standard_normal(post.mu.shape)
-                       for _ in range(n_samples))
+    if count < 1:
+        raise ConfigError("need at least one marginalization draw")
+    sigma = post.bbb_sigma if post.mode == "bbb" else None
+
+    def one(k: int) -> np.ndarray:
+        if post.mode == "point":
+            w = post.point
+        elif post.mode == "samples":
+            w = post.samples[k]
         else:
-            weights = (swag_sample(post, rng) for _ in range(n_samples))
-    draws = _run_draws(predict, weights, min(workers, count))
-    return PredictiveDistribution(np.stack(draws).mean(axis=0), len(draws))
+            rng = stream(seed, "eval-draw", k)
+            w = (post.mu + sigma * rng.standard_normal(sigma.shape)
+                 if post.mode == "bbb" else swag_sample(post, rng))
+        return predict(w, k)
 
-
-def _run_draws(predict: Callable[[np.ndarray, int], np.ndarray],
-               weights: Iterator[np.ndarray], workers: int
-               ) -> list[np.ndarray]:
-    """``predict(w, k)`` for the k-th vector of ``weights``, listed by k;
-    on ``workers`` threads when above 1, each vector taken from
-    ``weights`` in this thread only once a thread is free for it."""
-    if workers < 2:
-        return [predict(w, k) for k, w in enumerate(weights)]
-    # imported here: only a pooled prediction needs threads
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-    done: dict[int, np.ndarray] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        running: dict = {}
-        for k in itertools.count():
-            if len(running) == workers:
-                finished, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    done[running.pop(future)] = future.result()
-            w = next(weights, None)
-            if w is None:
-                break
-            running[pool.submit(predict, w, k)] = k
-        for future, k in running.items():
-            done[k] = future.result()
-    return [done[k] for k in range(len(done))]
+    if workers < 2 or count < 2:
+        draws = [one(k) for k in range(count)]
+    else:
+        # imported here: only a pooled prediction needs threads
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(min(workers, count)) as pool:
+            draws = list(pool.map(one, range(count)))
+    return PredictiveDistribution(np.stack(draws).mean(axis=0), count)

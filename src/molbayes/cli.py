@@ -129,9 +129,12 @@ def _validate_config(cfg: dict) -> None:
     dataset columns, model config and schedule, so that a bad config
     fails before a command reads data or writes a file."""
     seeds = cfg["seeds"]
-    if not seeds or min(seeds) < 0 or len(set(seeds)) != len(seeds):
+    # a stream's entropy is the seed's 32-bit words, zero-padded, so a
+    # seed of 2**32 or more would share streams with smaller seeds
+    if (not seeds or min(seeds) < 0 or max(seeds) >= 2**32
+            or len(set(seeds)) != len(seeds)):
         raise ConfigError("seeds must be a non-empty list of distinct "
-                          "non-negative integers")
+                          "integers from 0 to 2**32 - 1")
     if cfg["mode"] not in bayes.MODES:
         raise ConfigError(f"unknown mode {cfg['mode']!r}; "
                           f"one of {bayes.MODES}")
@@ -408,12 +411,11 @@ def _predictive(cfg: dict, model: GnnClassifier,
         dropout_seed = seed
     return _marginalize(cfg["workers"],
                         _stacked_predictor(model, batches, dropout_seed),
-                        post, n_draws, bayes.stream(seed, "eval-draw"))
+                        post, n_draws, seed)
 
 
 def _marginalize(workers: int, predict, post: bayes.PosteriorRepresentation,
-                 n_draws: int, rng: np.random.Generator
-                 ) -> bayes.PredictiveDistribution:
+                 n_draws: int, seed: int) -> bayes.PredictiveDistribution:
     """``bayes.marginalize`` on a pool of ``workers`` threads (0: one per
     core), with OpenBLAS held to one thread while the pool runs, so that
     the draws, not BLAS, share the cores. The bits do not move: a forward
@@ -424,12 +426,13 @@ def _marginalize(workers: int, predict, post: bayes.PosteriorRepresentation,
     workers = min(workers or _cores(), bayes.draws_of(post, n_draws))
     blas = _openblas_threads() if workers > 1 else None
     if blas is None:
-        return bayes.marginalize(predict, post, n_draws, rng)
+        return bayes.marginalize(predict, post, seed, n_draws)
     get_threads, set_threads = blas
     before = get_threads()
     set_threads(1)
     try:
-        return bayes.marginalize(predict, post, n_draws, rng, workers=workers)
+        return bayes.marginalize(predict, post, seed, n_draws,
+                                 workers=workers)
     finally:
         set_threads(before)
 

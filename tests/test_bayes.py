@@ -389,7 +389,7 @@ def mc_dropout(predict, n_passes, seed, workers=1):
         samples=np.broadcast_to(point, (n_passes, point.size)))
     return bayes.marginalize(
         lambda flat, k: predict(bayes.stream(seed, "eval-dropout", k, 0)),
-        passes, workers=workers)
+        passes, seed, workers=workers)
 
 
 def test_mc_dropout_rejects_zero_passes():
@@ -597,7 +597,7 @@ def test_train_sgld_zero_lr_marginalizes_to_point():
     def predict(flat, draw=0):
         return np.array([[1.0 / (1.0 + np.exp(-flat[0]))]])
 
-    marg = bayes.marginalize(predict, post)
+    marg = bayes.marginalize(predict, post, SEED)
     assert np.array_equal(marg.mean, predict(init))
 
 
@@ -829,9 +829,10 @@ def test_posterior_save_load_roundtrip(tmp_path):
         return np.atleast_2d(1.0 / (1.0 + np.exp(-flat[:2])))
 
     for name in ("point", "samples"):
-        orig = bayes.marginalize(predict, posts[name])
+        orig = bayes.marginalize(predict, posts[name], SEED)
         back = bayes.marginalize(
-            predict, bayes.load_posterior(str(tmp_path / f"{name}.post")))
+            predict, bayes.load_posterior(str(tmp_path / f"{name}.post")),
+            SEED)
         assert orig.mean.tobytes() == back.mean.tobytes()
 
 
@@ -843,7 +844,7 @@ def test_marginalize_two_draws():
     post = bayes.PosteriorRepresentation(
         mode="samples", digest="d",
         samples=np.array([[0.2], [0.8]]))
-    out = bayes.marginalize(lambda w, k: np.array([[w[0]]]), post)
+    out = bayes.marginalize(lambda w, k: np.array([[w[0]]]), post, SEED)
     assert out.mean[0, 0] == 0.5
     assert out.uncertainty[0, 0] == 0.5
     assert out.n_samples == 2
@@ -852,7 +853,7 @@ def test_marginalize_two_draws():
 def test_marginalize_point_ignores_n_samples():
     post = bayes.PosteriorRepresentation(mode="point", digest="d",
                                          point=np.array([0.3]))
-    out = bayes.marginalize(lambda w, k: np.array([[w[0]]]), post,
+    out = bayes.marginalize(lambda w, k: np.array([[w[0]]]), post, SEED,
                             n_samples=50)
     assert out.mean[0, 0] == 0.3
     assert out.n_samples == 1
@@ -862,7 +863,7 @@ def test_uncertainty_endpoints_and_peak():
     ys = np.array([[0.0], [1.0], [0.5], [0.25]])
     post = bayes.PosteriorRepresentation(mode="samples", digest="d",
                                          samples=np.array([[0.0]]))
-    out = bayes.marginalize(lambda w, k: ys, post)
+    out = bayes.marginalize(lambda w, k: ys, post, SEED)
     u = out.uncertainty
     assert u[0, 0] == 0.0 and u[1, 0] == 0.0
     assert u[2, 0] == 0.5
@@ -870,17 +871,14 @@ def test_uncertainty_endpoints_and_peak():
     assert u[2, 0] == u.max()
 
 
-def test_marginalize_bbb_and_swag_need_rng():
-    bbb = bayes.PosteriorRepresentation(mode="bbb", digest="d",
-                                        mu=np.zeros(1), rho=np.zeros(1))
-    with pytest.raises(ConfigError):
-        bayes.marginalize(lambda w, k: np.array([[0.5]]), bbb)
-    with pytest.raises(ConfigError):
-        bayes.marginalize(lambda w, k: np.array([[0.5]]), bbb, n_samples=0,
-                          rng=np.random.default_rng(0))
-    out = bayes.marginalize(lambda w, k: np.array([[0.5]]), bbb,
-                            n_samples=3, rng=np.random.default_rng(0))
-    assert out.n_samples == 3
+def test_marginalize_bbb_and_swag_need_a_draw():
+    posts = (bayes.PosteriorRepresentation(mode="bbb", digest="d",
+                                           mu=np.zeros(1), rho=np.zeros(1)),
+             hand_swag([np.zeros(1), np.ones(1)]))
+    for post in posts:
+        with pytest.raises(ConfigError):
+            bayes.marginalize(lambda w, k: np.array([[0.5]]), post, SEED,
+                              n_samples=0)
 
 
 def test_marginalize_bbb_tight_posterior_recovers_mu():
@@ -892,15 +890,14 @@ def test_marginalize_bbb_tight_posterior_recovers_mu():
     def predict(flat, draw):
         return np.atleast_2d(flat.copy())
 
-    out = bayes.marginalize(predict, post, n_samples=10,
-                            rng=np.random.default_rng(2))
+    out = bayes.marginalize(predict, post, SEED, n_samples=10)
     assert np.allclose(out.mean, np.atleast_2d(mu), atol=1e-6)
 
 
 def test_marginalize_swag_draws():
     post = hand_swag([np.array([0.2, 0.4]), np.array([0.4, 0.2])])
     out = bayes.marginalize(lambda w, k: np.atleast_2d(np.clip(w, 0, 1)),
-                            post, n_samples=5, rng=np.random.default_rng(0))
+                            post, SEED, n_samples=5)
     assert out.n_samples == 5
     assert out.mean.shape == (1, 2)
 
@@ -946,8 +943,7 @@ def test_pooled_marginalize_matches_serial(name):
             dropout_rng=bayes.stream(SEED, "eval-dropout", draw, 0))
 
     serial, pooled = (
-        bayes.marginalize(predict, posts[name], n_samples=6,
-                          rng=bayes.stream(SEED, "eval-draw"),
+        bayes.marginalize(predict, posts[name], SEED, n_samples=6,
                           workers=workers)
         for workers in (1, 2))
     assert pooled.mean.tobytes() == serial.mean.tobytes()
@@ -955,50 +951,58 @@ def test_pooled_marginalize_matches_serial(name):
 
 
 @pytest.mark.parametrize("mode", ["bbb", "swag"])
-def test_pool_draws_in_order_with_bounded_vectors_in_flight(mode):
-    # more threads than cores and a short switch interval: each draw's
-    # vector must reach the pass of its index, and no more than
-    # ``workers`` vectors may be drawn and not yet predicted
-    workers, n_draws = 4, 40
+def test_draws_are_keyed_with_bounded_vectors_in_flight(mode, monkeypatch):
+    # more threads than cores and a short switch interval: draw k must
+    # predict at the weights of the eval-draw stream keyed k, whatever the
+    # pool, and no more than ``workers`` vectors may be made and not yet
+    # predicted
+    n_draws = 40
     post = {"bbb": bayes.PosteriorRepresentation(
                 mode="bbb", digest="d", mu=np.zeros(3), rho=np.zeros(3)),
             "swag": hand_swag([np.arange(3.0), np.ones(3), -np.ones(3)])}[mode]
+    expected = []
+    for k in range(n_draws):
+        rng = bayes.stream(SEED, "eval-draw", k)
+        expected.append(post.mu + post.bbb_sigma * rng.standard_normal(3)
+                        if mode == "bbb" else bayes.swag_sample(post, rng))
     lock = threading.Lock()
-    count = {"drawn": 0, "predicted": 0}
-    in_flight = []
+    count = {"made": 0, "predicted": 0}
+    in_flight, seen = [], {}
+    keyed = bayes.stream
 
-    class CountingRng:
-        """Counts weight vectors: each draw starts with a call of the
-        weights' shape (swag adds one of its rank)."""
-
-        def __init__(self, rng):
-            self.rng = rng
-
-        def standard_normal(self, shape):
-            if isinstance(shape, tuple):
-                with lock:
-                    count["drawn"] += 1
-                    in_flight.append(count["drawn"] - count["predicted"])
-            return self.rng.standard_normal(shape)
+    def counting_stream(seed, purpose, *key):
+        # a draw makes its stream just before its weights
+        with lock:
+            count["made"] += 1
+            in_flight.append(count["made"] - count["predicted"])
+        return keyed(seed, purpose, *key)
 
     def predict(flat, draw):
         time.sleep(0.001 * (draw % 3))
         with lock:
             count["predicted"] += 1
+            seen[draw] = flat.copy()
         return np.atleast_2d(1.0 / (1.0 + np.exp(-flat)))
 
+    monkeypatch.setattr(bayes, "stream", counting_stream)
+    means = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = bayes.marginalize(predict, post, n_samples=n_draws,
-                                   rng=CountingRng(np.random.default_rng(5)),
-                                   workers=workers)
+        for workers in (1, 2, 4):
+            count.update(made=0, predicted=0)
+            in_flight.clear()
+            seen.clear()
+            means.append(bayes.marginalize(predict, post, SEED,
+                                           n_samples=n_draws,
+                                           workers=workers).mean.tobytes())
+            assert sorted(seen) == list(range(n_draws))
+            assert all(seen[k].tobytes() == w.tobytes()
+                       for k, w in enumerate(expected))
+            assert len(in_flight) == n_draws and max(in_flight) <= workers
     finally:
         sys.setswitchinterval(interval)
-    serial = bayes.marginalize(predict, post, n_samples=n_draws,
-                               rng=np.random.default_rng(5))
-    assert pooled.mean.tobytes() == serial.mean.tobytes()
-    assert len(in_flight) == n_draws and max(in_flight) <= workers
+    assert means[0] == means[1] == means[2]
 
 
 def test_pool_raises_a_failed_pass():
@@ -1011,7 +1015,7 @@ def test_pool_raises_a_failed_pass():
         return np.full((1, 1), 0.5)
 
     with pytest.raises(NumericError, match="pass 3"):
-        bayes.marginalize(predict, post, workers=2)
+        bayes.marginalize(predict, post, SEED, workers=2)
 
 
 def test_predictive_validation():

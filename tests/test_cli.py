@@ -150,6 +150,19 @@ def test_bad_values_exit_2(synthetic_csv, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_seeds_must_fit_in_32_bits(synthetic_csv, tmp_path, capsys):
+    # a stream's entropy is the seed's 32-bit words, zero-padded: seed
+    # 2**32 + 5 would initialize from seed 5's shuffle stream
+    assert (bayes.stream(2**32 + 5, "init").random(3).tobytes()
+            == bayes.stream(5, "shuffle").random(3).tobytes())
+    base = _args(synthetic_csv, tmp_path)
+    assert cli.main(["split", *base, "--seeds", "4294967296"]) == 2
+    assert "seeds" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert cli.main(["split", *base, "--seeds", "4294967295"]) == 0
+    assert (tmp_path / "split_seed4294967295.json").is_file()
+
+
 def _dotted_keys(node: dict, path: str = ""):
     for key, value in node.items():
         yield path + key
@@ -331,20 +344,19 @@ def test_draw_pool_holds_blas_to_one_thread_and_restores_it():
                                            samples=np.zeros((4, 1)))
     point = bayes.PosteriorRepresentation(mode="point", digest="d",
                                           point=np.zeros(2))
-    rng = np.random.default_rng(0)
     set_threads(2)
     try:
         with pytest.raises(NumericError, match="pass 2"):
-            cli._marginalize(2, predict, passes, 4, rng)
+            cli._marginalize(2, predict, passes, 4, 0)
         assert get_threads() == 2 and set(seen) == {1}
         seen.clear()
         failing.clear()
-        assert cli._marginalize(3, predict, passes, 4, rng).n_samples == 4
+        assert cli._marginalize(3, predict, passes, 4, 0).n_samples == 4
         assert get_threads() == 2 and set(seen) == {1}
         # one draw or one worker: no pool and no change to BLAS
         seen.clear()
-        cli._marginalize(0, predict, point, 4, rng)
-        cli._marginalize(1, predict, passes, 4, rng)
+        cli._marginalize(0, predict, point, 4, 0)
+        cli._marginalize(1, predict, passes, 4, 0)
         assert seen == [2] * 5
     finally:
         set_threads(original)
@@ -782,17 +794,22 @@ def test_screen_nan_weight_exits_4(synthetic_csv, trained_point_dir,
     assert rc == 4
 
 
-def test_mcdo_eval_and_screen_do_not_depend_on_workers(synthetic_csv,
-                                                       tmp_path):
+@pytest.mark.parametrize("mode", ["mcdo", "bbb", "swag"])
+def test_eval_and_screen_do_not_depend_on_workers(synthetic_csv, tmp_path,
+                                                  mode):
     extra = ("--set", "model.dropout=0.2", "--set", "schedule.epochs=2",
              "--set", "eval_samples=5")
-    base = [*_args(synthetic_csv, tmp_path, *extra), "--mode", "mcdo",
+    if mode == "swag":
+        # both epochs snapshot, at a rate the tiny model survives
+        extra += ("--set", "schedule.cyclic_from=0",
+                  "--set", "schedule.cadence=1", "--set", "schedule.lr=0.01")
+    base = [*_args(synthetic_csv, tmp_path, *extra), "--mode", mode,
             "--arch", "gcn", "--seeds", "0"]
     library = tmp_path / "library.smi"
     library.write_text("CCO\nc1ccccc1O\nC1CCNCC1\n")
     assert cli.main(["train", *base]) == 0
-    outputs = ("eval_mcdo.json", "mcdo_seed0_confusion.csv",
-               "screen_mcdo_ranking.csv")
+    outputs = (f"eval_{mode}.json", f"{mode}_seed0_confusion.csv",
+               f"screen_{mode}_ranking.csv")
     runs = []
     for workers in (1, 2, 2):
         for command in (["eval"], ["screen", "--library", str(library)]):

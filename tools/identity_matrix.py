@@ -2,7 +2,7 @@
 
 Usage:
     python tools/identity_matrix.py OLD_SRC NEW_SRC [--work DIR]
-                                    [--new-workers N]
+                                    [--new-workers N] [--new-blas-threads N]
 
 OLD_SRC and NEW_SRC are directories holding the ``molbayes`` package (a
 checkout's ``src``). For every architecture and trained mode the script
@@ -12,8 +12,10 @@ corpus and library. Both trees run with the same relative paths, so any
 difference in an output file, in standard output or in an exit code is a
 difference in the program. Models are small (width 8, one layer) and the
 schedules short; swag trains at lr 0.01 because the default lr diverges.
-Both trees run in the caller's environment, BLAS thread settings included.
-Every command runs with ``workers=1``; ``--new-workers N`` runs NEW_SRC's
+Both trees run in the caller's environment, BLAS thread settings included;
+``--new-blas-threads N`` runs NEW_SRC's commands with
+``OPENBLAS_NUM_THREADS`` and ``OMP_NUM_THREADS`` set to N instead. Every
+command runs with ``workers=1``; ``--new-workers N`` runs NEW_SRC's
 commands with ``workers=N`` instead, so that passing one tree twice
 compares its serial and pooled paths.
 
@@ -34,6 +36,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from typing import Optional
 
 ARCHS = ("gcn", "gin", "sage", "gat", "gatedgcn")
 MODES = ("none", "ensemble", "mcdo", "bbb", "sgld", "swag")
@@ -106,9 +109,14 @@ def chain(arch: str, mode: str,
 
 
 def run_chain(side_dir: str, src: str, arch: str, mode: str,
-              workers: int) -> list:
-    """Run one chain under one tree; (label, exit code, stdout, stderr)."""
+              workers: int, blas_threads: Optional[int] = None) -> list:
+    """Run one chain under one tree; (label, exit code, stdout, stderr).
+    ``blas_threads`` sets the BLAS thread variables, else they are the
+    caller's."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    if blas_threads is not None:
+        env.update(OPENBLAS_NUM_THREADS=str(blas_threads),
+                   OMP_NUM_THREADS=str(blas_threads))
     results = []
     for label, argv in chain(arch, mode, workers):
         proc = subprocess.run([sys.executable, "-m", "molbayes", *argv],
@@ -142,7 +150,8 @@ def diff_runs(old: list, new: list) -> list[str]:
     return problems
 
 
-def compare(work: str, srcs: tuple[str, str], new_workers: int) -> int:
+def compare(work: str, srcs: tuple[str, str], new_workers: int,
+            new_blas_threads: Optional[int] = None) -> int:
     write_inputs(work)
     sides = [os.path.join(work, name) for name in ("old", "new")]
     for side in sides:
@@ -151,9 +160,10 @@ def compare(work: str, srcs: tuple[str, str], new_workers: int) -> int:
     n_cmds = 0
     for arch in ARCHS:
         for mode in MODES:
-            old, new = (run_chain(side, src, arch, mode, workers)
-                        for side, src, workers in
-                        zip(sides, srcs, (1, new_workers)))
+            old, new = (run_chain(side, src, arch, mode, workers, blas)
+                        for side, src, workers, blas in
+                        zip(sides, srcs, (1, new_workers),
+                            (None, new_blas_threads)))
             n_cmds += len(old)
             problems += diff_runs(old, new)
     files = [tree_files(os.path.join(side, "runs")) for side in sides]
@@ -189,9 +199,14 @@ def main(argv=None) -> int:
                         "in (default: a removed temporary one)")
     parser.add_argument("--new-workers", type=int, default=1, metavar="N",
                         help="workers for NEW_SRC's commands (default 1)")
+    parser.add_argument("--new-blas-threads", type=int, metavar="N",
+                        help="OPENBLAS_NUM_THREADS and OMP_NUM_THREADS for "
+                        "NEW_SRC's commands (default: the caller's)")
     args = parser.parse_args(argv)
     if args.new_workers < 0:
         parser.error("--new-workers must be 0 or more")
+    if args.new_blas_threads is not None and args.new_blas_threads < 1:
+        parser.error("--new-blas-threads must be 1 or more")
     for src in (args.old_src, args.new_src):
         if not os.path.isdir(os.path.join(src, "molbayes")):
             parser.error(f"{src} holds no molbayes package")
@@ -200,9 +215,10 @@ def main(argv=None) -> int:
         if os.path.exists(args.work):
             parser.error(f"{args.work} already exists")
         os.makedirs(args.work)
-        return compare(args.work, srcs, args.new_workers)
+        return compare(args.work, srcs, args.new_workers,
+                       args.new_blas_threads)
     with tempfile.TemporaryDirectory(prefix="identity-matrix-") as work:
-        return compare(work, srcs, args.new_workers)
+        return compare(work, srcs, args.new_workers, args.new_blas_threads)
 
 
 if __name__ == "__main__":
