@@ -12,11 +12,12 @@ mode. Every mode ends in a PosteriorRepresentation; `marginalize` turns
 one into mean probabilities plus the spread-based uncertainty
 u = sqrt(p(1-p)). It is the one prediction path: an mcdo point is
 marginalized as a sample set of identical rows whose predictor keys
-fresh dropout masks by the draw's index, and `draw_count` gives every
-mode's number of draws. Each draw is a pure function of the run seed
-and its index (bbb and swag weights come from the `eval-draw` stream
-keyed by it), so `marginalize` can run draws on a pool of threads;
-results are averaged in draw order.
+fresh dropout masks by the draw's and the batch's index, and
+`draw_count` gives every mode's number of draws. Each draw is a pure
+function of the run seed and its index (bbb and swag weights come from
+the `eval-draw` stream keyed by it), so `marginalize` can run draws, or
+runs of one draw's batches, on a pool of threads; results are stacked
+in draw and batch order.
 
 Models are anything exposing `n_params`, `init_params(rng)` and
 `nll(tape, theta, batch, train=, rng=)`; training data is a callable
@@ -626,33 +627,50 @@ def draws_of(post: PosteriorRepresentation, n_samples: int) -> int:
     return len(post.samples) if post.mode == "samples" else n_samples
 
 
-def marginalize(predict: Callable[[np.ndarray, int], np.ndarray],
+def _units(count: int, n_batches: int, workers: int) -> list[tuple]:
+    """(draw, batch run) pairs, in draw then batch order: one per draw
+    over every batch, or, with fewer draws than workers, each draw's
+    batches cut into at most ``workers // count`` contiguous runs."""
+    parts = max(1, min(n_batches, workers // count))
+    ends = [n_batches * p // parts for p in range(parts + 1)]
+    return [(k, range(lo, hi)) for k in range(count)
+            for lo, hi in zip(ends, ends[1:])]
+
+
+def marginalize(predict: Callable[[np.ndarray, int, int], np.ndarray],
                 post: PosteriorRepresentation, seed: int,
-                n_samples: int = 30, workers: int = 1
+                n_samples: int = 30, workers: int = 1, n_batches: int = 1
                 ) -> PredictiveDistribution:
     """Probability-space average of per-draw predictions.
 
-    ``predict`` maps one flat weight vector and its draw index to
-    probabilities. Point posteriors ignore n_samples; sample sets use
-    every stored member (for mc-dropout, identical rows that ``predict``
-    masks by draw index); bbb and swag make ``n_samples`` fresh weight
-    vectors, draw k from the ``eval-draw`` stream of ``seed`` keyed by k,
-    so each draw depends on nothing but (seed, k).
+    ``predict`` maps one flat weight vector, its draw index and a batch
+    index below ``n_batches`` to that batch's probabilities; a draw's
+    rows are its batches' in batch order. Point posteriors ignore
+    n_samples; sample sets use every stored member (for mc-dropout,
+    identical rows that ``predict`` masks by draw and batch index); bbb
+    and swag make ``n_samples`` fresh weight vectors, draw k from the
+    ``eval-draw`` stream of ``seed`` keyed by k, so each draw depends on
+    nothing but (seed, k).
 
-    With ``workers`` above 1 and more than one draw, the draws run on
-    min(workers, draws) threads. Each makes its own weight vector, so no
-    more than ``workers`` are held at once, whatever the draw count.
-    Predictions are averaged in draw order, so the mean equals the serial
-    one whenever ``predict``'s result does not depend on the thread that
-    runs it. The threads overlap numpy work that releases the interpreter
-    lock; a caller gains only where BLAS leaves them cores to run on.
+    With ``workers`` above 1 and more than one draw or batch, units of
+    (draw, contiguous run of batches) run on min(workers, units) threads.
+    A draw is one unit while there are at least as many draws as workers,
+    so it makes its weight vector once, and no more than ``workers``
+    vectors are held at once, whatever the draw count; with fewer draws,
+    each draw's batches are cut into runs so that one draw uses every
+    worker. Each unit makes its draw's vector. Rows are stacked by draw
+    and batch, so the mean equals the serial one whenever ``predict``'s
+    result does not depend on the thread that runs it. The threads
+    overlap numpy work that releases the interpreter lock; a caller gains
+    only where BLAS leaves them cores to run on.
     """
     count = draws_of(post, n_samples)
     if count < 1:
         raise ConfigError("need at least one marginalization draw")
     sigma = post.bbb_sigma if post.mode == "bbb" else None
 
-    def one(k: int) -> np.ndarray:
+    def run(unit: tuple) -> list[np.ndarray]:
+        k, batches = unit
         if post.mode == "point":
             w = post.point
         elif post.mode == "samples":
@@ -661,13 +679,17 @@ def marginalize(predict: Callable[[np.ndarray, int], np.ndarray],
             rng = stream(seed, "eval-draw", k)
             w = (post.mu + sigma * rng.standard_normal(sigma.shape)
                  if post.mode == "bbb" else swag_sample(post, rng))
-        return predict(w, k)
+        return [predict(w, k, i) for i in batches]
 
-    if workers < 2 or count < 2:
-        draws = [one(k) for k in range(count)]
+    units = _units(count, n_batches, max(workers, 1))
+    if workers < 2 or len(units) < 2:
+        rows = [run(unit) for unit in units]
     else:
         # imported here: only a pooled prediction needs threads
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(min(workers, count)) as pool:
-            draws = list(pool.map(one, range(count)))
+        with ThreadPoolExecutor(min(workers, len(units))) as pool:
+            rows = list(pool.map(run, units))
+    per_draw = len(units) // count
+    draws = [np.concatenate([p for r in rows[k * per_draw:(k + 1) * per_draw]
+                             for p in r]) for k in range(count)]
     return PredictiveDistribution(np.stack(draws).mean(axis=0), count)

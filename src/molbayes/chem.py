@@ -15,7 +15,8 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,23 +58,17 @@ class SmilesError(DataError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     symbol: str           # title case; aromaticity carried separately
     charge: int = 0
     aromatic: bool = False
     h_count: int = 0      # explicit bracket count only
 
 
-@dataclass(frozen=True)
-class Bond:
+class Bond(NamedTuple):
     i: int
     j: int
-    order: str
-
-    def __post_init__(self):
-        if self.order not in BOND_ORDERS:
-            raise ValueError(f"bad bond order {self.order!r}")
+    order: str            # one of BOND_ORDERS
 
 
 @dataclass
@@ -96,21 +91,19 @@ class MoleculeGraph:
 # ---------------------------------------------------------------------------
 # SMILES parsing
 
-_ORGANIC_TWO = ("Cl", "Br")
-_ORGANIC_ONE = set("BCNOPSFI")
-_AROMATIC_ORGANIC = set("bcnops")
-_BRACKET_AROMATIC = {"b", "c", "n", "o", "p", "s", "se", "as"}
 # OpenSMILES digits and element symbols are ASCII; str.isdigit also
 # takes '²', which int() refuses, and str.isupper takes 'É'
 _DIGITS = frozenset("0123456789")
 _UPPER = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _LOWER = frozenset("abcdefghijklmnopqrstuvwxyz")
+# organic-subset tokens and their atoms; an atom is an immutable tuple,
+# so one object serves every occurrence
+_ORGANIC = {**{c: Atom(c) for c in "BCNOPSFI"},
+            **{c: Atom(c.upper(), aromatic=True) for c in "bcnops"}}
+_ORGANIC_TWO = {"Cl": Atom("Cl"), "Br": Atom("Br")}
+_BRACKET_AROMATIC = {"b", "c", "n", "o", "p", "s", "se", "as"}
 _BOND_CHARS = {"-": "single", "=": "double", "#": "triple", ":": "aromatic",
                "/": "single", "\\": "single"}
-
-
-def _default_order(a: Atom, b: Atom) -> str:
-    return "aromatic" if a.aromatic and b.aromatic else "single"
 
 
 def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
@@ -119,11 +112,8 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
     if end < 0:
         raise SmilesError("unclosed bracket atom", start)
     body = s[start + 1:end]
+    at = start + 1          # the offset of body[0]
     pos = 0
-
-    def err(msg):
-        raise SmilesError(msg, start + 1 + pos)
-
     while pos < len(body) and body[pos] in _DIGITS:  # isotope, discarded
         pos += 1
     aromatic = False
@@ -142,9 +132,10 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
         elif body[pos] in _BRACKET_AROMATIC:
             sym, pos, aromatic = body[pos].upper(), pos + 1, True
         else:
-            err(f"unknown element token {body[pos]!r}")
+            raise SmilesError(f"unknown element token {body[pos]!r}",
+                              at + pos)
     else:
-        err("missing element symbol in bracket")
+        raise SmilesError("missing element symbol in bracket", at + pos)
     while pos < len(body) and body[pos] == "@":  # chirality, discarded
         pos += 1
     h_count = 0
@@ -176,11 +167,12 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
     if pos < len(body) and body[pos] == ":":  # atom map, discarded
         pos += 1
         if pos >= len(body) or body[pos] not in _DIGITS:
-            err("atom map without number")
+            raise SmilesError("atom map without number", at + pos)
         while pos < len(body) and body[pos] in _DIGITS:
             pos += 1
     if pos != len(body):
-        err(f"unexpected character {body[pos]!r} in bracket atom")
+        raise SmilesError(f"unexpected character {body[pos]!r} in bracket "
+                          f"atom", at + pos)
     return Atom(sym, charge, aromatic, h_count), end
 
 
@@ -189,118 +181,115 @@ def parse_smiles(s: str) -> MoleculeGraph:
 
     Dot-separated fragments stay in one graph as separate components.
     Raises SmilesError (a DataError) with a character offset on malformed
-    input.
+    input, and on a string with no atoms (say ".").
+
+    One pass over the characters. A chain bond always reaches a new atom,
+    so only a ring closure can bond an atom to itself or repeat a bond:
+    it checks the two atoms' chain neighbours and the earlier closures.
     """
     if not s:
         raise SmilesError("empty SMILES string", 0)
     atoms: list[Atom] = []
     bonds: list[Bond] = []
-    seen_pairs: set[frozenset] = set()
-    prev: Optional[int] = None
-    pending: Optional[tuple[str, int]] = None  # (order, offset)
-    stack: list[tuple[Optional[int], int]] = []  # (prev, '(' offset)
-    rings: dict[int, tuple[int, Optional[str], int]] = {}  # digit -> (atom, order, offset)
-
-    def add_bond(i: int, j: int, order: Optional[str], offset: int):
-        if i == j:
-            raise SmilesError("ring closure bonds an atom to itself", offset)
-        pair = frozenset((i, j))
-        if pair in seen_pairs:
-            raise SmilesError("duplicate bond between the same atoms", offset)
-        seen_pairs.add(pair)
-        if order is None:
-            order = _default_order(atoms[i], atoms[j])
-        bonds.append(Bond(i, j, order))
-
-    def attach(idx: int, offset: int):
-        nonlocal prev, pending
-        if prev is not None:
-            order = pending[0] if pending else None
-            add_bond(prev, idx, order, offset)
-        pending = None
-        prev = idx
-
-    def close_ring(digit: int, offset: int):
-        nonlocal pending
-        if prev is None:
-            raise SmilesError("ring digit before any atom", offset)
-        here_order = pending[0] if pending else None
-        pending = None
-        if digit in rings:
-            other, open_order, _ = rings.pop(digit)
-            if open_order is not None and here_order is not None \
-                    and open_order != here_order:
-                raise SmilesError("conflicting bond orders on ring closure",
-                                  offset)
-            add_bond(other, prev, here_order or open_order, offset)
-        else:
-            rings[digit] = (prev, here_order, offset)
-
-    i = 0
-    n = len(s)
+    chain: list[int] = []       # each atom's chain neighbour, or -1
+    closures: set[tuple[int, int]] = set()
+    prev = -1                   # the atom the next one bonds to; -1: none
+    pending: Optional[str] = None       # bond order waiting for its atom
+    pending_at = 0
+    stack: list[tuple[int, int]] = []   # (prev, '(' offset)
+    # open ring digit -> (atom, bond order, offset)
+    rings: dict[int, tuple[int, Optional[str], int]] = {}
+    i, n = 0, len(s)
     while i < n:
         c = s[i]
-        if c == "[":
-            atom, end = _parse_bracket(s, i)
+        if c in _ORGANIC or c == "[":
+            if c == "[":
+                atom, end = _parse_bracket(s, i)
+                i = end + 1
+            elif s[i:i + 2] in _ORGANIC_TWO:
+                atom = _ORGANIC_TWO[s[i:i + 2]]
+                i += 2
+            else:
+                atom = _ORGANIC[c]
+                i += 1
+            k = len(atoms)
+            if prev >= 0:
+                bonds.append(Bond(prev, k, pending or (
+                    "aromatic" if atom.aromatic and atoms[prev].aromatic
+                    else "single")))
+                pending = None
             atoms.append(atom)
-            attach(len(atoms) - 1, i)
-            i = end + 1
-        elif s[i:i + 2] in _ORGANIC_TWO:
-            atoms.append(Atom(s[i:i + 2]))
-            attach(len(atoms) - 1, i)
-            i += 2
-        elif c in _ORGANIC_ONE:
-            atoms.append(Atom(c))
-            attach(len(atoms) - 1, i)
-            i += 1
-        elif c in _AROMATIC_ORGANIC:
-            atoms.append(Atom(c.upper(), aromatic=True))
-            attach(len(atoms) - 1, i)
-            i += 1
+            chain.append(prev)
+            prev = k
+        elif c in _DIGITS or c == "%":
+            at = i
+            if c == "%":
+                if i + 2 >= n or s[i + 1] not in _DIGITS \
+                        or s[i + 2] not in _DIGITS:
+                    raise SmilesError("% ring closure needs two digits", i)
+                digit = int(s[i + 1:i + 3])
+                i += 3
+            else:
+                digit = int(c)
+                i += 1
+            if prev < 0:
+                raise SmilesError("ring digit before any atom", at)
+            here, pending = pending, None
+            opened = rings.pop(digit, None)
+            if opened is None:
+                rings[digit] = (prev, here, at)
+                continue
+            other, order, _ = opened
+            if order is not None and here is not None and order != here:
+                raise SmilesError("conflicting bond orders on ring closure",
+                                  at)
+            if other == prev:
+                raise SmilesError("ring closure bonds an atom to itself", at)
+            pair = (other, prev) if other < prev else (prev, other)
+            if chain[other] == prev or chain[prev] == other \
+                    or pair in closures:
+                raise SmilesError("duplicate bond between the same atoms", at)
+            closures.add(pair)
+            bonds.append(Bond(other, prev, here or order or (
+                "aromatic" if atoms[other].aromatic and atoms[prev].aromatic
+                else "single")))
         elif c in _BOND_CHARS:
             if pending is not None:
                 raise SmilesError("two bond symbols in a row", i)
-            if prev is None:
+            if prev < 0:
                 raise SmilesError("bond symbol before any atom", i)
-            pending = (_BOND_CHARS[c], i)
+            pending, pending_at = _BOND_CHARS[c], i
             i += 1
-        elif c in _DIGITS:
-            close_ring(int(c), i)
-            i += 1
-        elif c == "%":
-            if i + 2 >= n or s[i + 1] not in _DIGITS \
-                    or s[i + 2] not in _DIGITS:
-                raise SmilesError("% ring closure needs two digits", i)
-            close_ring(int(s[i + 1:i + 3]), i)
-            i += 3
         elif c == "(":
-            if prev is None:
+            if prev < 0:
                 raise SmilesError("branch before any atom", i)
             if pending is not None:
-                raise SmilesError("bond symbol before '('", pending[1])
+                raise SmilesError("bond symbol before '('", pending_at)
             stack.append((prev, i))
             i += 1
         elif c == ")":
             if not stack:
                 raise SmilesError("unbalanced parentheses", i)
             if pending is not None:
-                raise SmilesError("dangling bond before ')'", pending[1])
+                raise SmilesError("dangling bond before ')'", pending_at)
             prev = stack.pop()[0]
             i += 1
         elif c == ".":
             if pending is not None:
-                raise SmilesError("bond symbol before '.'", pending[1])
-            prev = None
+                raise SmilesError("bond symbol before '.'", pending_at)
+            prev = -1
             i += 1
         else:
             raise SmilesError(f"unexpected character {c!r}", i)
     if pending is not None:
-        raise SmilesError("dangling bond at end of string", pending[1])
+        raise SmilesError("dangling bond at end of string", pending_at)
     if stack:
         raise SmilesError("unbalanced parentheses", stack[-1][1])
     if rings:
         digit, (_, _, offset) = min(rings.items(), key=lambda kv: kv[1][2])
         raise SmilesError(f"unclosed ring digit {digit}", offset)
+    if not atoms:
+        raise SmilesError("SMILES string has no atoms", 0)
     return MoleculeGraph(atoms, bonds)
 
 
@@ -319,38 +308,59 @@ _ELEMENT_COLUMN = {sym: k for k, sym in enumerate(ELEMENT_VOCAB)}
 _BOND_COLUMN = {order: k for k, order in enumerate(BOND_ORDERS)}
 
 
-def featurize(m: MoleculeGraph) -> FeaturizedGraph:
+def featurize(molecules: Union[MoleculeGraph, Sequence[MoleculeGraph]]
+              ) -> Union[FeaturizedGraph, list[FeaturizedGraph]]:
     """One-hot atom and bond features; both bond directions materialized.
 
-    Directed edges come out sorted by (dst, src) so downstream segment
+    Takes a list of molecules and featurizes them in one pass: each
+    molecule's arrays are views into arrays shared by the list. One
+    molecule, not in a list, gives its graph alone. Directed edges come
+    out sorted by (dst, src) within each molecule so downstream segment
     reductions see a canonical order.
     """
-    n, n_bonds = len(m.atoms), len(m.bonds)
-    other = len(ELEMENT_VOCAB) - 1
-    lo, hi = CHARGE_RANGE
-    # clipped before it enters an int64 array: a bracket charge has no bound
-    element = np.fromiter((_ELEMENT_COLUMN.get(a.symbol, other)
-                           for a in m.atoms), np.int64, n)
-    charge = np.fromiter((min(max(a.charge, lo), hi) for a in m.atoms),
-                         np.int64, n)
+    if isinstance(molecules, MoleculeGraph):
+        return featurize([molecules])[0]
+    atoms = [a for m in molecules for a in m.atoms]
+    bonds = [b for m in molecules for b in m.bonds]
+    n, n_bonds = len(atoms), len(bonds)
+    # each molecule's first atom and first directed edge, then the totals
+    atom_at = np.cumsum([0, *(len(m.atoms) for m in molecules)])
+    edge_at = 2 * np.cumsum([0, *(len(m.bonds) for m in molecules)])
+    bond_i, bond_j, order = zip(*bonds) if bonds else ((),) * 3
+    # bond ends numbered across the list: each molecule's atoms follow the
+    # previous molecule's
+    shift = np.repeat(atom_at[:-1], np.diff(edge_at) // 2)
     pairs = np.empty((2 * n_bonds, 2), dtype=np.int64)
-    pairs[0::2] = np.fromiter((end for b in m.bonds for end in (b.i, b.j)),
-                              np.int64, 2 * n_bonds).reshape(n_bonds, 2)
+    pairs[0::2, 0] = np.fromiter(bond_i, np.int64, n_bonds) + shift
+    pairs[0::2, 1] = np.fromiter(bond_j, np.int64, n_bonds) + shift
     pairs[1::2] = pairs[0::2, ::-1]
     degree = np.bincount(pairs[:, 0], minlength=n)
-    rows = np.arange(n)
-    node_x = np.zeros((n, NODE_DIM), dtype=np.float64)
-    node_x[rows, element] = 1.0
-    node_x[rows, other + 1 + np.minimum(degree, MAX_DEGREE)] = 1.0
-    node_x[rows, other + MAX_DEGREE + 2 + charge - lo] = 1.0
-    node_x[:, NODE_DIM - 1] = np.fromiter((a.aromatic for a in m.atoms),
-                                          bool, n)
-    bond_col = np.repeat(np.fromiter((_BOND_COLUMN[b.order]
-                                      for b in m.bonds), np.int64, n_bonds), 2)
+    # element, charge and aromatic columns once per distinct atom: a few
+    # dozen atom kinds make up a library
+    other = len(ELEMENT_VOCAB) - 1
+    lo, hi = CHARGE_RANGE
+    kinds = {a: k for k, a in enumerate(dict.fromkeys(atoms))}
+    table = np.zeros((len(kinds), NODE_DIM), dtype=np.float64)
+    for a, k in kinds.items():
+        table[k, _ELEMENT_COLUMN.get(a.symbol, other)] = 1.0
+        # clipped before it indexes: a bracket charge has no bound
+        table[k, other + MAX_DEGREE + 2 + min(max(a.charge, lo), hi) - lo] \
+            = 1.0
+        table[k, NODE_DIM - 1] = a.aromatic
+    node_x = table[np.fromiter(map(kinds.__getitem__, atoms), np.int64, n)]
+    node_x[np.arange(n), other + 1 + np.minimum(degree, MAX_DEGREE)] = 1.0
+    bond_col = np.repeat(np.fromiter(map(_BOND_COLUMN.__getitem__, order),
+                                     np.int64, n_bonds), 2)
+    # keyed by (molecule, dst, src): the numbered dst orders the molecules
     key = np.lexsort((pairs[:, 0], pairs[:, 1]))
     edge_x = np.zeros((2 * n_bonds, EDGE_DIM), dtype=np.float64)
     edge_x[np.arange(2 * n_bonds), bond_col[key]] = 1.0
-    return FeaturizedGraph(node_x, edge_x, pairs[key])
+    edge_index = pairs[key] - np.repeat(atom_at[:-1],
+                                        np.diff(edge_at))[:, None]
+    atom_at, edge_at = atom_at.tolist(), edge_at.tolist()
+    return [FeaturizedGraph(node_x[a0:a1], edge_x[e0:e1], edge_index[e0:e1])
+            for a0, a1, e0, e1 in zip(atom_at, atom_at[1:],
+                                      edge_at, edge_at[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +625,7 @@ class LabeledDataset:
     Each row's parsed graph is kept (parsed here when not given); its
     featurized graph and scaffold key are computed on first use and kept,
     so every split seed and every training seed shares one computation.
+    The rows one request asks for are featurized in one pass.
     """
 
     name: str
@@ -638,11 +649,14 @@ class LabeledDataset:
     def n_tasks(self) -> int:
         return int(self.labels.shape[1])
 
-    def graph(self, i: int) -> FeaturizedGraph:
-        g = self._graphs[i]
-        if g is None:
-            g = self._graphs[i] = featurize(self.molecules[i])
-        return g
+    def graphs(self, indices: Sequence[int]) -> list[FeaturizedGraph]:
+        """The featurized graphs of rows ``indices``. Rows not featurized
+        yet are featurized together, in one call, and kept."""
+        new = [i for i in dict.fromkeys(indices) if self._graphs[i] is None]
+        if new:
+            for i, g in zip(new, featurize([self.molecules[i] for i in new])):
+                self._graphs[i] = g
+        return [self._graphs[i] for i in indices]
 
     def scaffold_key(self, i: int) -> str:
         key = self._keys[i]

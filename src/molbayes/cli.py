@@ -327,8 +327,7 @@ def _write_histogram(base: str, digest: str, bin_low, bin_high,
 
 
 def _featurized(ds: LabeledDataset, indices) -> tuple[list, np.ndarray]:
-    graphs = [ds.graph(i) for i in indices]
-    return graphs, ds.labels[np.asarray(indices, dtype=np.int64)]
+    return ds.graphs(indices), ds.labels[np.asarray(indices, dtype=np.int64)]
 
 
 def _batches(graphs: list, labels: np.ndarray, batch_size: int) -> list:
@@ -375,19 +374,19 @@ def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
 # prediction plumbing shared by eval and screen
 
 
-def _stacked_predictor(model: GnnClassifier, batches: list,
-                       dropout_seed: Optional[int] = None):
-    """Probabilities over all batches for one draw's weights; with
+def _batch_predictor(model: GnnClassifier, batches: list,
+                     dropout_seed: Optional[int] = None):
+    """Probabilities of batch i for one draw's weights; with
     ``dropout_seed``, draw k runs batch i under dropout masks from the
     ``eval-dropout`` stream keyed (k, i), so a pass's masks depend on
-    neither the other passes nor the thread that runs it."""
-    def predict(flat: np.ndarray, draw: int = 0) -> np.ndarray:
+    neither the other passes, nor the other batches, nor the thread that
+    runs it."""
+    def predict(flat: np.ndarray, draw: int, i: int) -> np.ndarray:
         if dropout_seed is None:
-            return np.vstack([model.predict_proba(flat, b) for b in batches])
-        return np.vstack([model.predict_proba(
-            flat, b, train=True,
+            return model.predict_proba(flat, batches[i])
+        return model.predict_proba(
+            flat, batches[i], train=True,
             dropout_rng=bayes.stream(dropout_seed, "eval-dropout", draw, i))
-            for i, b in enumerate(batches)])
     return predict
 
 
@@ -410,29 +409,33 @@ def _predictive(cfg: dict, model: GnnClassifier,
             samples=np.broadcast_to(post.point, (n_draws, post.point.size)))
         dropout_seed = seed
     return _marginalize(cfg["workers"],
-                        _stacked_predictor(model, batches, dropout_seed),
-                        post, n_draws, seed)
+                        _batch_predictor(model, batches, dropout_seed),
+                        post, n_draws, seed, len(batches))
 
 
 def _marginalize(workers: int, predict, post: bayes.PosteriorRepresentation,
-                 n_draws: int, seed: int) -> bayes.PredictiveDistribution:
+                 n_draws: int, seed: int, n_batches: int = 1
+                 ) -> bayes.PredictiveDistribution:
     """``bayes.marginalize`` on a pool of ``workers`` threads (0: one per
     core), with OpenBLAS held to one thread while the pool runs, so that
-    the draws, not BLAS, share the cores. The bits do not move: a forward
-    pass contracts only over feature widths, whose products give the same
-    bits under one and two OpenBLAS threads (a test checks the default
-    dims). With one worker or draw left, or no OpenBLAS control found,
-    the draws run in this thread and BLAS is left as it is."""
-    workers = min(workers or _cores(), bayes.draws_of(post, n_draws))
+    the draws and their batch runs, not BLAS, share the cores. The bits
+    do not move: a forward pass contracts only over feature widths, whose
+    products give the same bits under one and two OpenBLAS threads (a
+    test checks the default dims). With one worker, or one draw of one
+    batch, or no OpenBLAS control found, the prediction runs in this
+    thread and BLAS is left as it is."""
+    workers = min(workers or _cores(),
+                  bayes.draws_of(post, n_draws) * n_batches)
     blas = _openblas_threads() if workers > 1 else None
     if blas is None:
-        return bayes.marginalize(predict, post, seed, n_draws)
+        return bayes.marginalize(predict, post, seed, n_draws,
+                                 n_batches=n_batches)
     get_threads, set_threads = blas
     before = get_threads()
     set_threads(1)
     try:
         return bayes.marginalize(predict, post, seed, n_draws,
-                                 workers=workers)
+                                 workers=workers, n_batches=n_batches)
     finally:
         set_threads(before)
 
@@ -490,12 +493,12 @@ def _train_one_seed(payload: tuple) -> dict:
     hook = None
     if manifest["valid"]:
         graphs, valid_labels = _featurized(ds, manifest["valid"])
-        predict = _stacked_predictor(
-            model, _batches(graphs, valid_labels, cfg["batch_size"]))
+        batches = _batches(graphs, valid_labels, cfg["batch_size"])
 
         def hook(flat: np.ndarray) -> dict:
+            probs = np.vstack([model.predict_proba(flat, b) for b in batches])
             try:
-                auc, _ = metrics.macro_average(metrics.auroc, predict(flat),
+                auc, _ = metrics.macro_average(metrics.auroc, probs,
                                                valid_labels)
             except DataError:
                 return {}
@@ -689,14 +692,14 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
         raise ConfigError("screen needs --library <smiles file>")
     if not os.path.isfile(args.library):
         raise ConfigError(f"library file not found: {args.library}")
-    smiles, graphs, n_dropped = [], [], 0
+    smiles, molecules, n_dropped = [], [], 0
     # newline=None splits lines at \n, \r\n and \r, as text-mode files do
     for line in io.StringIO(artifacts.read_text(args.library), newline=None):
         token = line.split()[0] if line.split() else ""
         if not token or token.startswith("#"):
             continue
         try:
-            graphs.append(featurize(parse_smiles(token)))
+            molecules.append(parse_smiles(token))
         except SmilesError:
             n_dropped += 1
             continue
@@ -712,9 +715,10 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
     n_tasks = post.meta.get("n_tasks", 1)    # checked by load_posterior
     model = _model_for(cfg, n_tasks)
     _check_artifact(cfg, model, post, path)
-    unlabeled = np.full((len(graphs), n_tasks), np.nan)
+    unlabeled = np.full((len(molecules), n_tasks), np.nan)
     pred = _predictive(cfg, model, post,
-                       _batches(graphs, unlabeled, cfg["batch_size"]), seed)
+                       _batches(featurize(molecules), unlabeled,
+                                cfg["batch_size"]), seed)
     probs = pred.mean[:, 0]
     spread = pred.uncertainty[:, 0]
     digest = config_digest(cfg)

@@ -1,14 +1,17 @@
 """The file boundary: readers, the atomic writer and the container."""
 
 import ast
+import json
 import os
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import molbayes
-from molbayes import artifacts
+from molbayes import artifacts, bayes
 from molbayes.errors import ConfigError, DataError
 
 
@@ -63,6 +66,85 @@ def test_deeply_nested_container_header_is_a_data_error(tmp_path):
                      + header)
     with pytest.raises(DataError):
         artifacts.read_container(str(path))
+
+
+def _swag_container() -> bytes:
+    """The bytes of a small swag posterior artifact."""
+    rng = np.random.default_rng(0)
+    post = bayes.PosteriorRepresentation(
+        mode="swag", digest="d", swag_mean=rng.standard_normal(5),
+        swag_sq_mean=rng.random(5) + 1.0,
+        swag_dev=rng.standard_normal((5, 2)), swag_rank=2,
+        meta={"trained": "swag", "n_tasks": 1})
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "swag.post")
+        bayes.save_posterior(path, post)
+        return artifacts.read_file(path)
+
+
+SWAG_CONTAINER = _swag_container()
+JSON_LIES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def corrupted_containers(draw) -> bytes:
+    """A swag container truncated, with bytes overwritten or its header
+    length changed, or with one header field replaced: an array's dtype
+    or shape, or a meta field."""
+    raw = SWAG_CONTAINER
+    kind = draw(st.sampled_from(["truncate", "bytes", "length", "dtype",
+                                 "shape", "meta", "extra"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "bytes":
+        edited = bytearray(raw)
+        for pos, value in draw(st.lists(st.tuples(
+                st.integers(0, len(raw) - 1), st.integers(0, 255)),
+                min_size=1, max_size=8)):
+            edited[pos] = value
+        return bytes(edited)
+    at = len(artifacts.MAGIC)
+    if kind == "length":
+        return raw[:at] + draw(st.integers(0, 2**64 - 1)).to_bytes(
+            8, "little") + raw[at + 8:]
+    hlen = int.from_bytes(raw[at:at + 8], "little")
+    header = json.loads(raw[at + 8:at + 8 + hlen])
+    body = raw[at + 8 + hlen:]
+    entry = draw(st.sampled_from(header["arrays"]))
+    if kind == "dtype":
+        entry["dtype"] = draw(st.sampled_from(
+            ["float32", "<f8", "int64", "float64 ", ""]) | JSON_LIES)
+    elif kind == "shape":
+        entry["shape"] = draw(st.lists(st.integers(-3, 2**40), max_size=4)
+                              | JSON_LIES)
+    elif kind == "meta":
+        header["meta"][draw(st.sampled_from(
+            ["mode", "digest", "swag_rank", "extra", "other"]))] = draw(
+            st.sampled_from(["swag", "point", "bbb", "samples"]) | JSON_LIES)
+    else:
+        header["meta"]["extra"]["n_tasks"] = draw(JSON_LIES)
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return raw[:at] + len(text).to_bytes(8, "little") + text + body
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_containers())
+def test_corrupt_posterior_is_a_data_error_or_a_posterior(raw):
+    # truncation, header corruption and dtype or shape lies end in
+    # DataError or in a valid result; nothing else escapes
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "swag.post")
+        artifacts.write_file(path, raw)
+        for read in (artifacts.read_container, bayes.load_posterior):
+            try:
+                read(path)
+            except DataError:
+                pass
 
 
 def _open_calls(tree: ast.AST):

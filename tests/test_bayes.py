@@ -382,13 +382,13 @@ def test_ensemble_excludes_diverging_member():
 def mc_dropout(predict, n_passes, seed, workers=1):
     """Marginalize as eval does for mcdo: ``n_passes`` identical rows of
     one point, pass k predicted under masks from the seed's
-    ``eval-dropout`` stream keyed (k, 0)."""
+    ``eval-dropout`` stream keyed (k, 0), its only batch."""
     point = np.zeros(2)
     passes = bayes.PosteriorRepresentation(
         mode="samples", digest="d",
         samples=np.broadcast_to(point, (n_passes, point.size)))
     return bayes.marginalize(
-        lambda flat, k: predict(bayes.stream(seed, "eval-dropout", k, 0)),
+        lambda flat, k, i: predict(bayes.stream(seed, "eval-dropout", k, i)),
         passes, seed, workers=workers)
 
 
@@ -594,7 +594,7 @@ def test_train_sgld_zero_lr_marginalizes_to_point():
     assert np.array_equal(post.samples[0], init)
     assert np.array_equal(post.samples[1], init)
 
-    def predict(flat, draw=0):
+    def predict(flat, draw=0, i=0):
         return np.array([[1.0 / (1.0 + np.exp(-flat[0]))]])
 
     marg = bayes.marginalize(predict, post, SEED)
@@ -825,7 +825,7 @@ def test_posterior_save_load_roundtrip(tmp_path):
     loaded = bayes.load_posterior(str(tmp_path / "point.post"))
     assert loaded.meta["trained"] == "none"
 
-    def predict(flat, draw):
+    def predict(flat, draw, i):
         return np.atleast_2d(1.0 / (1.0 + np.exp(-flat[:2])))
 
     for name in ("point", "samples"):
@@ -844,7 +844,7 @@ def test_marginalize_two_draws():
     post = bayes.PosteriorRepresentation(
         mode="samples", digest="d",
         samples=np.array([[0.2], [0.8]]))
-    out = bayes.marginalize(lambda w, k: np.array([[w[0]]]), post, SEED)
+    out = bayes.marginalize(lambda w, k, i: np.array([[w[0]]]), post, SEED)
     assert out.mean[0, 0] == 0.5
     assert out.uncertainty[0, 0] == 0.5
     assert out.n_samples == 2
@@ -853,7 +853,7 @@ def test_marginalize_two_draws():
 def test_marginalize_point_ignores_n_samples():
     post = bayes.PosteriorRepresentation(mode="point", digest="d",
                                          point=np.array([0.3]))
-    out = bayes.marginalize(lambda w, k: np.array([[w[0]]]), post, SEED,
+    out = bayes.marginalize(lambda w, k, i: np.array([[w[0]]]), post, SEED,
                             n_samples=50)
     assert out.mean[0, 0] == 0.3
     assert out.n_samples == 1
@@ -863,7 +863,7 @@ def test_uncertainty_endpoints_and_peak():
     ys = np.array([[0.0], [1.0], [0.5], [0.25]])
     post = bayes.PosteriorRepresentation(mode="samples", digest="d",
                                          samples=np.array([[0.0]]))
-    out = bayes.marginalize(lambda w, k: ys, post, SEED)
+    out = bayes.marginalize(lambda w, k, i: ys, post, SEED)
     u = out.uncertainty
     assert u[0, 0] == 0.0 and u[1, 0] == 0.0
     assert u[2, 0] == 0.5
@@ -877,7 +877,7 @@ def test_marginalize_bbb_and_swag_need_a_draw():
              hand_swag([np.zeros(1), np.ones(1)]))
     for post in posts:
         with pytest.raises(ConfigError):
-            bayes.marginalize(lambda w, k: np.array([[0.5]]), post, SEED,
+            bayes.marginalize(lambda w, k, i: np.array([[0.5]]), post, SEED,
                               n_samples=0)
 
 
@@ -887,7 +887,7 @@ def test_marginalize_bbb_tight_posterior_recovers_mu():
     post = bayes.PosteriorRepresentation(mode="bbb", digest="d", mu=mu,
                                          rho=rho)
 
-    def predict(flat, draw):
+    def predict(flat, draw, i):
         return np.atleast_2d(flat.copy())
 
     out = bayes.marginalize(predict, post, SEED, n_samples=10)
@@ -896,7 +896,7 @@ def test_marginalize_bbb_tight_posterior_recovers_mu():
 
 def test_marginalize_swag_draws():
     post = hand_swag([np.array([0.2, 0.4]), np.array([0.4, 0.2])])
-    out = bayes.marginalize(lambda w, k: np.atleast_2d(np.clip(w, 0, 1)),
+    out = bayes.marginalize(lambda w, k, i: np.atleast_2d(np.clip(w, 0, 1)),
                             post, SEED, n_samples=5)
     assert out.n_samples == 5
     assert out.mean.shape == (1, 2)
@@ -935,12 +935,12 @@ def gnn_posteriors():
 def test_pooled_marginalize_matches_serial(name):
     model, batch, posts = gnn_posteriors()
 
-    def predict(flat, draw):
+    def predict(flat, draw, i):
         if name != "mcdo":
             return model.predict_proba(flat, batch)
         return model.predict_proba(
             flat, batch, train=True,
-            dropout_rng=bayes.stream(SEED, "eval-dropout", draw, 0))
+            dropout_rng=bayes.stream(SEED, "eval-dropout", draw, i))
 
     serial, pooled = (
         bayes.marginalize(predict, posts[name], SEED, n_samples=6,
@@ -948,6 +948,44 @@ def test_pooled_marginalize_matches_serial(name):
         for workers in (1, 2))
     assert pooled.mean.tobytes() == serial.mean.tobytes()
     assert pooled.n_samples == serial.n_samples
+
+
+def test_units_cut_batches_only_for_fewer_draws_than_workers():
+    assert bayes._units(3, 5, 2) == [(k, range(5)) for k in range(3)]
+    assert bayes._units(2, 5, 2) == [(0, range(5)), (1, range(5))]
+    assert bayes._units(1, 5, 2) == [(0, range(0, 2)), (0, range(2, 5))]
+    assert bayes._units(2, 5, 4) == [(0, range(0, 2)), (0, range(2, 5)),
+                                     (1, range(0, 2)), (1, range(2, 5))]
+    # never more runs than batches
+    assert bayes._units(1, 2, 8) == [(0, range(0, 1)), (0, range(1, 2))]
+
+
+@pytest.mark.parametrize("name", ["point", "ensemble", "sgld", "bbb", "swag",
+                                  "mcdo"])
+def test_parted_marginalize_matches_serial(name):
+    # with fewer draws than workers each draw's batches run in parts; rows
+    # stack in batch order, so the mean keeps the serial bits
+    model, _, posts = gnn_posteriors()
+    batches = [generated_batch(6, seed=s) for s in range(5)]
+    calls = []
+
+    def predict(flat, draw, i):
+        calls.append((draw, i))
+        if name != "mcdo":
+            return model.predict_proba(flat, batches[i])
+        return model.predict_proba(
+            flat, batches[i], train=True,
+            dropout_rng=bayes.stream(SEED, "eval-dropout", draw, i))
+
+    means = []
+    for workers in (1, 2, 4, 16):
+        calls.clear()
+        pred = bayes.marginalize(predict, posts[name], SEED, n_samples=2,
+                                 workers=workers, n_batches=5)
+        means.append(pred.mean.tobytes())
+        assert sorted(calls) == [(k, i) for k in range(pred.n_samples)
+                                 for i in range(5)]
+    assert len(set(means)) == 1
 
 
 @pytest.mark.parametrize("mode", ["bbb", "swag"])
@@ -977,7 +1015,7 @@ def test_draws_are_keyed_with_bounded_vectors_in_flight(mode, monkeypatch):
             in_flight.append(count["made"] - count["predicted"])
         return keyed(seed, purpose, *key)
 
-    def predict(flat, draw):
+    def predict(flat, draw, i):
         time.sleep(0.001 * (draw % 3))
         with lock:
             count["predicted"] += 1
@@ -1009,7 +1047,7 @@ def test_pool_raises_a_failed_pass():
     post = bayes.PosteriorRepresentation(mode="samples", digest="d",
                                          samples=np.zeros((6, 1)))
 
-    def predict(flat, draw):
+    def predict(flat, draw, i):
         if draw == 3:
             raise NumericError("pass 3 failed")
         return np.full((1, 1), 0.5)

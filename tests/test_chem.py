@@ -1,14 +1,16 @@
 """Parser, featurizer, scaffold and split behaviour."""
 
 import sys
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from molbayes import chem
-from molbayes.chem import (Bond, MoleculeGraph, SmilesError, canonical_form,
-                           featurize, load_dataset, murcko_scaffold,
-                           parse_smiles, scaffold_split)
+from molbayes.chem import (Atom, Bond, MoleculeGraph, SmilesError,
+                           canonical_form, featurize, load_dataset,
+                           murcko_scaffold, parse_smiles, scaffold_split)
 from molbayes.errors import DataError
 from conftest import synthetic_rows
 
@@ -160,6 +162,177 @@ def test_ring_digit_reuse_is_legal():
     assert len(m.bonds) == 7
 
 
+def test_atomless_smiles_rejected():
+    for s in (".", "..", "...."):
+        with pytest.raises(SmilesError, match="no atoms") as exc:
+            parse_smiles(s)
+        assert exc.value.offset == 0
+
+
+def _parse_smiles_reference(s):
+    """The parser ``parse_smiles`` replaced: one helper closure per
+    token kind, a frozenset per bond checked for repeats, and an empty
+    graph for a string of dots. Bracket atoms go through the same
+    ``_parse_bracket``."""
+    if not s:
+        raise SmilesError("empty SMILES string", 0)
+    atoms, bonds, seen_pairs = [], [], set()
+    prev: Optional[int] = None
+    pending: Optional[tuple[str, int]] = None
+    stack: list = []
+    rings: dict = {}
+    bond_chars = {"-": "single", "=": "double", "#": "triple",
+                  ":": "aromatic", "/": "single", "\\": "single"}
+
+    def add_bond(i, j, order, offset):
+        if i == j:
+            raise SmilesError("ring closure bonds an atom to itself", offset)
+        pair = frozenset((i, j))
+        if pair in seen_pairs:
+            raise SmilesError("duplicate bond between the same atoms", offset)
+        seen_pairs.add(pair)
+        if order is None:
+            order = "aromatic" if atoms[i].aromatic and atoms[j].aromatic \
+                else "single"
+        bonds.append(Bond(i, j, order))
+
+    def attach(idx, offset):
+        nonlocal prev, pending
+        if prev is not None:
+            add_bond(prev, idx, pending[0] if pending else None, offset)
+        pending = None
+        prev = idx
+
+    def close_ring(digit, offset):
+        nonlocal pending
+        if prev is None:
+            raise SmilesError("ring digit before any atom", offset)
+        here_order = pending[0] if pending else None
+        pending = None
+        if digit in rings:
+            other, open_order, _ = rings.pop(digit)
+            if open_order is not None and here_order is not None \
+                    and open_order != here_order:
+                raise SmilesError("conflicting bond orders on ring closure",
+                                  offset)
+            add_bond(other, prev, here_order or open_order, offset)
+        else:
+            rings[digit] = (prev, here_order, offset)
+
+    i, n = 0, len(s)
+    while i < n:
+        c = s[i]
+        if c == "[":
+            atom, end = chem._parse_bracket(s, i)
+            atoms.append(atom)
+            attach(len(atoms) - 1, i)
+            i = end + 1
+        elif s[i:i + 2] in ("Cl", "Br"):
+            atoms.append(Atom(s[i:i + 2]))
+            attach(len(atoms) - 1, i)
+            i += 2
+        elif c in "BCNOPSFI":
+            atoms.append(Atom(c))
+            attach(len(atoms) - 1, i)
+            i += 1
+        elif c in "bcnops":
+            atoms.append(Atom(c.upper(), aromatic=True))
+            attach(len(atoms) - 1, i)
+            i += 1
+        elif c in bond_chars:
+            if pending is not None:
+                raise SmilesError("two bond symbols in a row", i)
+            if prev is None:
+                raise SmilesError("bond symbol before any atom", i)
+            pending = (bond_chars[c], i)
+            i += 1
+        elif c in "0123456789":
+            close_ring(int(c), i)
+            i += 1
+        elif c == "%":
+            if i + 2 >= n or s[i + 1] not in "0123456789" \
+                    or s[i + 2] not in "0123456789":
+                raise SmilesError("% ring closure needs two digits", i)
+            close_ring(int(s[i + 1:i + 3]), i)
+            i += 3
+        elif c == "(":
+            if prev is None:
+                raise SmilesError("branch before any atom", i)
+            if pending is not None:
+                raise SmilesError("bond symbol before '('", pending[1])
+            stack.append((prev, i))
+            i += 1
+        elif c == ")":
+            if not stack:
+                raise SmilesError("unbalanced parentheses", i)
+            if pending is not None:
+                raise SmilesError("dangling bond before ')'", pending[1])
+            prev = stack.pop()[0]
+            i += 1
+        elif c == ".":
+            if pending is not None:
+                raise SmilesError("bond symbol before '.'", pending[1])
+            prev = None
+            i += 1
+        else:
+            raise SmilesError(f"unexpected character {c!r}", i)
+    if pending is not None:
+        raise SmilesError("dangling bond at end of string", pending[1])
+    if stack:
+        raise SmilesError("unbalanced parentheses", stack[-1][1])
+    if rings:
+        digit, (_, _, offset) = min(rings.items(), key=lambda kv: kv[1][2])
+        raise SmilesError(f"unclosed ring digit {digit}", offset)
+    return MoleculeGraph(atoms, bonds)
+
+
+# tokens of the SMILES grammar, and a few it rejects; ring digits are
+# frequent so that closures, self-bonds and repeated bonds come up
+SMILES_TOKENS = ("C", "C", "c", "c", "N", "n", "O", "o", "S", "s", "Cl",
+                 "Br", "B", "P", "F", "I", "[nH]", "[O-]", "[NH4+]",
+                 "[C@@H]", "[13CH3:2]", "[Fe+++]", "[se]", "(", ")", "(",
+                 ")", "1", "1", "1", "2", "2", "3", "%12", "%12", "=", "#",
+                 "-", ":", "/", "\\", ".")
+JUNK_TOKENS = ("[", "]", "%1", "%", "$", "H", "l")
+
+
+@st.composite
+def smiles_strings(draw):
+    """Token strings; half of them start at an atom, have their branches
+    and rings closed and no rejected token, so that many of those parse."""
+    tokens = draw(st.lists(st.sampled_from(SMILES_TOKENS + JUNK_TOKENS),
+                           max_size=24))
+    if draw(st.booleans()):
+        tokens = ["C"] + [t for t in tokens if t not in JUNK_TOKENS]
+        depth = 0
+        for t in tokens:
+            depth = max(0, depth + (t == "(") - (t == ")"))
+        tokens += ["C"] + [")"] * depth
+        tokens += [d for d in ("1", "2", "3", "%12")
+                   if tokens.count(d) % 2]
+    return "".join(tokens)
+
+
+@settings(max_examples=500, deadline=None)
+@given(smiles_strings())
+def test_parser_matches_reference(s):
+    # the same graph, or the same error at the same offset; a string of
+    # dots is now an error where the reference gave a graph with no atoms
+    try:
+        want = _parse_smiles_reference(s)
+    except SmilesError as e:
+        with pytest.raises(SmilesError) as got:
+            parse_smiles(s)
+        assert (str(got.value), got.value.offset) == (str(e), e.offset)
+        return
+    if not want.atoms:
+        with pytest.raises(SmilesError, match="no atoms"):
+            parse_smiles(s)
+        return
+    got = parse_smiles(s)
+    assert got.atoms == want.atoms and got.bonds == want.bonds
+
+
 # ---------------------------------------------------------------------------
 # featurization
 
@@ -247,16 +420,28 @@ def _featurize_per_atom(m):
 
 
 def test_featurize_matches_per_atom_reference():
+    # one molecule at a time and all in one list, whose graphs are views
+    # into three shared arrays; bond-less molecules and mixed charges sit
+    # between the others
     smiles = [s for s, _ in synthetic_rows()] + MOLECULES + [
         "[O-]C(=O)C", "[Fe+++]", "[Cu-5]", "[N+9]C", "[C-]#[O+]",
         "[nH]1cccc1", "[Se]1C=CC=C1", "[13CH3:7]O", "[U]", "[Xe]",
-        "c1ccccc1.[Na+]", "CC.CC.O", "C", "C=C#N", "CC(C)(C)(C)(C)C"]
-    for s in smiles:
-        got = featurize(parse_smiles(s))
-        want = _featurize_per_atom(parse_smiles(s))
-        for a, b in zip((got.node_x, got.edge_x, got.edge_index), want):
-            assert a.dtype == b.dtype and a.shape == b.shape, s
-            assert a.flags.c_contiguous and np.array_equal(a, b), s
+        "c1ccccc1.[Na+]", "CC.CC.O", "C", "C=C#N", "CC(C)(C)(C)(C)C",
+        "[Na+].[Cl-]", "[N+99999999999999999999]", "[O-2].[O--]"]
+    molecules = [parse_smiles(s) for s in smiles]
+    listed = featurize(molecules)
+    assert len(listed) == len(molecules)
+    for s, m, one, got in zip(smiles, molecules,
+                              map(featurize, molecules), listed):
+        want = _featurize_per_atom(m)
+        for g in (one, got):
+            for a, b in zip((g.node_x, g.edge_x, g.edge_index), want):
+                assert a.dtype == b.dtype and a.shape == b.shape, s
+                assert a.flags.c_contiguous and np.array_equal(a, b), s
+        for name in ("node_x", "edge_x", "edge_index"):
+            base = getattr(listed[0], name).base
+            assert base is not None and getattr(got, name).base is base
+    assert featurize([]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -334,7 +334,7 @@ def test_draw_pool_holds_blas_to_one_thread_and_restores_it():
     original = get_threads()
     seen, failing = [], {2}
 
-    def predict(flat, draw):
+    def predict(flat, draw, i):
         seen.append(get_threads())
         if draw in failing:
             raise NumericError(f"pass {draw} failed")
@@ -353,11 +353,17 @@ def test_draw_pool_holds_blas_to_one_thread_and_restores_it():
         failing.clear()
         assert cli._marginalize(3, predict, passes, 4, 0).n_samples == 4
         assert get_threads() == 2 and set(seen) == {1}
-        # one draw or one worker: no pool and no change to BLAS
+        # one draw over three batches: its batch runs share the pool
+        seen.clear()
+        assert cli._marginalize(2, predict, point, 4, 0, 3).mean.shape \
+            == (3, 1)
+        assert get_threads() == 2 and seen == [1] * 3
+        # one draw of one batch, or one worker: no pool and no change to
+        # BLAS
         seen.clear()
         cli._marginalize(0, predict, point, 4, 0)
-        cli._marginalize(1, predict, passes, 4, 0)
-        assert seen == [2] * 5
+        cli._marginalize(1, predict, passes, 4, 0, 3)
+        assert seen == [2] * 13
     finally:
         set_threads(original)
 
@@ -424,8 +430,10 @@ def test_each_molecule_parsed_once_per_command(synthetic_csv, tmp_path,
     calls: dict = {}
 
     def counted(name, fn):
+        # featurize takes a list of molecules: each one in it counts
         def wrapper(arg):
-            calls.setdefault(name, []).append(arg)
+            calls.setdefault(name, []).extend(
+                arg if isinstance(arg, list) else [arg])
             return fn(arg)
         return wrapper
 
@@ -794,26 +802,28 @@ def test_screen_nan_weight_exits_4(synthetic_csv, trained_point_dir,
     assert rc == 4
 
 
-@pytest.mark.parametrize("mode", ["mcdo", "bbb", "swag"])
+@pytest.mark.parametrize("mode", ["none", "swa", "mcdo", "bbb", "swag"])
 def test_eval_and_screen_do_not_depend_on_workers(synthetic_csv, tmp_path,
                                                   mode):
+    # batches of two: eval and screen predict over several batches, so a
+    # draw's batches run in parts when there are fewer draws than workers
     extra = ("--set", "model.dropout=0.2", "--set", "schedule.epochs=2",
-             "--set", "eval_samples=5")
-    if mode == "swag":
+             "--set", "eval_samples=5", "--set", "batch_size=2")
+    if mode in ("swag", "swa"):
         # both epochs snapshot, at a rate the tiny model survives
         extra += ("--set", "schedule.cyclic_from=0",
                   "--set", "schedule.cadence=1", "--set", "schedule.lr=0.01")
-    base = [*_args(synthetic_csv, tmp_path, *extra), "--mode", mode,
-            "--arch", "gcn", "--seeds", "0"]
+    base = [*_args(synthetic_csv, tmp_path, *extra), "--arch", "gcn",
+            "--seeds", "0"]
     library = tmp_path / "library.smi"
-    library.write_text("CCO\nc1ccccc1O\nC1CCNCC1\n")
-    assert cli.main(["train", *base]) == 0
+    library.write_text("CCO\nc1ccccc1O\nC1CCNCC1\nCCN\nC1CC1O\nOCCO\n")
+    assert cli.main(["train", *base, "--mode", cli._trained_mode(mode)]) == 0
     outputs = (f"eval_{mode}.json", f"{mode}_seed0_confusion.csv",
                f"screen_{mode}_ranking.csv")
     runs = []
-    for workers in (1, 2, 2):
+    for workers in (1, 2, 4):
         for command in (["eval"], ["screen", "--library", str(library)]):
-            assert cli.main([*command, *base,
+            assert cli.main([*command, *base, "--mode", mode,
                              "--set", f"workers={workers}"]) == 0
         runs.append([(tmp_path / name).read_bytes() for name in outputs])
     assert runs[0] == runs[1] == runs[2]
@@ -907,6 +917,29 @@ def test_non_ascii_element_symbol_lines_are_dropped(synthetic_csv,
     assert _screen(synthetic_csv, trained_point_dir, tmp_path, library) == 0
     summary = _read_json(tmp_path / "screen_none_summary.json")
     assert summary["n_total"] == 1 and summary["n_dropped"] == 2
+
+
+def test_atomless_library_lines_are_dropped(synthetic_csv, trained_point_dir,
+                                            tmp_path):
+    library = tmp_path / "library.smi"
+    library.write_text("CCO\n.\nc1ccccc1O\n..\n")
+    assert _screen(synthetic_csv, trained_point_dir, tmp_path, library) == 0
+    summary = _read_json(tmp_path / "screen_none_summary.json")
+    assert summary["n_total"] == 2 and summary["n_dropped"] == 2
+
+
+def test_atomless_dataset_rows_are_dropped(tmp_path, capsys):
+    csv = tmp_path / "data.csv"
+    csv.write_text("smiles,activity\n"
+                   + "".join(f"{smi},{label}\n"
+                             for smi, label in synthetic_rows())
+                   + ".,1\n..,0\n")
+    base = [*_args(csv, tmp_path / "out", "--set", "schedule.epochs=1"),
+            "--mode", "none", "--arch", "gcn", "--seeds", "0"]
+    assert cli.main(["split", *base]) == 0
+    assert f"loaded {N_ROWS} molecules (2 unparseable" \
+        in capsys.readouterr().out
+    assert cli.main(["train", *base]) == 0
 
 
 def test_non_utf8_library_exits_3(synthetic_csv, trained_point_dir,
