@@ -1,14 +1,15 @@
 """Five message-passing architectures over one residual skeleton.
 
 Every model is: input projection -> L residual node-update layers ->
-sum readout -> linear classifier. Architectures differ only in how a
-layer turns node states into the residual branch, and each is declared
-in one place: ``_layer_weights`` lists a layer's weights in coordinate
-order and ``_LAYERS`` names its layer function, which maps
-(h, e, batch, *weights) to (branch, e); e is the edge state, None
-outside gatedgcn. Parameters live in a single flat float64 vector with a
-fixed coordinate order, so optimizers and posterior approximations can
-treat every model as R^n.
+sum readout -> linear classifier. The readout sums each graph's node
+states, then projects the sums to the graph dimension. Architectures
+differ only in how a layer turns node states into the residual branch,
+and each is declared in one place: ``_layer_weights`` lists a layer's
+weights in coordinate order and ``_LAYERS`` names its layer function,
+which maps (h, e, batch, *weights) to (branch, e); e is the edge state,
+None outside gatedgcn. Parameters live in a single flat float64 vector
+with a fixed coordinate order, so optimizers and posterior
+approximations can treat every model as R^n.
 """
 
 from __future__ import annotations
@@ -313,8 +314,10 @@ class GnnClassifier:
             if use_dropout:
                 branch = ad.dropout(branch, cfg.dropout, dropout_rng)
             h = ad.add(h, branch)
-        pooled = ad.segment_sum(ad.linear(h, leaves["readout.W"]),
-                                batch.nodes_by_graph)
+        # a sum, then a projection: the sum is linear, so projecting the
+        # per-graph sums costs one row per graph instead of one per atom
+        pooled = ad.linear(ad.segment_sum(h, batch.nodes_by_graph),
+                           leaves["readout.W"])
         logits = ad.linear(pooled, leaves["classify.W"])
         return ad.add(logits, leaves["classify.b"])
 
