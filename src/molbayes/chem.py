@@ -15,7 +15,7 @@ import csv
 import hashlib
 import io
 from dataclasses import dataclass, field
-from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -326,13 +326,13 @@ def featurize(molecules: Union[MoleculeGraph, Sequence[MoleculeGraph]]
     # each molecule's first atom and first directed edge, then the totals
     atom_at = np.cumsum([0, *(len(m.atoms) for m in molecules)])
     edge_at = 2 * np.cumsum([0, *(len(m.bonds) for m in molecules)])
-    bond_i, bond_j, order = zip(*bonds) if bonds else ((),) * 3
     # bond ends numbered across the list: each molecule's atoms follow the
     # previous molecule's
     shift = np.repeat(atom_at[:-1], np.diff(edge_at) // 2)
     pairs = np.empty((2 * n_bonds, 2), dtype=np.int64)
-    pairs[0::2, 0] = np.fromiter(bond_i, np.int64, n_bonds) + shift
-    pairs[0::2, 1] = np.fromiter(bond_j, np.int64, n_bonds) + shift
+    for end in (0, 1):
+        pairs[0::2, end] = np.fromiter(map(itemgetter(end), bonds),
+                                       np.int64, n_bonds) + shift
     pairs[1::2] = pairs[0::2, ::-1]
     degree = np.bincount(pairs[:, 0], minlength=n)
     # element, charge and aromatic columns once per distinct atom: a few
@@ -349,8 +349,9 @@ def featurize(molecules: Union[MoleculeGraph, Sequence[MoleculeGraph]]
         table[k, NODE_DIM - 1] = a.aromatic
     node_x = table[np.fromiter(map(kinds.__getitem__, atoms), np.int64, n)]
     node_x[np.arange(n), other + 1 + np.minimum(degree, MAX_DEGREE)] = 1.0
-    bond_col = np.repeat(np.fromiter(map(_BOND_COLUMN.__getitem__, order),
-                                     np.int64, n_bonds), 2)
+    bond_col = np.repeat(np.fromiter(
+        map(_BOND_COLUMN.__getitem__, map(itemgetter(2), bonds)),
+        np.int64, n_bonds), 2)
     # keyed by (molecule, dst, src): the numbered dst orders the molecules
     key = np.lexsort((pairs[:, 0], pairs[:, 1]))
     edge_x = np.zeros((2 * n_bonds, EDGE_DIM), dtype=np.float64)

@@ -114,6 +114,9 @@ def test_explicit_single_between_aromatics():
 
 @pytest.mark.parametrize("bad, offset", [
     ("", 0),
+    # no atoms: the reference parser gave an empty graph
+    (".", 0),
+    ("..", 0),
     ("C(C", 1),
     ("CC)", 2),
     ("C1CC", 1),
@@ -160,13 +163,6 @@ def test_duplicate_ring_bond_rejected():
 def test_ring_digit_reuse_is_legal():
     m = parse_smiles("C1CC1C1CC1")
     assert len(m.bonds) == 7
-
-
-def test_atomless_smiles_rejected():
-    for s in (".", "..", "...."):
-        with pytest.raises(SmilesError, match="no atoms") as exc:
-            parse_smiles(s)
-        assert exc.value.offset == 0
 
 
 def _parse_smiles_reference(s):

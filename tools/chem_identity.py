@@ -1,4 +1,4 @@
-"""Chemistry identity check: parse, featurize and scaffold under two trees, diff.
+"""Chemistry identity: parse, featurize and scaffold under two trees, diff.
 
 Usage:
     python tools/chem_identity.py OLD_SRC NEW_SRC [--seeds 1-8]
@@ -43,8 +43,9 @@ EDGE_CASES = (
     "", ".", "..", "C.", ".C", "C..C", "(", ")", "1", "%", "%12", "=C", "C=",
     "C(", "C)", "C(=)", "C(C", "C1", "C11", "C1C1", "CC(C1)1", "C%1",
     "C%12CC%12", "C=1CC1", "C=1CC-1", "C1CC=1", "[", "[C", "[]", "[C]",
-    "[É]", "C²", "[Ωx]", "[13CH3:7]O", "[C@@H](F)(Cl)Br", "[C:]", "[nH]1cccc1",
-    "[se]1cccc1", "[as]", "[x]", "[Fe+++]", "[Cu-5]", "[N+9]C", "[O--]",
+    "[É]", "C²", "[Ωx]", "[13CH3:7]O", "[C@@H](F)(Cl)Br", "[C:]",
+    "[nH]1cccc1", "[se]1cccc1", "[as]", "[x]", "[Fe+++]", "[Cu-5]",
+    "[N+9]C", "[O--]",
     "[N+99999999999999999999]", "C/C=C\\C", "CC(C)(C)(C)(C)C", "c1ccccc1",
     "C1=CC=CC=C1", "c1ccccc1-c1ccccc1", "[NH4+].[Cl-]", "ClBr", "BrCl",
     "C(Cl)(Br)I", "c1cc2ccccc2cc1", "C12C3C4C1C5C2C3C45", "OCC1OC(O)C(O)C1O",
