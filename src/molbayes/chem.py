@@ -126,9 +126,11 @@ def _parse_bracket(s: str, start: int) -> tuple[Atom, int]:
             sym += body[pos]
             pos += 1
     elif pos < len(body) and body[pos] in _LOWER:
+        # a one-letter body ("[c]") slices to one letter, which is in
+        # the set too
         two = body[pos:pos + 2]
         if two in _BRACKET_AROMATIC:
-            sym, pos, aromatic = two.capitalize(), pos + 2, True
+            sym, pos, aromatic = two.capitalize(), pos + len(two), True
         elif body[pos] in _BRACKET_AROMATIC:
             sym, pos, aromatic = body[pos].upper(), pos + 1, True
         else:

@@ -93,6 +93,9 @@ def test_bracket_atom_fields():
     assert parse_smiles("[nH]").atoms[0].aromatic
     assert parse_smiles("[se]").atoms[0].symbol == "Se"
     assert parse_smiles("[CH3:7]").atoms[0].h_count == 3
+    # an aromatic letter alone in brackets
+    assert parse_smiles("[c]1cc[n]cc1").atoms[0] == Atom("C", aromatic=True)
+    assert parse_smiles("[c]1cc[n]cc1").atoms[3] == Atom("N", aromatic=True)
 
 
 def test_dot_keeps_fragments_in_one_graph():

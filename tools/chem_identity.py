@@ -11,7 +11,8 @@ molecules, a 1,024-molecule library with 24 malformed lines), seeded
 random edits of the first 3,000 of those strings, and a fixed list of
 edge cases. Each tree runs in its own process and reports, per string:
 
-- ``parse_smiles``: the atoms and bonds, or the error message and offset;
+- ``parse_smiles``: the atoms and bonds, or the error message and
+  offset, or the type and text of any other exception it raises;
 - ``featurize``: a digest of each array's dtype, shape and bytes, over
   the parsed molecules in one list call where the tree's ``featurize``
   takes a list, else one call per molecule;
@@ -44,8 +45,8 @@ EDGE_CASES = (
     "C(", "C)", "C(=)", "C(C", "C1", "C11", "C1C1", "CC(C1)1", "C%1",
     "C%12CC%12", "C=1CC1", "C=1CC-1", "C1CC=1", "[", "[C", "[]", "[C]",
     "[É]", "C²", "[Ωx]", "[13CH3:7]O", "[C@@H](F)(Cl)Br", "[C:]",
-    "[nH]1cccc1", "[se]1cccc1", "[as]", "[x]", "[Fe+++]", "[Cu-5]",
-    "[N+9]C", "[O--]",
+    "[nH]1cccc1", "[se]1cccc1", "[as]", "[c]", "[n]1cccc1", "[x]",
+    "[Fe+++]", "[Cu-5]", "[N+9]C", "[O--]",
     "[N+99999999999999999999]", "C/C=C\\C", "CC(C)(C)(C)(C)C", "c1ccccc1",
     "C1=CC=CC=C1", "c1ccccc1-c1ccccc1", "[NH4+].[Cl-]", "ClBr", "BrCl",
     "C(Cl)(Br)I", "c1cc2ccccc2cc1", "C12C3C4C1C5C2C3C45", "OCC1OC(O)C(O)C1O",
@@ -110,6 +111,9 @@ def dump(inputs_path: str, out_path: str) -> None:
         except chem.SmilesError as e:
             results.append(["error", str(e), e.offset])
             continue
+        except Exception as e:      # a parser fault: one more difference
+            results.append(["crash", type(e).__name__, str(e)])
+            continue
         parsed.append((len(results), m))
         results.append(["graph",
                         [[a.symbol, a.charge, a.aromatic, a.h_count]
@@ -143,7 +147,7 @@ def compare(strings: list[str], old: list, new: list,
         if a == b:
             continue
         if a[0] != b[0] or a[:3] != b[:3]:
-            kind = "error" if "error" in (a[0], b[0]) else "parse"
+            kind = "parse" if a[0] == b[0] == "graph" else "error"
         elif a[3] != b[3]:
             kind = "featurize"
         else:
