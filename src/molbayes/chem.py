@@ -320,8 +320,9 @@ def featurize(molecules: Union[MoleculeGraph, Sequence[MoleculeGraph]]
     out sorted by (dst, src) within each molecule so downstream segment
     reductions see a canonical order.
     """
-    if isinstance(molecules, MoleculeGraph):
-        return featurize([molecules])[0]
+    one = isinstance(molecules, MoleculeGraph)
+    if one:
+        molecules = [molecules]
     atoms = [a for m in molecules for a in m.atoms]
     bonds = [b for m in molecules for b in m.bonds]
     n, n_bonds = len(atoms), len(bonds)
@@ -361,9 +362,10 @@ def featurize(molecules: Union[MoleculeGraph, Sequence[MoleculeGraph]]
     edge_index = pairs[key] - np.repeat(atom_at[:-1],
                                         np.diff(edge_at))[:, None]
     atom_at, edge_at = atom_at.tolist(), edge_at.tolist()
-    return [FeaturizedGraph(node_x[a0:a1], edge_x[e0:e1], edge_index[e0:e1])
-            for a0, a1, e0, e1 in zip(atom_at, atom_at[1:],
-                                      edge_at, edge_at[1:])]
+    graphs = [FeaturizedGraph(node_x[a0:a1], edge_x[e0:e1], edge_index[e0:e1])
+              for a0, a1, e0, e1 in zip(atom_at, atom_at[1:],
+                                        edge_at, edge_at[1:])]
+    return graphs[0] if one else graphs
 
 
 # ---------------------------------------------------------------------------
