@@ -1,15 +1,14 @@
 """Chemistry identity: parse, featurize and scaffold under two trees, diff.
 
 Usage:
-    python tools/chem_identity.py OLD_SRC NEW_SRC [--seeds 1-8]
-                                  [--mutations 3]
+    python tools/chem_identity.py OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are directories holding the ``molbayes`` package (a
 checkout's ``src``). The inputs are the corpus and library that
-``perfbench/gen.py`` writes for each seed (the screen-map sizes: 384
-molecules, a 1,024-molecule library with 24 malformed lines), seeded
-random edits of the first 3,000 of those strings, and a fixed list of
-edge cases. Each tree runs in its own process and reports, per string:
+``perfbench/gen.py`` writes for seeds 1-8 (the screen-map sizes: 384
+molecules, a 1,024-molecule library with 24 malformed lines), three
+seeded random edits of each of the first 3,000 of those strings, and a
+fixed list of edge cases. Each tree runs in its own process and reports, per string:
 
 - ``parse_smiles``: the atoms and bonds, or the error message and
   offset, or the type and text of any other exception it raises;
@@ -34,6 +33,8 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEEDS = range(1, 9)     # perfbench generator seeds
+MUTATIONS = 3           # random edits of each of the first 3,000 strings
 
 # characters a random edit inserts or substitutes: the SMILES grammar's,
 # and a few it rejects
@@ -53,14 +54,14 @@ EDGE_CASES = (
 )
 
 
-def inputs(seeds: list[int], mutations: int) -> list[str]:
+def inputs() -> list[str]:
     """Generated corpora and libraries, their seeded edits and the edge
     cases, in a fixed order."""
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import gen
     strings: list[str] = []
     with tempfile.TemporaryDirectory(prefix="chem-identity-") as work:
-        for seed in seeds:
+        for seed in SEEDS:
             out = os.path.join(work, str(seed))
             gen.generate(seed, 384, 1024, 24, out)
             with open(os.path.join(out, "corpus.csv"),
@@ -70,10 +71,10 @@ def inputs(seeds: list[int], mutations: int) -> list[str]:
             with open(os.path.join(out, "library.smi"),
                       encoding="utf-8") as fh:
                 strings += fh.read().splitlines()
-    rng = random.Random(f"chem-identity-{seeds}-{mutations}")
+    rng = random.Random(f"chem-identity-{list(SEEDS)}-{MUTATIONS}")
     edited = []
     for s in strings[:3000]:
-        for _ in range(mutations):
+        for _ in range(MUTATIONS):
             t = list(s)
             for _ in range(rng.randint(1, 3)):
                 pos = rng.randint(0, len(t))
@@ -163,11 +164,6 @@ def compare(strings: list[str], old: list, new: list,
     return 1 if lines else 0
 
 
-def _seed_range(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--dump"]:
@@ -176,17 +172,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--seeds", default="1-8", type=_seed_range,
-                        help="perfbench generator seeds, as A or A-B "
-                        "(default 1-8)")
-    parser.add_argument("--mutations", default=3, type=int,
-                        help="random edits of each of the first 3,000 "
-                        "strings (default 3)")
     args = parser.parse_args(argv)
     for src in (args.old_src, args.new_src):
         if not os.path.isdir(os.path.join(src, "molbayes")):
             parser.error(f"{src} holds no molbayes package")
-    strings = inputs(args.seeds, args.mutations)
+    strings = inputs()
     with tempfile.TemporaryDirectory(prefix="chem-identity-") as work:
         path = os.path.join(work, "inputs.json")
         with open(path, "w", encoding="utf-8") as fh:
