@@ -31,14 +31,18 @@ segment reductions, planned row sums, dropout, and ``split``, which cuts
 a flat weight vector into shaped pieces with one record. Every
 reduction over rows (the ``segment_sum`` forward, the ``gather_rows``
 vjp, the peak and both sums in ``segment_softmax``, and ``aggregate``)
-runs one primitive, ``SumPlan.apply``. A plan is built once per batch and
-index set, and checks its ids when it is built; each output row folds its
-entries in ascending entry order, so every sum is bit-equal to
-``np.add.at`` and the peak to ``np.maximum.at``.
+runs one primitive, ``SumPlan.apply``. A plan holds one key array, the
+output row of each entry. It is built once per batch and key array,
+checks its keys when it is built and sorts them on its first ``apply``;
+each output row folds its entries in ascending entry order, so every sum
+is bit-equal to ``np.add.at`` and the peak to ``np.maximum.at``.
 
-``aggregate`` takes an optional per-entry weight, which ``apply`` multiplies
-into each planned row just before the fold, in the forward pass and, through
-``plan.transpose``, in the vjp. A weighted neighbour sum (GAT's attention
+``aggregate(x, src, dst, weight)`` is the neighbour sum over the edges
+``src.keys[e]`` -> ``dst.keys[e]``: ``dst`` folds row ``src.keys[e]`` of x
+for each edge, and its vjp folds the gradient's row ``dst.keys[e]`` with
+``src``, so no plan is ever transposed. Its optional per-edge weight is
+multiplied into each planned row just before the fold, in the forward pass
+and in the vjp. A weighted neighbour sum (GAT's attention
 messages, gatedgcn's gated ones) therefore never builds or keeps an (E, d)
 copy of its node rows. GAT's edge score needs no such copy either: each
 head computes its two attention logits per node and gathers only those
@@ -387,31 +391,30 @@ def _check_segments(segments: np.ndarray, n_segments: int) -> np.ndarray:
 
 
 class SumPlan:
-    """Sums of ``x[index[e]]`` into ``n_out`` rows keyed by ``keys[e]``.
+    """Sums of entries into ``n_out`` rows, entry e into row ``keys[e]``.
 
-    ``apply(x)`` adds each output row's entries in ascending entry order,
-    starting from 0.0, the order ``np.add.at`` uses, so it is bit-equal to
-    it, without an (E, d) gather. Rows are ordered by entry count, largest
-    first, and ``ranks[r]`` holds the ``index`` value of each row's r-th
-    entry for the rows that have one, so ``ranks[r]`` covers a prefix of
-    the ordered rows. Each rank folds one gathered block into that prefix.
-    The loop runs the largest count times, while the work stays one row of
-    ``x`` per entry. The ids are checked here, once per plan.
+    ``apply(x)`` reads row e of x for entry e, or row ``index[e]`` given an
+    ``index``, and adds each output row's entries in ascending entry
+    order, starting from 0.0, the order ``np.add.at`` uses, so it is
+    bit-equal to it, without an (E, d) gather. The keys are checked when
+    the plan is built and sorted on its first ``apply``: rows are ordered
+    by entry count, largest first, and ``layout`` holds, rank by rank, the
+    id of each row's r-th entry for the rows that have one, so rank r
+    covers a prefix of the ordered rows. Each rank folds one gathered
+    block into that prefix. The loop runs the largest count times, while
+    the work stays one row of ``x`` per entry.
     """
 
-    def __init__(self, index: np.ndarray, keys: np.ndarray, n_in: int,
-                 n_out: int):
-        index = _check_segments(index, n_in)
+    def __init__(self, keys: np.ndarray, n_out: int):
         keys = _check_segments(keys, n_out)
-        if index.shape != keys.shape or index.ndim != 1:
-            raise ShapeError(f"plan: index {index.shape} vs keys {keys.shape}")
-        self.index, self.keys = index, keys
-        self.n_in, self.n_out = n_in, n_out
-        self.unpermute, self.ranks = self._layout(index)
+        if keys.ndim != 1:
+            raise ShapeError(f"plan keys must be 1-D, got {keys.shape}")
+        self.keys, self.n_out = keys, n_out
 
-    def _layout(self, values: np.ndarray) -> tuple[np.ndarray, list]:
+    @functools.cached_property
+    def layout(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Each output row's place (rows by entry count, largest first),
-        and ``values`` of each entry in fold order, split rank by rank."""
+        and the entry ids in fold order, split rank by rank."""
         keys, n_out = self.keys, self.n_out
         order = np.argsort(keys, kind="stable")
         counts = np.bincount(keys, minlength=n_out)
@@ -421,66 +424,59 @@ class SumPlan:
         starts = np.cumsum(counts) - counts
         sorted_keys = keys[order]
         rank = np.arange(keys.size) - starts[sorted_keys]
-        flat = values[order][np.argsort(rank * n_out + place[sorted_keys],
-                                        kind="stable")]
+        flat = order[np.argsort(rank * n_out + place[sorted_keys],
+                                kind="stable")]
         bounds = np.cumsum(np.bincount(rank))
         return place, np.split(flat, bounds[:-1]) if flat.size else []
 
-    @functools.cached_property
-    def entry_ranks(self) -> list[np.ndarray]:
-        """The entry id behind each id in ``ranks``: where ``apply`` reads
-        a per-entry weight. Laid out again on first weighted use, so an
-        unweighted plan keeps no entry ids."""
-        return self._layout(np.arange(self.index.size))[1]
-
-    @classmethod
-    def segments(cls, keys: np.ndarray, n_out: int) -> "SumPlan":
-        """The plan that sums row e of its input into row ``keys[e]``."""
-        return cls(np.arange(len(keys)), keys, len(keys), n_out)
-
-    @functools.cached_property
-    def transpose(self) -> "SumPlan":
-        """The plan of the vjp: each input row sums the output rows it fed."""
-        return SumPlan(self.keys, self.index, self.n_out, self.n_in)
-
     def apply(self, x: np.ndarray, fold=np.add, fill: float = 0.0,
-              weight: Optional[np.ndarray] = None) -> np.ndarray:
+              weight: Optional[np.ndarray] = None,
+              index: Optional[np.ndarray] = None) -> np.ndarray:
         """Fold each output row's entries into ``fill`` with ``fold``:
-        sums by default, the per-column peak with ``np.maximum``. A
+        sums by default, the per-column peak with ``np.maximum``. Entry e
+        reads row ``index[e]`` of x, or row e without an index. A
         ``weight`` (one row per entry, of width 1 or of x's width) scales
         each entry's row of x just before the fold."""
-        if x.shape[0] != self.n_in:
-            raise ShapeError(f"plan over {self.n_in} rows applied to "
-                             f"{x.shape[0]}")
-        if weight is not None and weight.shape[0] != self.index.size:
-            raise ShapeError(f"plan over {self.index.size} entries weighted "
-                             f"by {weight.shape[0]} rows")
+        n = self.keys.size
+        reads = x.shape[0] if index is None else index.size
+        if reads != n:
+            raise ShapeError(f"plan over {n} entries reads {reads} rows")
+        if weight is not None and weight.shape[0] != n:
+            raise ShapeError(f"plan over {n} entries weighted by "
+                             f"{weight.shape[0]} rows")
+        unpermute, ranks = self.layout
         acc = np.full((self.n_out,) + x.shape[1:], fill)
-        for r, cols in enumerate(self.ranks):
-            head = acc[:cols.size]
-            rows = x[cols]
+        for ids in ranks:
+            head = acc[:ids.size]
+            rows = x[ids if index is None else index[ids]]
             if weight is not None:
-                rows *= weight[self.entry_ranks[r]]
+                rows *= weight[ids]
             fold(head, rows, out=head)
-        return acc[self.unpermute]
+        return acc[unpermute]
 
 
-def aggregate(x, plan: SumPlan, weight=None) -> Tensor:
-    """``plan.apply(x, weight=w)``: per output row, the sum of its planned
-    input rows, each scaled by its entry's row of ``weight`` if given.
+def aggregate(x, src: SumPlan, dst: SumPlan, weight=None) -> Tensor:
+    """Per row of ``dst``, the sum over its entries e of row
+    ``src.keys[e]`` of x, each scaled by entry e's row of ``weight`` if
+    given: the neighbour sum over the edges ``src.keys[e]`` ->
+    ``dst.keys[e]``. The forward pass folds with ``dst``, the vjp of x
+    with ``src``, each reading the other's keys as its index.
 
     Bit-equal in both directions to ``segment_sum(mul(w, gather_rows(x,
-    p)), q)`` (``segment_sum(gather_rows(x, p), q)`` without a weight)
-    for the segment plans ``p`` of its ``index`` and ``q`` of its
-    ``keys``, without the (E, d) copies of x that pair keeps on the tape.
+    src)), dst)`` (``segment_sum(gather_rows(x, src), dst)`` without a
+    weight), without the (E, d) copies of x that pair keeps on the tape.
     """
     x = as_tensor(x)
+    if x.data.shape[0] != src.n_out or src.keys.size != dst.keys.size:
+        raise ShapeError(f"aggregate: {x.data.shape[0]} rows over "
+                         f"{src.keys.size} edges from {src.n_out} rows into "
+                         f"{dst.keys.size}")
     if weight is None:
-        out = plan.apply(x.data)
+        out = dst.apply(x.data, index=src.keys)
         return _emit("aggregate", (x,), out,
-                     lambda g: (plan.transpose.apply(g),))
+                     lambda g: (src.apply(g, index=dst.keys),))
     w = as_tensor(weight)
-    out = plan.apply(x.data, weight=w.data)
+    out = dst.apply(x.data, weight=w.data, index=src.keys)
     sw = w.data.shape
     # each operand is kept only for the other's gradient, if that is tracked
     w_data = w.data if x.uid >= 0 else None
@@ -488,15 +484,15 @@ def aggregate(x, plan: SumPlan, weight=None) -> Tensor:
 
     def vjp(g):
         return (None if w_data is None else
-                plan.transpose.apply(g, weight=w_data),
+                src.apply(g, weight=w_data, index=dst.keys),
                 None if x_data is None else
-                _unbroadcast(g[plan.keys] * x_data[plan.index], sw))
+                _unbroadcast(g[dst.keys] * x_data[src.keys], sw))
 
     return _emit("aggregate", (x, w), out, vjp)
 
 
 def gather_rows(x, plan: SumPlan) -> Tensor:
-    """Row ``plan.keys[e]`` of x for each entry e of a segment plan; the
+    """Row ``plan.keys[e]`` of x for each entry e of the plan; the
     vjp sums the rows back with the same plan."""
     x = as_tensor(x)
     if x.data.shape[0] != plan.n_out:
@@ -511,7 +507,7 @@ def gather_rows(x, plan: SumPlan) -> Tensor:
 
 
 def segment_sum(x, plan: SumPlan) -> Tensor:
-    """Sum row e of x into row ``plan.keys[e]`` of a segment plan."""
+    """Sum row e of x into row ``plan.keys[e]``."""
     x = as_tensor(x)
     out = plan.apply(x.data)
 
@@ -522,7 +518,7 @@ def segment_sum(x, plan: SumPlan) -> Tensor:
 
 
 def segment_softmax(x, plan: SumPlan) -> Tensor:
-    """Softmax over the rows of each segment of a segment plan, per
+    """Softmax over the rows of each segment of the plan, per
     column, max-shifted.
 
     Empty segments simply contribute no rows; softmax over an empty set is

@@ -106,25 +106,21 @@ class GraphBatch:
     def n_nodes(self) -> int:
         return int(self.node_x.shape[0])
 
-    # each plan is built on first use and shared by every layer, head and
-    # draw that runs on this batch
-    @functools.cached_property
-    def neighbour_plan(self) -> ad.SumPlan:
-        """Sum plan of each node's in-neighbours."""
-        src, dst = self.edge_index[:, 0], self.edge_index[:, 1]
-        return ad.SumPlan(src, dst, self.n_nodes, self.n_nodes)
-
+    # one plan per key array, built on first use and shared by every layer,
+    # head and draw that runs on this batch; a plan sorts its keys only
+    # when a sum first folds with it, and a neighbour sum folds with the
+    # destination plan forward and with the source plan backward
     @functools.cached_property
     def edges_by_src(self) -> ad.SumPlan:
-        return ad.SumPlan.segments(self.edge_index[:, 0], self.n_nodes)
+        return ad.SumPlan(self.edge_index[:, 0], self.n_nodes)
 
     @functools.cached_property
     def edges_by_dst(self) -> ad.SumPlan:
-        return ad.SumPlan.segments(self.edge_index[:, 1], self.n_nodes)
+        return ad.SumPlan(self.edge_index[:, 1], self.n_nodes)
 
     @functools.cached_property
     def nodes_by_graph(self) -> ad.SumPlan:
-        return ad.SumPlan.segments(self.node_graph, self.n_graphs)
+        return ad.SumPlan(self.node_graph, self.n_graphs)
 
 
 def make_batch(graphs: Sequence[FeaturizedGraph],
@@ -169,17 +165,17 @@ def make_batch(graphs: Sequence[FeaturizedGraph],
 
 
 def layer_gcn(h, e, batch: GraphBatch, W):
-    agg = ad.aggregate(h, batch.neighbour_plan)
+    agg = ad.aggregate(h, batch.edges_by_src, batch.edges_by_dst)
     return ad.relu(ad.linear(ad.add(agg, h), W)), e
 
 
 def layer_gin(h, e, batch: GraphBatch, W1, W2):
-    agg = ad.aggregate(h, batch.neighbour_plan)
+    agg = ad.aggregate(h, batch.edges_by_src, batch.edges_by_dst)
     return ad.linear(ad.relu(ad.linear(ad.add(agg, h), W1)), W2), e
 
 
 def layer_sage(h, e, batch: GraphBatch, W):
-    agg = ad.aggregate(h, batch.neighbour_plan)
+    agg = ad.aggregate(h, batch.edges_by_src, batch.edges_by_dst)
     return ad.relu(ad.linear(ad.concat([h, agg], axis=1), W)), e
 
 
@@ -200,7 +196,7 @@ def layer_gat(h, e, batch: GraphBatch, *weights):
                        ad.gather_rows(ad.matmul(p, u_src), src))
         score = ad.leaky_relu(score, LEAKY_SLOPE)  # (E, 1)
         alpha = ad.segment_softmax(score, dst)
-        outs.append(ad.elu(ad.aggregate(p, batch.neighbour_plan, alpha)))
+        outs.append(ad.elu(ad.aggregate(p, src, dst, alpha)))
     return ad.concat(outs, axis=1), e
 
 
@@ -215,7 +211,7 @@ def layer_gatedgcn(h, e, batch: GraphBatch, U, W, A, B, C):
     numer = ad.sigmoid(e_new)
     denom = ad.segment_sum(numer, dst)
     gate = ad.div(numer, ad.add(ad.gather_rows(denom, dst), GATE_EPS))
-    agg = ad.aggregate(ad.linear(h, W), batch.neighbour_plan, gate)
+    agg = ad.aggregate(ad.linear(h, W), src, dst, gate)
     return ad.relu(ad.add(ad.linear(h, U), agg)), e_new
 
 

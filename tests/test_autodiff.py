@@ -232,7 +232,7 @@ def test_concat_split_gather_grads():
             joined = ad.concat([a, b], axis=0)
             mat, row = ad.split(joined, [(3, 3), (1, 3)])
             rows = ad.gather_rows(ad.concat([mat, row], axis=0),
-                                  ad.SumPlan.segments(index, 4))
+                                  ad.SumPlan(index, 4))
             return tape, ad.tsum(ad.mul(rows, rows))
 
         check_param_grads(build, rng.normal(size=2 * n))
@@ -274,7 +274,7 @@ def test_split_is_one_record_of_views_in_their_shapes():
 def test_gather_rows_accumulates_repeated_indices():
     tape = ad.Tape()
     x = tape.parameter("x", np.array([[1.0], [2.0]]))
-    out = ad.gather_rows(x, ad.SumPlan.segments(np.array([0, 0, 1]), 2))
+    out = ad.gather_rows(x, ad.SumPlan(np.array([0, 0, 1]), 2))
     grads = ad.backward(tape, ad.tsum(out))
     assert np.array_equal(grads["x"], [[2.0], [1.0]])
 
@@ -282,13 +282,13 @@ def test_gather_rows_accumulates_repeated_indices():
 def test_segment_sum_values_and_grads():
     tape = ad.Tape()
     x = tape.parameter("x", np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    out = ad.segment_sum(x, ad.SumPlan.segments(np.array([1, 0, 1]), 3))
+    out = ad.segment_sum(x, ad.SumPlan(np.array([1, 0, 1]), 3))
     assert np.array_equal(out.data, [[3.0, 4.0], [6.0, 8.0], [0.0, 0.0]])
 
     rng = np.random.default_rng(31)
     for trial in range(10):
         n, d, k = 7, 3, 4
-        seg = ad.SumPlan.segments(rng.integers(0, k, size=n), k)
+        seg = ad.SumPlan(rng.integers(0, k, size=n), k)
 
         def build(flat):
             tape = ad.Tape()
@@ -304,7 +304,7 @@ def test_segment_softmax_matches_per_segment_softmax():
     for trial in range(10):
         n, d, k = 8, 2, 3
         seg = rng.integers(0, k, size=n)
-        plan = ad.SumPlan.segments(seg, k)
+        plan = ad.SumPlan(seg, k)
         x = rng.normal(size=(n, d))
         out = ad.segment_softmax(ad.Tensor(x), plan).data
         for s in range(k):
@@ -328,7 +328,7 @@ def test_segment_softmax_matches_per_segment_softmax():
 def test_segment_softmax_empty_segment_is_fine():
     x = np.array([[0.0], [1.0]])
     out = ad.segment_softmax(ad.Tensor(x),
-                             ad.SumPlan.segments(np.array([2, 2]), 4)).data
+                             ad.SumPlan(np.array([2, 2]), 4)).data
     e = np.exp(x - 1.0)
     assert np.allclose(out, e / e.sum())
 
@@ -337,20 +337,21 @@ def test_segment_ids_out_of_range_raise():
     # ids are checked once, when the plan is built
     with pytest.raises(ad.ShapeError):
         ad.segment_sum(ad.Tensor(np.zeros((2, 1))),
-                       ad.SumPlan.segments(np.array([0, 5]), 3))
+                       ad.SumPlan(np.array([0, 5]), 3))
 
 
 def test_gather_rows_index_out_of_range_raises():
     x = ad.Tensor(np.zeros((3, 2)))
     for index in ([0, -1], [0, 3]):
         with pytest.raises(ad.ShapeError):
-            ad.gather_rows(x, ad.SumPlan.segments(np.array(index), 3))
+            ad.gather_rows(x, ad.SumPlan(np.array(index), 3))
 
 
 def test_ops_reject_a_plan_over_the_wrong_row_count():
-    plan = ad.SumPlan.segments(np.array([0, 2, 2, 1]), 3)   # 4 rows -> 3
+    plan = ad.SumPlan(np.array([0, 2, 2, 1]), 3)   # 4 rows -> 3
     for op, rows in ((ad.gather_rows, 4), (ad.segment_sum, 3),
-                     (ad.segment_softmax, 3), (ad.aggregate, 3)):
+                     (ad.segment_softmax, 3),
+                     (lambda x, p: ad.aggregate(x, p, p), 4)):
         with pytest.raises(ad.ShapeError):
             op(ad.Tensor(np.zeros((rows, 2))), plan)
 
@@ -399,7 +400,7 @@ def scatter_cases(draw):
 @given(scatter_cases())
 def test_scatter_ops_bit_equal_add_at(case):
     index, values, grad, n = case
-    plan = ad.SumPlan.segments(index, n)
+    plan = ad.SumPlan(index, n)
     assert same_bits(ad.segment_sum(values, plan).data,
                      _add_at(index, values, n))
 
@@ -440,7 +441,7 @@ def test_max_fold_bit_equal_maximum_at(case):
     want = np.full((n,) + values.shape[1:], -np.inf)
     with np.errstate(invalid="ignore"):
         np.maximum.at(want, index, values)
-    got = ad.SumPlan.segments(index, n).apply(values, np.maximum, -np.inf)
+    got = ad.SumPlan(index, n).apply(values, np.maximum, -np.inf)
     assert same_bits(got, want)
 
 
@@ -480,10 +481,9 @@ def aggregate_cases(draw):
 def test_aggregate_bit_equal_gather_then_segment_sum(case):
     src, dst, x, grad = case
     n = x.shape[0]
-    plan = ad.SumPlan(src, dst, n, n)
-    by_src, by_dst = ad.SumPlan.segments(src, n), ad.SumPlan.segments(dst, n)
+    by_src, by_dst = ad.SumPlan(src, n), ad.SumPlan(dst, n)
     outs, grads = [], []
-    for op in (lambda h: ad.aggregate(h, plan),
+    for op in (lambda h: ad.aggregate(h, by_src, by_dst),
                lambda h: ad.segment_sum(ad.gather_rows(h, by_src), by_dst)):
         tape = ad.Tape()
         out = op(tape.parameter("x", x))
@@ -521,10 +521,9 @@ def weighted_aggregate_cases(draw):
 def test_weighted_aggregate_bit_equal_mul_then_segment_sum(case):
     src, dst, x, w, grad = case
     n = x.shape[0]
-    plan = ad.SumPlan(src, dst, n, n)
-    by_src, by_dst = ad.SumPlan.segments(src, n), ad.SumPlan.segments(dst, n)
+    by_src, by_dst = ad.SumPlan(src, n), ad.SumPlan(dst, n)
     runs = []
-    for op in (lambda h, a: ad.aggregate(h, plan, a),
+    for op in (lambda h, a: ad.aggregate(h, by_src, by_dst, a),
                lambda h, a: ad.segment_sum(
                    ad.mul(a, ad.gather_rows(h, by_src)), by_dst)):
         tape = ad.Tape()
@@ -542,11 +541,12 @@ def test_sum_plan_holds_one_index_entry_per_edge():
     src = np.concatenate([rng.integers(0, n, 300), rng.integers(0, n, 50)])
     dst = np.concatenate([np.zeros(300, dtype=np.int64),
                           rng.integers(1, n, 50)])
-    plan = ad.SumPlan(src, dst, n, n)
-    assert len(plan.ranks) == 300
-    assert sum(cols.size for cols in plan.ranks) == src.size
+    plan = ad.SumPlan(dst, n)
+    _, ranks = plan.layout
+    assert len(ranks) == 300
+    assert sum(ids.size for ids in ranks) == src.size
     x = rng.normal(size=(n, 3))
-    assert same_bits(plan.apply(x), _add_at(dst, x[src], n))
+    assert same_bits(plan.apply(x, index=src), _add_at(dst, x[src], n))
 
 
 def test_aggregate_grads_and_plan_checks():
@@ -554,23 +554,25 @@ def test_aggregate_grads_and_plan_checks():
     n_in, n_out, d = 5, 3, 2
     index = rng.integers(0, n_in, size=9)
     keys = rng.integers(0, n_out, size=9)
-    plan = ad.SumPlan(index, keys, n_in, n_out)
+    src, dst = ad.SumPlan(index, n_in), ad.SumPlan(keys, n_out)
 
     def build(flat):
         tape = ad.Tape()
         x = tape.parameter("x", flat.reshape(n_in, d))
-        out = ad.aggregate(x, plan)
+        out = ad.aggregate(x, src, dst)
         return tape, ad.tsum(ad.mul(out, out))
 
     check_param_grads(build, rng.normal(size=n_in * d))
-    with pytest.raises(ad.ShapeError):
-        ad.aggregate(np.zeros((n_out, d)), plan)
-    with pytest.raises(ad.ShapeError):
-        ad.aggregate(np.zeros((n_in, d)), plan, np.ones((8, 1)))
-    for bad in ((index, np.array([0] * 8 + [n_out])),
-                (np.array([-1] + [0] * 8), keys), (index, keys[:-1])):
+    for bad in ((np.zeros((n_out, d)), src, dst),
+                (np.zeros((n_in, d)), src, dst, np.ones((8, 1))),
+                (np.zeros((n_in, d)), src, ad.SumPlan(keys[:-1], n_out))):
         with pytest.raises(ad.ShapeError):
-            ad.SumPlan(*bad, n_in, n_out)
+            ad.aggregate(*bad)
+    for bad, n in ((np.array([0] * 8 + [n_out]), n_out),
+                   (np.array([-1] + [0] * 8), n_in),
+                   (keys.reshape(3, 3), n_out)):
+        with pytest.raises(ad.ShapeError):
+            ad.SumPlan(bad, n)
 
 
 def test_dropout_semantics_and_grad():
@@ -715,7 +717,7 @@ def _every_op_tracked(tape):
     v = tape.parameter("v", rng.normal(size=6))
     c = ad.Tensor(rng.normal(size=(4, 3)))
     seg = np.array([0, 2, 2, 1])
-    plan = ad.SumPlan.segments(seg, 3)
+    plan = ad.SumPlan(seg, 3)
     for op in (ad.add, ad.sub, ad.mul, ad.div):
         op(a, c)
     ad.matmul(a, ad.Tensor(np.ones((3, 2))))
@@ -726,10 +728,10 @@ def _every_op_tracked(tape):
     ad.log(ad.clip_min(a, 0.1))
     ad.tsum(a)
     ad.split(v, [(2, 2), (2,)])
-    ad.gather_rows(a, ad.SumPlan.segments(seg, 4))
+    ad.gather_rows(a, ad.SumPlan(seg, 4))
     ad.segment_sum(a, plan)
     ad.segment_softmax(a, plan)
-    ad.aggregate(a, ad.SumPlan(seg, np.array([1, 0, 3, 3]), 4, 4))
+    ad.aggregate(a, ad.SumPlan(seg, 4), ad.SumPlan(np.array([1, 0, 3, 3]), 4))
     ad.dropout(a, 0.5, rng)
 
 
@@ -757,10 +759,10 @@ def test_records_keep_uids_and_no_tensors():
 def test_intermediate_no_vjp_reads_is_freed():
     tape = ad.Tape()
     h = tape.parameter("h", np.arange(6.0).reshape(3, 2))
-    rows = ad.gather_rows(h, ad.SumPlan.segments(np.array([0, 1, 1, 2]), 3))
+    rows = ad.gather_rows(h, ad.SumPlan(np.array([0, 1, 1, 2]), 3))
     gone = weakref.ref(rows.data)
     agg = ad.segment_sum(rows,
-                         ad.SumPlan.segments(np.array([0, 0, 1, 2]), 3))
+                         ad.SumPlan(np.array([0, 0, 1, 2]), 3))
     del rows          # segment_sum's vjp needs only the ids
     assert gone() is None
     grads = ad.backward(tape, ad.tsum(agg))
@@ -774,18 +776,20 @@ def test_vjp_skips_products_for_untracked_inputs():
     x = rng.normal(size=(4, 3))
     w_t = tape.parameter("w_t", rng.normal(size=(3, 2)))
     # two entries: x rows 3 and 0 into rows 1 and 0 of two
-    plan = ad.SumPlan(np.array([3, 0]), np.array([1, 0]), 4, 2)
-    back = ad.SumPlan(np.array([1, 0]), np.array([1, 1]), 2, 2)
+    src, dst = ad.SumPlan(np.array([3, 0]), 4), ad.SumPlan(np.array([1, 0]), 2)
+    back_src = ad.SumPlan(np.array([1, 0]), 2)
+    back_dst = ad.SumPlan(np.array([1, 1]), 2)
     for build, want in ((lambda: ad.linear(x, w), lambda g: (None, g.T @ x)),
                         (lambda: ad.matmul(x, w_t), lambda g: (None, x.T @ g)),
                         (lambda: ad.matmul(w_t, x[:2]),
                          lambda g: (g @ x[:2].T, None)),
                         (lambda: ad.mul(w, x[:2]),
                          lambda g: (g * x[:2], None)),
-                        (lambda: ad.aggregate(x, plan, w),
+                        (lambda: ad.aggregate(x, src, dst, w),
                          lambda g: (None, g[[1, 0]] * x[[3, 0]])),
-                        (lambda: ad.aggregate(w, back, x[:2]),
-                         lambda g: (back.transpose.apply(g, weight=x[:2]),
+                        (lambda: ad.aggregate(w, back_src, back_dst, x[:2]),
+                         lambda g: (back_src.apply(g, weight=x[:2],
+                                                   index=back_dst.keys),
                                     None))):
         g = rng.normal(size=build().shape)
         got = tape.records[-1].vjp(g)

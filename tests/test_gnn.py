@@ -1,5 +1,6 @@
 """Layer semantics, batch mechanics, equivariance and gradients."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -416,7 +417,7 @@ def _add_at(keys, rows, n):
     return out
 
 
-def test_neighbour_plan_is_built_once_per_batch():
+def test_plans_are_built_once_per_batch():
     batch = make_batch(featurized(["CCO", "c1ccccc1"]), np.zeros((2, 1)))
     src, dst = batch.edge_index[:, 0], batch.edge_index[:, 1]
     rng = np.random.default_rng(0)
@@ -424,8 +425,7 @@ def test_neighbour_plan_is_built_once_per_batch():
     e = rng.normal(size=(src.size, 3))
     n = batch.n_nodes
     # each plan: its input rows and the np.add.at sum it must reproduce
-    plans = {"neighbour_plan": (h, _add_at(dst, h[src], n)),
-             "edges_by_src": (e, _add_at(src, e, n)),
+    plans = {"edges_by_src": (e, _add_at(src, e, n)),
              "edges_by_dst": (e, _add_at(dst, e, n)),
              "nodes_by_graph": (h, _add_at(batch.node_graph, h,
                                            batch.n_graphs))}
@@ -433,26 +433,44 @@ def test_neighbour_plan_is_built_once_per_batch():
         plan = getattr(batch, name)
         assert getattr(batch, name) is plan, name
         assert np.array_equal(plan.apply(rows), want), name
+    # a neighbour sum reads each edge's source row
+    assert np.array_equal(batch.edges_by_dst.apply(h, index=src),
+                          _add_at(dst, h[src], n))
 
 
 @pytest.mark.parametrize("arch", ["gat", "gatedgcn"])
 def test_predictions_build_each_plan_once(arch, monkeypatch):
-    built = []
-    init = ad.SumPlan.__init__
+    built, sorted_ = [], []
+    init, layout = ad.SumPlan.__init__, ad.SumPlan.layout.func
 
-    def counting(self, index, keys, n_in, n_out):
-        built.append((n_in, n_out))
-        init(self, index, keys, n_in, n_out)
+    def counting_init(self, keys, n_out):
+        built.append(self)
+        init(self, keys, n_out)
 
-    monkeypatch.setattr(ad.SumPlan, "__init__", counting)
+    def counting_layout(self):
+        sorted_.append(self)
+        return layout(self)
+
+    counted = functools.cached_property(counting_layout)
+    counted.__set_name__(ad.SumPlan, "layout")
+    monkeypatch.setattr(ad.SumPlan, "__init__", counting_init)
+    monkeypatch.setattr(ad.SumPlan, "layout", counted)
     batch = make_batch(featurized(["CCO", "c1ccccc1"]), np.zeros((2, 1)))
     model = GnnClassifier(small_config(arch, T=1))
     flat = model.init_params(np.random.default_rng(0))
     first = model.predict_proba(flat, batch)
-    # edges by source and by destination, neighbours, readout
-    assert len(built) == 4
+    by_src, by_dst = batch.edges_by_src, batch.edges_by_dst
+    readout = batch.nodes_by_graph
+    # edges by source and by destination, and the readout, are built; a
+    # forward pass only gathers by source, so that plan is never sorted
+    assert len(built) == 3 and {*built} == {by_src, by_dst, readout}
+    assert sorted_ == [by_dst, readout]
     assert np.array_equal(model.predict_proba(flat, batch), first)
-    assert len(built) == 4
+    assert len(built) == 3 and sorted_ == [by_dst, readout]
+    # a train step's backward sums the gathered rows back by source
+    tape = ad.Tape()
+    ad.backward(tape, model.nll(tape, tape.parameter("theta", flat), batch))
+    assert len(built) == 3 and sorted_ == [by_dst, readout, by_src]
 
 
 # ---------------------------------------------------------------------------
