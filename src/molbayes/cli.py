@@ -533,31 +533,21 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _blas_threads() -> int:
-    """Threads each process's BLAS runs: the first positive count among
-    its thread variables, else one per core, the OpenBLAS and MKL default."""
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            n = int(os.environ.get(var, ""))
-        except ValueError:
-            continue
-        if n > 0:
-            return n
-    return _cores()
-
-
 def _worker_count(workers: int, n_seeds: int) -> int:
     """Training processes: ``workers``, or for 0 as many as the cores hold
-    next to each one's BLAS threads; never more than one per seed.
+    next to the threads each one's OpenBLAS reports; never more than one
+    per seed.
 
-    On a host where BLAS takes every core, seeds train one after another
-    in this process, because parallel workers would only contend for the
-    cores. Training never sets a BLAS thread count: it changes the bits
-    of the weight gradient's long contractions, so pinning it here would
-    make an artifact depend on the worker count.
+    On a host where BLAS takes every core, or where no OpenBLAS control is
+    found, seeds train one after another in this process, because parallel
+    workers would only contend for the cores. Training never sets a BLAS
+    thread count: it changes the bits of the weight gradient's long
+    contractions, so pinning it here would make an artifact depend on the
+    worker count.
     """
     if workers == 0:
-        workers = max(1, _cores() // _blas_threads())
+        blas = _openblas_threads()
+        workers = 1 if blas is None else max(1, _cores() // blas[0]())
     return min(workers, n_seeds)
 
 

@@ -278,19 +278,21 @@ def test_train_determinism_across_runs_and_workers(synthetic_csv, tmp_path):
         assert a == b, f"{name} differs between runs"
 
 
+# env: what the process finds of OpenBLAS, the thread count it reports,
+# or nothing where no OpenBLAS control is found
 @pytest.mark.parametrize("cores, env, workers, n_seeds, expected", [
-    (2, {}, 0, 2, 1),                        # BLAS takes both cores
-    (2, {"OPENBLAS_NUM_THREADS": "1"}, 0, 2, 2),
-    (8, {"OMP_NUM_THREADS": "2"}, 0, 8, 4),
-    (8, {"OMP_NUM_THREADS": "2"}, 0, 3, 3),  # never more than the seeds
-    (8, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 0, 8, 8),
-    (8, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "x",
-         "OMP_NUM_THREADS": "4"}, 0, 8, 2),  # first positive integer
-    (2, {"OMP_NUM_THREADS": "4"}, 0, 2, 1),
-    (None, {}, 0, 2, 1),                     # core count unknown
+    (2, {"openblas_threads": 2}, 0, 2, 1),   # BLAS takes both cores
+    (2, {"openblas_threads": 1}, 0, 2, 2),
+    (8, {"openblas_threads": 2}, 0, 8, 4),
+    (8, {"openblas_threads": 2}, 0, 3, 3),   # never more than the seeds
+    (8, {"openblas_threads": 1}, 0, 8, 8),
+    (8, {"openblas_threads": 4}, 0, 8, 2),
+    (2, {"openblas_threads": 4}, 0, 2, 1),   # more threads than cores
+    (None, {"openblas_threads": 1}, 0, 2, 1),  # core count unknown
     (2, {}, 3, 8, 3),                        # an explicit count stands
-    (2, {"OPENBLAS_NUM_THREADS": "1"}, 1, 8, 1),
+    (2, {"openblas_threads": 1}, 1, 8, 1),
     (2, {}, 5, 2, 2),
+    (8, {}, 0, 8, 1),                        # BLAS threads unknown
 ])
 def test_worker_count(monkeypatch, cores, env, workers, n_seeds, expected):
     # cores come from the affinity set, never the host's larger count;
@@ -302,11 +304,32 @@ def test_worker_count(monkeypatch, cores, env, workers, n_seeds, expected):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cores)))
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
+    threads = env.get("openblas_threads")
+    blas = None if threads is None else (lambda: threads, None)
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: blas)
     assert cli._worker_count(workers, n_seeds) == expected
+
+
+@pytest.mark.parametrize("var", ["MKL_NUM_THREADS", "GOTO_NUM_THREADS"])
+def test_worker_count_follows_the_threads_openblas_runs(var):
+    # OpenBLAS reads GOTO_NUM_THREADS but not MKL_NUM_THREADS, so a guess
+    # from the variables is wrong one way or the other
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                        "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env[var] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__)),
+         os.environ.get("PYTHONPATH", "")])
+    code = ("from molbayes import cli\n"
+            "blas = cli._openblas_threads()\n"
+            "print(cli._cores(), blas and blas[0](), "
+            "cli._worker_count(0, 64))")
+    cores, threads, workers = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True, timeout=120).stdout.split()
+    expected = 1 if threads == "None" else max(1, int(cores) // int(threads))
+    assert int(workers) == expected
 
 
 def test_pinned_blas_pool_matches_serial(synthetic_csv, tmp_path):
