@@ -467,10 +467,9 @@ def aggregate(x, src: SumPlan, dst: SumPlan, weight=None) -> Tensor:
     weight), without the (E, d) copies of x that pair keeps on the tape.
     """
     x = as_tensor(x)
-    if x.data.shape[0] != src.n_out or src.keys.size != dst.keys.size:
-        raise ShapeError(f"aggregate: {x.data.shape[0]} rows over "
-                         f"{src.keys.size} edges from {src.n_out} rows into "
-                         f"{dst.keys.size}")
+    if x.data.shape[0] != src.n_out:
+        raise ShapeError(f"aggregate: edges from {src.n_out} rows, x has "
+                         f"{x.data.shape[0]}")
     if weight is None:
         out = dst.apply(x.data, index=src.keys)
         return _emit("aggregate", (x,), out,

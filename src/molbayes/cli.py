@@ -538,12 +538,12 @@ def _worker_count(workers: int, n_seeds: int) -> int:
     next to the threads each one's OpenBLAS reports; never more than one
     per seed.
 
-    On a host where BLAS takes every core, or where no OpenBLAS control is
-    found, seeds train one after another in this process, because parallel
-    workers would only contend for the cores. Training never sets a BLAS
-    thread count: it changes the bits of the weight gradient's long
-    contractions, so pinning it here would make an artifact depend on the
-    worker count.
+    On a host where BLAS takes every core, seeds train one after another
+    in this process, because parallel workers would only contend for the
+    cores; so they do where no OpenBLAS control is found, as BLAS's thread
+    count is then unknown. Training never sets a BLAS thread count: it
+    changes the bits of the weight gradient's long contractions, so
+    pinning it here would make an artifact depend on the worker count.
     """
     if workers == 0:
         blas = _openblas_threads()
