@@ -21,6 +21,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .artifacts import read_text
+from .bayes import stream
 from .errors import DataError
 
 BOND_ORDERS = ("single", "double", "triple", "aromatic")
@@ -764,11 +765,12 @@ def scaffold_split(ds: LabeledDataset,
                    seed: int = 0) -> ScaffoldSplit:
     """Group molecules by scaffold key and deal groups into train/valid/test.
 
-    Groups are ordered by (size descending, key ascending); a seeded shuffle
-    is applied within each run of equal-size groups, so the seed changes
-    membership without ever letting one scaffold straddle two sets. Each
-    group goes to the first of train, valid, test still under its quota;
-    when all are full the group lands in train and counts as overrun.
+    Groups are ordered by (size descending, key ascending); a shuffle from
+    the seed's ``split`` stream is applied within each run of equal-size
+    groups, so the seed changes membership without ever letting one
+    scaffold straddle two sets. Each group goes to the first of train,
+    valid, test still under its quota; when all are full the group lands
+    in train and counts as overrun.
     """
     if len(ds) == 0:
         raise DataError("cannot split an empty dataset")
@@ -779,7 +781,7 @@ def scaffold_split(ds: LabeledDataset,
     for idx, key in enumerate(keys):
         groups.setdefault(key, []).append(idx)
     ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    rng = np.random.default_rng(seed)
+    rng = stream(seed, "split")
     start = 0
     while start < len(ordered):
         stop = start

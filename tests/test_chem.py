@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from molbayes import chem
+from molbayes import bayes, chem
 from molbayes.chem import (Atom, Bond, MoleculeGraph, SmilesError,
                            canonical_form, featurize, load_dataset,
                            murcko_scaffold, parse_smiles, scaffold_split)
@@ -571,6 +571,25 @@ def test_split_ten_distinct_scaffolds():
     split = scaffold_split(ds, seed=3)
     assert (len(split.train), len(split.valid), len(split.test)) == (8, 1, 1)
     del rings
+
+
+def test_split_shuffle_draws_from_its_own_stream():
+    # ten scaffolds of one molecule each: one run of ties, dealt 8/1/1
+    ds = toy_dataset([f"C1{'C' * k}C1" for k in range(2, 12)])
+    for seed in (0, 5, 123):
+        split = scaffold_split(ds, seed=seed)
+        by_key = sorted(range(len(ds)), key=lambda i: split.keys[i])
+        perm = bayes.stream(seed, "split").permutation(len(ds))
+        dealt = [by_key[p] for p in perm]
+        assert sorted(split.train.tolist()) == sorted(dealt[:8])
+        assert split.valid.tolist() == dealt[8:9]
+        assert split.test.tolist() == dealt[9:]
+        # a generator seeded with the bare seed draws what "init" draws
+        first = {purpose: bayes.stream(seed, purpose).random(4).tobytes()
+                 for purpose in bayes.STREAM_IDS}
+        first["seed"] = np.random.default_rng(seed).random(4).tobytes()
+        split_draws = first.pop("split")
+        assert split_draws not in first.values()
 
 
 def test_split_degenerate_single_scaffold():
