@@ -13,9 +13,9 @@ closure over just the arrays, masks and shapes that vjp computes with:
 shapes for ``add``/``sub``/``sum``, piece sizes for ``split``, the plan
 for ``gather_rows``/``segment_sum``/``segment_softmax``/``aggregate``, a
 bool mask for ``relu``/``leaky_relu``/``clip_min``/``dropout``, the
-negative branch for ``elu``, and for ``linear``/``matmul``/``mul``/``div``
-and a weighted ``aggregate`` only the operands of the products a tracked
-input needs (none is computed for an untracked input). An intermediate no
+negative branch for ``elu``, and for ``linear``/``mul``/``div`` and a
+weighted ``aggregate`` only the operands of the products a tracked input
+needs (none is computed for an untracked input). An intermediate no
 vjp reads (such as the edge rows ``gather_rows`` hands to
 ``segment_sum``) is therefore freed as soon as the forward pass drops it.
 The parameter registry keeps uids and shapes too, so no tape is in a
@@ -25,8 +25,8 @@ None for a piece that got none. ``backward`` drops each gradient once its
 producing record has been replayed: every consumer of a tensor was
 recorded after its producer, so by then the gradient is complete.
 
-The op catalog is exactly what the graph layers and losses need: matmul /
-linear, broadcast arithmetic, concat, the activations, gathers and
+The op catalog is exactly what the graph layers and losses need:
+``linear``, broadcast arithmetic, concat, the activations, gathers and
 segment reductions, planned row sums, dropout, and ``split``, which cuts
 a flat weight vector into shaped pieces with one record. Every
 reduction over rows (the ``segment_sum`` forward, the ``gather_rows``
@@ -214,21 +214,6 @@ def div(a, b) -> Tensor:
                 _unbroadcast(-g * a_data / (b_data * b_data), sb))
 
     return _emit("div", (a, b), out, vjp)
-
-
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
-    a_data = a.data if b.uid >= 0 else None
-    b_data = b.data if a.uid >= 0 else None
-
-    def vjp(g):
-        return (None if b_data is None else g @ b_data.T,
-                None if a_data is None else a_data.T @ g)
-
-    return _emit("matmul", (a, b), out, vjp)
 
 
 def linear(x, w) -> Tensor:

@@ -618,7 +618,6 @@ def murcko_scaffold(m: MoleculeGraph) -> str:
 
 @dataclass
 class LoadReport:
-    n_rows: int = 0
     n_kept: int = 0
     n_parse_failures: int = 0
     n_all_missing: int = 0
@@ -712,7 +711,6 @@ def load_dataset(path: str, smiles_col: str, label_cols: Sequence[str],
             raise DataError(f"{path}: missing column {col!r}; "
                             f"header has {header}")
     for lineno, record in enumerate(records, start=2):
-        report.n_rows += 1
         values = [_parse_label(record[c] or "", path, lineno, c)
                   for c in label_cols]
         if all(np.isnan(v) for v in values):

@@ -498,11 +498,10 @@ def _train_one_seed(payload: tuple) -> dict:
         def hook(flat: np.ndarray) -> dict:
             probs = np.vstack([model.predict_proba(flat, b) for b in batches])
             try:
-                auc, _ = metrics.macro_average(metrics.auroc, probs,
-                                               valid_labels)
+                return {"valid_auroc": metrics.macro_average(
+                    metrics.auroc, probs, valid_labels)}
             except DataError:
                 return {}
-            return {"valid_auroc": auc}
 
     post, log = bayes.train(model, data, schedule, seed, valid_eval=hook,
                             m_members=cfg["ensemble_members"],
@@ -616,20 +615,15 @@ def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
     probs = pred.mean
     row: dict = {"seed": seed, "n_eval": len(test_idx),
                  "n_draws": pred.n_samples}
-
-    def thresholded(p, y) -> tuple:
-        m = metrics.classification_metrics(p, y)
-        return m.accuracy, m.precision, m.recall, m.f1
-
-    for names, fn in ((("ece",), lambda p, y: (metrics.ece(p, y).ece,)),
-                      (("auroc",), lambda p, y: (metrics.auroc(p, y),)),
+    for names, fn in ((("ece",), metrics.ece), (("auroc",), metrics.auroc),
                       (("accuracy", "precision", "recall", "f1"),
-                       thresholded)):
+                       metrics.classification_metrics)):
         try:
-            means, _ = metrics.macro_average(fn, probs, labels)
+            means = metrics.macro_average(fn, probs, labels)
         except DataError:
             means = (None,) * len(names)
-        row.update(zip(names, means))
+        row.update(zip(names, means if isinstance(means, tuple)
+                       else (means,)))
     present = ~np.isnan(labels)
     pooled_p, pooled_y = probs[present], labels[present]
     row["extreme_fraction"] = \
@@ -658,11 +652,9 @@ def cmd_eval(cfg: dict, args: argparse.Namespace) -> int:
         raise DataError(
             f"no posterior artifacts found under {cfg['out_dir']} for "
             f"mode {cfg['mode']!r} and seeds {cfg['seeds']}")
-    numeric = [{k: v for k, v in r.items() if isinstance(v, (int, float))
-                and v is not None} for r in rows]
     report = {"config_digest": config_digest(cfg), "mode": cfg["mode"],
               "per_seed": rows, "aggregate":
-              metrics.aggregate_across_seeds(numeric),
+              metrics.aggregate_across_seeds(rows),
               "missing_seeds": missing}
     path = os.path.join(cfg["out_dir"], f"eval_{cfg['mode']}.json")
     _write_json(path, report)
@@ -725,7 +717,7 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
         "posterior": os.path.basename(path),
         "n_total": summary.n_total, "n_dropped": n_dropped,
         "n_below": summary.n_below, "n_above": summary.n_above,
-        "low": summary.low, "high": summary.high,
+        "low": metrics.SCREEN_LOW, "high": metrics.SCREEN_HIGH,
         "extreme_fraction": summary.extreme_fraction,
         "n_draws": pred.n_samples})
     _write_histogram(
@@ -733,8 +725,8 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
         {"count": summary.counts},
         f"screening probabilities ({cfg['mode']}) [config {digest}]")
     print(f"screened {summary.n_total} molecules ({n_dropped} dropped): "
-          f"{summary.n_below} below {summary.low}, "
-          f"{summary.n_above} above {summary.high}")
+          f"{summary.n_below} below {metrics.SCREEN_LOW}, "
+          f"{summary.n_above} above {metrics.SCREEN_HIGH}")
     print(f"wrote {base}_ranking.csv")
     return 0
 

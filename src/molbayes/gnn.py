@@ -132,22 +132,19 @@ def make_batch(graphs: Sequence[FeaturizedGraph],
     if labels.ndim != 2 or labels.shape[0] != len(graphs):
         raise DataError(f"labels shape {labels.shape} does not match "
                         f"{len(graphs)} graphs")
-    xs, es, eis, segs = [], [], [], []
-    offset = 0
-    for gid, g in enumerate(graphs):
-        n = g.node_x.shape[0]
-        if n == 0:
-            raise DataError(f"graph {gid} has no atoms")
-        xs.append(g.node_x)
-        es.append(g.edge_x)
-        eis.append(g.edge_index + offset)
-        segs.append(np.full(n, gid, dtype=np.int64))
-        offset += n
+    n_atoms = np.array([g.node_x.shape[0] for g in graphs], dtype=np.int64)
+    empty = np.flatnonzero(n_atoms == 0)
+    if empty.size:
+        raise DataError(f"graph {empty[0]} has no atoms")
+    n_edges = [g.edge_index.shape[0] for g in graphs]
+    first_atom = np.cumsum(n_atoms) - n_atoms
     batch = GraphBatch(
-        node_x=np.concatenate(xs),
-        edge_x=np.concatenate(es),
-        edge_index=np.concatenate(eis),
-        node_graph=np.concatenate(segs),
+        node_x=np.concatenate([g.node_x for g in graphs]),
+        edge_x=np.concatenate([g.edge_x for g in graphs]),
+        edge_index=np.concatenate([g.edge_index for g in graphs])
+        + np.repeat(first_atom, n_edges)[:, None],
+        node_graph=np.repeat(np.arange(len(graphs), dtype=np.int64),
+                             n_atoms),
         labels=labels,
         n_graphs=len(graphs),
     )
@@ -191,9 +188,9 @@ def layer_gat(h, e, batch: GraphBatch, *weights):
     for W, U in zip(weights[0::2], weights[1::2]):
         p = ad.linear(h, W)                       # (n, dk)
         dk = p.data.shape[1]
-        u_dst, u_src = ad.split(U, [(dk, 1), (dk, 1)])
-        score = ad.add(ad.gather_rows(ad.matmul(p, u_dst), dst),
-                       ad.gather_rows(ad.matmul(p, u_src), src))
+        u_dst, u_src = ad.split(U, [(1, dk), (1, dk)])
+        score = ad.add(ad.gather_rows(ad.linear(p, u_dst), dst),
+                       ad.gather_rows(ad.linear(p, u_src), src))
         score = ad.leaky_relu(score, LEAKY_SLOPE)  # (E, 1)
         alpha = ad.segment_softmax(score, dst)
         outs.append(ad.elu(ad.aggregate(p, src, dst, alpha)))

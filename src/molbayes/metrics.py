@@ -8,7 +8,10 @@ averages the columns that were defined.
 Binning convention, used everywhere: B equal-width bins over the stated
 range; a value lands in bin floor(t * B) of the unit-scaled coordinate
 t, clamped so the top of the range falls in the final bin (final bin
-right-closed, others half-open).
+right-closed, others half-open). B is ``ECE_BINS`` (10) for ECE and
+``HIST_BINS`` (20) for the confusion and screening histograms; a screen
+counts a probability below ``SCREEN_LOW`` (0.05) or above
+``SCREEN_HIGH`` (0.95) as extreme.
 """
 
 from __future__ import annotations
@@ -21,6 +24,10 @@ import numpy as np
 from .errors import DataError
 
 THRESHOLD = 0.5
+ECE_BINS = 10
+HIST_BINS = 20
+SCREEN_LOW = 0.05
+SCREEN_HIGH = 0.95
 
 
 def _validate(probs, labels=None, name: str = "probabilities"):
@@ -50,43 +57,25 @@ def _bin_index(t: np.ndarray, n_bins: int) -> np.ndarray:
 # calibration
 
 
-@dataclass
-class CalibrationReport:
-    n_bins: int
-    bin_low: np.ndarray
-    bin_high: np.ndarray
-    bin_count: np.ndarray
-    bin_confidence: np.ndarray   # mean confidence, 0 for empty bins
-    bin_accuracy: np.ndarray     # empirical accuracy, 0 for empty bins
-    ece: float
-
-
-def ece(probs, labels, n_bins: int = 10) -> CalibrationReport:
-    """Expected calibration error over equal-width confidence bins.
+def ece(probs, labels) -> float:
+    """Expected calibration error over ``ECE_BINS`` equal-width confidence
+    bins.
 
     Confidence is max(p, 1-p) in [0.5, 1]; the predicted class is
     [p >= 0.5]; ECE = sum_b (n_b / N) |accuracy_b - confidence_b| with
     empty bins contributing nothing.
     """
     probs, labels = _validate(probs, labels)
-    if n_bins < 1:
-        raise DataError("need at least one bin")
     confidence = np.maximum(probs, 1.0 - probs)
     correct = ((probs >= THRESHOLD) == (labels == 1.0)).astype(np.float64)
-    idx = _bin_index((confidence - 0.5) * 2.0, n_bins)
-    count = np.bincount(idx, minlength=n_bins).astype(np.int64)
-    conf_sum = np.bincount(idx, weights=confidence, minlength=n_bins)
-    acc_sum = np.bincount(idx, weights=correct, minlength=n_bins)
+    idx = _bin_index((confidence - 0.5) * 2.0, ECE_BINS)
+    count = np.bincount(idx, minlength=ECE_BINS).astype(np.int64)
+    conf_sum = np.bincount(idx, weights=confidence, minlength=ECE_BINS)
+    acc_sum = np.bincount(idx, weights=correct, minlength=ECE_BINS)
     filled = count > 0
     mean_conf = np.where(filled, conf_sum / np.maximum(count, 1), 0.0)
     mean_acc = np.where(filled, acc_sum / np.maximum(count, 1), 0.0)
-    value = float(np.sum(count / probs.size
-                         * np.abs(mean_acc - mean_conf)))
-    grid = np.arange(n_bins + 1) / n_bins
-    return CalibrationReport(
-        n_bins=n_bins, bin_low=0.5 + 0.5 * grid[:-1],
-        bin_high=0.5 + 0.5 * grid[1:], bin_count=count,
-        bin_confidence=mean_conf, bin_accuracy=mean_acc, ece=value)
+    return float(np.sum(count / probs.size * np.abs(mean_acc - mean_conf)))
 
 
 # ---------------------------------------------------------------------------
@@ -133,22 +122,10 @@ def auroc(scores, labels) -> float:
     return float(u / (n_pos * n_neg))
 
 
-@dataclass
-class ClassificationMetrics:
-    accuracy: float
-    precision: float
-    recall: float
-    f1: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    zero_predicted_positives: bool
-
-
-def classification_metrics(probs, labels) -> ClassificationMetrics:
-    """Metrics at ``THRESHOLD``; degenerate ratios fall back to 0 with a
-    flag."""
+def classification_metrics(probs, labels
+                           ) -> tuple[float, float, float, float]:
+    """(accuracy, precision, recall, f1) at ``THRESHOLD``; a degenerate
+    ratio falls back to 0."""
     probs, labels = _validate(probs, labels)
     pred = probs >= THRESHOLD
     pos = labels == 1.0
@@ -156,15 +133,11 @@ def classification_metrics(probs, labels) -> ClassificationMetrics:
     fp = int(np.sum(pred & ~pos))
     fn = int(np.sum(~pred & pos))
     tn = int(np.sum(~pred & ~pos))
-    no_pred_pos = (tp + fp) == 0
-    precision = 0.0 if no_pred_pos else tp / (tp + fp)
+    precision = 0.0 if (tp + fp) == 0 else tp / (tp + fp)
     recall = 0.0 if (tp + fn) == 0 else tp / (tp + fn)
     f1 = 0.0 if precision + recall == 0 \
         else 2.0 * precision * recall / (precision + recall)
-    return ClassificationMetrics(
-        accuracy=(tp + tn) / probs.size, precision=precision,
-        recall=recall, f1=f1, tp=tp, fp=fp, tn=tn, fn=fn,
-        zero_predicted_positives=no_pred_pos)
+    return (tp + tn) / probs.size, precision, recall, f1
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +154,16 @@ class ConfusionHistogram:
     fn: np.ndarray
 
 
-def confusion_histogram(probs, labels, n_bins: int = 20
-                        ) -> ConfusionHistogram:
+def confusion_histogram(probs, labels) -> ConfusionHistogram:
     """Per-probability-bin outcome counts at the 0.5 threshold."""
     probs, labels = _validate(probs, labels)
-    if n_bins < 1:
-        raise DataError("need at least one bin")
-    idx = _bin_index(probs, n_bins)
+    idx = _bin_index(probs, HIST_BINS)
     pred = probs >= THRESHOLD
     pos = labels == 1.0
-    grid = np.arange(n_bins + 1) / n_bins
+    grid = np.arange(HIST_BINS + 1) / HIST_BINS
 
     def count(mask):
-        return np.bincount(idx[mask], minlength=n_bins).astype(np.int64)
+        return np.bincount(idx[mask], minlength=HIST_BINS).astype(np.int64)
 
     return ConfusionHistogram(
         bin_low=grid[:-1], bin_high=grid[1:],
@@ -206,8 +176,6 @@ class ScreeningSummary:
     n_total: int
     n_below: int
     n_above: int
-    low: float
-    high: float
     bin_low: np.ndarray
     bin_high: np.ndarray
     counts: np.ndarray
@@ -217,18 +185,17 @@ class ScreeningSummary:
         return (self.n_below + self.n_above) / self.n_total
 
 
-def screening_summary(probs, low: float = 0.05, high: float = 0.95,
-                      n_bins: int = 20) -> ScreeningSummary:
+def screening_summary(probs) -> ScreeningSummary:
     """How much of an unlabeled library gets an extreme probability."""
     probs = _validate(probs)
-    idx = _bin_index(probs, n_bins)
-    grid = np.arange(n_bins + 1) / n_bins
+    idx = _bin_index(probs, HIST_BINS)
+    grid = np.arange(HIST_BINS + 1) / HIST_BINS
     return ScreeningSummary(
         n_total=probs.size,
-        n_below=int(np.sum(probs < low)),
-        n_above=int(np.sum(probs > high)),
-        low=low, high=high, bin_low=grid[:-1], bin_high=grid[1:],
-        counts=np.bincount(idx, minlength=n_bins).astype(np.int64))
+        n_below=int(np.sum(probs < SCREEN_LOW)),
+        n_above=int(np.sum(probs > SCREEN_HIGH)),
+        bin_low=grid[:-1], bin_high=grid[1:],
+        counts=np.bincount(idx, minlength=HIST_BINS).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -236,51 +203,53 @@ def screening_summary(probs, low: float = 0.05, high: float = 0.95,
 
 
 def macro_average(metric: Callable[[np.ndarray, np.ndarray], Any],
-                  probs, labels) -> tuple[Any, list]:
+                  probs, labels) -> Any:
     """Column-wise metric over non-missing cells, averaged across tasks.
 
     NaN labels mark missing cells. Tasks where the metric is undefined
-    (e.g. single-class auroc) are skipped and reported as None; at least
-    one task must be defined. A metric returning a tuple of floats is
-    averaged entry by entry, giving a tuple of means.
+    (e.g. single-class auroc) are skipped; at least one task must be
+    defined. A metric returning a tuple of floats is averaged entry by
+    entry, giving a tuple of means.
     """
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if probs.ndim != 2 or probs.shape != labels.shape:
         raise DataError(f"need matching (n, tasks) matrices, got "
                         f"{probs.shape} and {labels.shape}")
-    per_task: list = []
+    defined: list = []
     for t in range(probs.shape[1]):
         present = ~np.isnan(labels[:, t])
         if not present.any():
-            per_task.append(None)
             continue
         try:
             value = metric(probs[present, t], labels[present, t])
         except DataError:
-            per_task.append(None)
             continue
-        per_task.append(value if isinstance(value, tuple) else float(value))
-    defined = [v for v in per_task if v is not None]
+        defined.append(value if isinstance(value, tuple) else float(value))
     if not defined:
         raise DataError("metric undefined for every task")
     if isinstance(defined[0], tuple):
         # one 1-D mean per entry: the mean of a stacked (tasks, k) array
         # along axis 0 can differ in the last bit from 8 tasks on
-        return tuple(float(np.mean(c)) for c in zip(*defined)), per_task
-    return float(np.mean(defined)), per_task
+        return tuple(float(np.mean(c)) for c in zip(*defined))
+    return float(np.mean(defined))
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def aggregate_across_seeds(per_seed: Sequence[dict]) -> dict:
-    """Mean and std (sample std for n > 1) per metric name across runs."""
+    """Mean and std (sample std for n > 1) per metric name across runs,
+    over the runs where that metric is a number (not None or a flag)."""
     if not per_seed:
         raise DataError("no per-seed metrics to aggregate")
-    names = sorted({k for d in per_seed for k in d
-                    if isinstance(d[k], (int, float)) and d[k] is not True
-                    and d[k] is not False})
+    names = sorted({k for d in per_seed for k, v in d.items()
+                    if _is_number(v)})
     out = {}
     for name in names:
-        vals = np.array([float(d[name]) for d in per_seed if name in d])
+        vals = np.array([float(d[name]) for d in per_seed
+                         if _is_number(d.get(name))])
         out[name] = {"mean": float(vals.mean()),
                      "std": float(vals.std(ddof=1)) if vals.size > 1
                      else 0.0,

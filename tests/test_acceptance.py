@@ -145,13 +145,13 @@ def test_criterion_2_metric_oracles():
         n = int(rng.integers(1, 513))
         probs = rng.random(n)
         labels = rng.integers(0, 2, size=n).astype(np.float64)
-        got = metrics.ece(probs, labels).ece
+        got = metrics.ece(probs, labels)
         assert abs(got - _ece_loop(probs, labels, 10)) <= ORACLE_TOL
 
     n = 100_000
     probs = rng.random(n)
     labels = (rng.random(n) < probs).astype(np.float64)
-    assert metrics.ece(probs, labels).ece < CALIBRATED_ECE
+    assert metrics.ece(probs, labels) < CALIBRATED_ECE
 
 
 # ---------------------------------------------------------------------------

@@ -181,28 +181,23 @@ def test_elu_bit_equal_where_form(case):
 # structural ops
 
 
-def test_matmul_and_linear_grads():
+def test_linear_grads():
     rng = np.random.default_rng(23)
     for trial in range(10):
-        n, d_in, d_out = (int(rng.integers(1, 5)) for _ in range(3))
+        n, d_in = (int(rng.integers(1, 5)) for _ in range(2))
+        # d_out 1 is GAT's per-node logit: a (1, d/K) weight
+        for d_out in (int(rng.integers(2, 5)), 1):
 
-        def build(flat):
-            tape = ad.Tape()
-            x = tape.parameter("x", flat[:n * d_in].reshape(n, d_in))
-            w = tape.parameter("w", flat[n * d_in:].reshape(d_out, d_in))
-            out = ad.linear(x, w)
-            return tape, ad.tsum(ad.mul(out, out))
+            def build(flat):
+                tape = ad.Tape()
+                x = tape.parameter("x", flat[:n * d_in].reshape(n, d_in))
+                w = tape.parameter("w",
+                                   flat[n * d_in:].reshape(d_out, d_in))
+                out = ad.linear(x, w)
+                return tape, ad.tsum(ad.mul(out, out))
 
-        check_param_grads(build, rng.normal(size=n * d_in + d_out * d_in))
-
-        def build_mm(flat):
-            tape = ad.Tape()
-            x = tape.parameter("x", flat[:n * d_in].reshape(n, d_in))
-            w = tape.parameter("w", flat[n * d_in:].reshape(d_in, d_out))
-            out = ad.matmul(x, w)
-            return tape, ad.tsum(ad.mul(out, out))
-
-        check_param_grads(build_mm, rng.normal(size=n * d_in + d_in * d_out))
+            check_param_grads(build,
+                              rng.normal(size=n * d_in + d_out * d_in))
 
 
 def test_linear_is_x_w_transpose():
@@ -212,11 +207,11 @@ def test_linear_is_x_w_transpose():
     assert np.allclose(out, x @ w.T)
 
 
-def test_matmul_shape_mismatch_raises():
-    with pytest.raises(ad.ShapeError):
-        ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 3))))
+def test_linear_shape_mismatch_raises():
     with pytest.raises(ad.ShapeError):
         ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 5))))
+    with pytest.raises(ad.ShapeError):
+        ad.linear(ad.Tensor(np.zeros(3)), ad.Tensor(np.zeros((4, 3))))
 
 
 def test_concat_split_gather_grads():
@@ -702,7 +697,7 @@ def test_tape_is_freed_without_the_cycle_collector():
 # what the tape retains
 
 
-ALL_KINDS = {"add", "sub", "mul", "div", "matmul", "linear", "concat",
+ALL_KINDS = {"add", "sub", "mul", "div", "linear", "concat",
              "relu", "leaky_relu", "elu", "sigmoid", "log",
              "softplus", "clip_min", "sum", "split",
              "gather_rows", "segment_sum", "segment_softmax", "aggregate",
@@ -720,7 +715,7 @@ def _every_op_tracked(tape):
     plan = ad.SumPlan(seg, 3)
     for op in (ad.add, ad.sub, ad.mul, ad.div):
         op(a, c)
-    ad.matmul(a, ad.Tensor(np.ones((3, 2))))
+    ad.linear(a, ad.Tensor(np.ones((2, 3))))
     ad.linear(c, a)
     ad.concat([a, c], axis=1)
     for op in UNARY_OPS:
@@ -774,15 +769,13 @@ def test_vjp_skips_products_for_untracked_inputs():
     tape = ad.Tape()
     w = tape.parameter("w", rng.normal(size=(2, 3)))
     x = rng.normal(size=(4, 3))
-    w_t = tape.parameter("w_t", rng.normal(size=(3, 2)))
+    h = tape.parameter("h", rng.normal(size=(5, 3)))
     # two entries: x rows 3 and 0 into rows 1 and 0 of two
     src, dst = ad.SumPlan(np.array([3, 0]), 4), ad.SumPlan(np.array([1, 0]), 2)
     back_src = ad.SumPlan(np.array([1, 0]), 2)
     back_dst = ad.SumPlan(np.array([1, 1]), 2)
     for build, want in ((lambda: ad.linear(x, w), lambda g: (None, g.T @ x)),
-                        (lambda: ad.matmul(x, w_t), lambda g: (None, x.T @ g)),
-                        (lambda: ad.matmul(w_t, x[:2]),
-                         lambda g: (g @ x[:2].T, None)),
+                        (lambda: ad.linear(h, x), lambda g: (g @ x, None)),
                         (lambda: ad.mul(w, x[:2]),
                          lambda g: (g * x[:2], None)),
                         (lambda: ad.aggregate(x, src, dst, w),

@@ -664,7 +664,7 @@ def test_load_drops_unparseable_rows(tmp_path):
     path = write_csv(tmp_path, "smiles,y\nCC,1\nnot_a_smiles((,0\nCCO,1\n")
     ds = load_dataset(path, "smiles", ["y"])
     assert len(ds) == 2
-    assert ds.report.n_parse_failures == 1 and ds.report.n_rows == 3
+    assert ds.report.n_parse_failures == 1 and ds.report.n_kept == 2
 
 
 def test_load_missing_labels_and_all_missing(tmp_path):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from molbayes import artifacts, bayes, chem, cli
+from molbayes import artifacts, bayes, chem, cli, gnn, metrics
 from molbayes.errors import ConfigError, NumericError
 from conftest import synthetic_rows
 
@@ -259,6 +259,50 @@ def test_confusion_csv_embeds_digest(synthetic_csv, tmp_path):
     assert lines[0] == f"# config_digest={report['config_digest']}"
     assert lines[1] == "bin_low,bin_high,tp,fp,tn,fn"
     assert len(lines) == 22
+
+
+def test_two_task_eval_is_the_macro_average_of_the_stored_posterior(
+        tmp_path):
+    # the second task leaves every third cell empty, so each metric
+    # averages over the labelled cells of each task
+    csv = tmp_path / "two_tasks.csv"
+    csv.write_text("smiles,activity,ring\n" + "".join(
+        f"{smi},{label},{'' if i % 3 == 0 else int('1' in smi)}\n"
+        for i, (smi, label) in enumerate(synthetic_rows())))
+    out = tmp_path / "out"
+    args = _args(csv, out, "--set",
+                 'dataset.label_columns=["activity", "ring"]',
+                 "--set", "schedule.epochs=2", "--seeds", "0,1")
+    for command in (["split"], ["train", "--mode", "none", "--arch", "gcn"],
+                    ["eval", "--mode", "none", "--arch", "gcn"]):
+        assert cli.main([*command, *args]) == 0
+    ds = chem.load_dataset(str(csv), "smiles", ["activity", "ring"])
+    model = gnn.GnnClassifier(gnn.ModelConfig(
+        "gcn", hidden_dim=8, graph_dim=8, n_layers=1, n_heads=2, n_tasks=2,
+        dropout=0.0))
+    report = _read_json(out / "eval_none.json")
+    assert [row["seed"] for row in report["per_seed"]] == [0, 1]
+    for row in report["per_seed"]:
+        manifest = _read_json(out / f"split_seed{row['seed']}.json")
+        idx = manifest["test"] or manifest["valid"]
+        point = bayes.load_posterior(
+            str(out / f"none_seed{row['seed']}.post")).point
+        graphs = chem.featurize([ds.molecules[i] for i in idx])
+        labels = ds.labels[idx]
+        assert np.isnan(labels[:, 1]).any()
+        probs = np.vstack([model.predict_proba(point, gnn.make_batch(
+            graphs[lo:lo + 32], labels[lo:lo + 32]))
+            for lo in range(0, len(idx), 32)])
+        present = ~np.isnan(labels)
+        want = {"ece": metrics.macro_average(metrics.ece, probs, labels),
+                "auroc": metrics.macro_average(metrics.auroc, probs, labels),
+                "extreme_fraction": metrics.screening_summary(
+                    probs[present]).extreme_fraction}
+        want.update(zip(("accuracy", "precision", "recall", "f1"),
+                        metrics.macro_average(metrics.classification_metrics,
+                                              probs, labels)))
+        assert {k: row[k] for k in want} == want
+    assert report["aggregate"]["ece"]["n"] == 2
 
 
 def test_train_determinism_across_runs_and_workers(synthetic_csv, tmp_path):

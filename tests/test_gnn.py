@@ -175,9 +175,9 @@ def per_edge_layer_gat(h, e, batch: GraphBatch, *weights):
     for W, U in zip(weights[0::2], weights[1::2]):
         p = ad.linear(h, W)
         dk = p.data.shape[1]
-        u_dst, u_src = ad.split(U, [(dk, 1), (dk, 1)])
-        score = ad.add(ad.matmul(ad.gather_rows(p, dst), u_dst),
-                       ad.matmul(ad.gather_rows(p, src), u_src))
+        u_dst, u_src = ad.split(U, [(1, dk), (1, dk)])
+        score = ad.add(ad.linear(ad.gather_rows(p, dst), u_dst),
+                       ad.linear(ad.gather_rows(p, src), u_src))
         score = ad.leaky_relu(score, gnn.LEAKY_SLOPE)
         alpha = ad.segment_softmax(score, dst)
         msg = ad.mul(alpha, ad.gather_rows(p, src))

@@ -47,17 +47,13 @@ def random_records(rng, n):
 
 
 def test_ece_perfectly_confident_and_correct():
-    report = metrics.ece(np.ones(8), np.ones(8))
-    assert report.ece == 0.0
-    assert report.bin_count.sum() == 8
-    assert report.bin_count[-1] == 8
+    assert metrics.ece(np.ones(8), np.ones(8)) == 0.0
 
 
 def test_ece_single_bin_closed_form():
     probs = np.full(10, 0.9)
     labels = np.array([1.0] * 5 + [0.0] * 5)
-    report = metrics.ece(probs, labels)
-    assert abs(report.ece - 0.4) < 1e-12
+    assert abs(metrics.ece(probs, labels) - 0.4) < 1e-12
 
 
 def test_ece_matches_loop_oracle():
@@ -65,31 +61,24 @@ def test_ece_matches_loop_oracle():
     for trial in range(40):
         n = int(rng.integers(1, 300))
         probs, labels = random_records(rng, n)
-        for n_bins in (10, 7):
-            got = metrics.ece(probs, labels, n_bins=n_bins).ece
-            assert abs(got - ece_loop(probs, labels, n_bins)) < 1e-12
+        got = metrics.ece(probs, labels)
+        assert abs(got - ece_loop(probs, labels, metrics.ECE_BINS)) < 1e-12
 
 
 def test_ece_permutation_invariant():
     rng = np.random.default_rng(7)
     probs, labels = random_records(rng, 200)
-    base = metrics.ece(probs, labels).ece
+    base = metrics.ece(probs, labels)
     for _ in range(5):
         perm = rng.permutation(200)
-        assert abs(metrics.ece(probs[perm], labels[perm]).ece
-                   - base) < 1e-12
+        assert abs(metrics.ece(probs[perm], labels[perm]) - base) < 1e-12
 
 
 def test_ece_report_invariants():
     rng = np.random.default_rng(3)
     probs, labels = random_records(rng, 500)
-    report = metrics.ece(probs, labels)
-    assert report.bin_count.sum() == 500
-    assert 0.0 <= report.ece <= 1.0
-    assert report.bin_low[0] == 0.5 and report.bin_high[-1] == 1.0
-    filled = report.bin_count > 0
-    assert np.all(report.bin_confidence[filled]
-                  >= report.bin_low[filled] - 1e-12)
+    value = metrics.ece(probs, labels)
+    assert type(value) is float and 0.0 <= value <= 1.0
 
 
 def test_ece_calibrated_synthetic_converges():
@@ -97,7 +86,7 @@ def test_ece_calibrated_synthetic_converges():
     n = 100_000
     probs = rng.uniform(0.0, 1.0, size=n)
     labels = (rng.uniform(size=n) < probs).astype(float)
-    assert metrics.ece(probs, labels).ece < 0.01
+    assert metrics.ece(probs, labels) < 0.01
 
 
 def test_ece_input_validation():
@@ -187,32 +176,31 @@ def test_auroc_non_finite_scores_rejected(bad):
 def test_classification_all_correct():
     m = metrics.classification_metrics(np.array([0.9, 0.8, 0.1]),
                                        np.array([1.0, 1.0, 0.0]))
-    assert m.accuracy == 1.0 and m.f1 == 1.0
-    assert (m.tp, m.fp, m.tn, m.fn) == (2, 0, 1, 0)
-    assert not m.zero_predicted_positives
+    assert m == (1.0, 1.0, 1.0, 1.0)
 
 
 def test_classification_no_predicted_positives():
-    m = metrics.classification_metrics(np.array([0.1, 0.2, 0.3]),
-                                       np.array([1.0, 1.0, 0.0]))
-    assert m.precision == 0.0 and m.recall == 0.0 and m.f1 == 0.0
-    assert m.zero_predicted_positives
+    accuracy, precision, recall, f1 = metrics.classification_metrics(
+        np.array([0.1, 0.2, 0.3]), np.array([1.0, 1.0, 0.0]))
+    assert abs(accuracy - 1 / 3) < 1e-15
+    assert precision == 0.0 and recall == 0.0 and f1 == 0.0
 
 
 def test_classification_two_thirds_example():
     # TP=2, FP=1, FN=1 -> precision = recall = F1 = 2/3
     probs = np.array([0.9, 0.8, 0.7, 0.2, 0.1])
     labels = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
-    m = metrics.classification_metrics(probs, labels)
-    assert (m.tp, m.fp, m.fn, m.tn) == (2, 1, 1, 1)
-    assert abs(m.precision - 2 / 3) < 1e-15
-    assert abs(m.recall - 2 / 3) < 1e-15
-    assert abs(m.f1 - 2 / 3) < 1e-15
+    accuracy, precision, recall, f1 = metrics.classification_metrics(
+        probs, labels)
+    assert accuracy == 3 / 5
+    assert abs(precision - 2 / 3) < 1e-15
+    assert abs(recall - 2 / 3) < 1e-15
+    assert abs(f1 - 2 / 3) < 1e-15
 
 
 def test_classification_threshold_is_geq():
     m = metrics.classification_metrics(np.array([0.5]), np.array([1.0]))
-    assert m.tp == 1
+    assert m == (1.0, 1.0, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +231,15 @@ def test_confusion_histogram_reconciles_with_metrics():
     for trial in range(20):
         probs, labels = random_records(rng, int(rng.integers(1, 400)))
         hist = metrics.confusion_histogram(probs, labels)
-        m = metrics.classification_metrics(probs, labels)
-        totals = {k: int(getattr(hist, k).sum())
-                  for k in ("tp", "fp", "tn", "fn")}
-        assert totals == {"tp": m.tp, "fp": m.fp, "tn": m.tn, "fn": m.fn}
-        total = sum(totals.values())
-        assert total == probs.size
-        assert hist.tp.sum() + hist.fn.sum() == labels.sum()
+        tp, fp, tn, fn = (int(getattr(hist, k).sum())
+                          for k in ("tp", "fp", "tn", "fn"))
+        assert tp + fp + tn + fn == probs.size
+        assert tp + fn == labels.sum()
+        accuracy, precision, recall, _ = metrics.classification_metrics(
+            probs, labels)
+        assert accuracy == (tp + tn) / probs.size
+        assert precision == (tp / (tp + fp) if tp + fp else 0.0)
+        assert recall == (tp / (tp + fn) if tp + fn else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +284,18 @@ def test_macro_average_over_tasks():
     probs = rng.uniform(size=(40, 3))
     labels = rng.integers(0, 2, size=(40, 3)).astype(float)
     labels[:, 0] = np.where(np.arange(40) % 2, labels[:, 0], np.nan)
-    mean, per_task = metrics.macro_average(
-        lambda p, y: metrics.ece(p, y).ece, probs, labels)
-    present = ~np.isnan(labels[:, 0])
-    want0 = metrics.ece(probs[present, 0], labels[present, 0]).ece
-    assert abs(per_task[0] - want0) < 1e-15
-    assert abs(mean - np.mean(per_task)) < 1e-15
+    mean = metrics.macro_average(metrics.ece, probs, labels)
+    present = ~np.isnan(labels)
+    per_task = [metrics.ece(probs[present[:, t], t],
+                            labels[present[:, t], t]) for t in range(3)]
+    assert mean == float(np.mean(per_task))
 
 
 def test_macro_average_skips_undefined_tasks():
     probs = np.array([[0.2, 0.9], [0.8, 0.7]])
     labels = np.array([[1.0, 1.0], [0.0, 1.0]])  # task 1 single-class
-    mean, per_task = metrics.macro_average(metrics.auroc, probs, labels)
-    assert per_task[1] is None
-    assert mean == per_task[0]
+    mean = metrics.macro_average(metrics.auroc, probs, labels)
+    assert mean == metrics.auroc(probs[:, 0], labels[:, 0])
     labels_all_nan = np.full((2, 1), np.nan)
     with pytest.raises(DataError):
         metrics.macro_average(metrics.auroc, probs[:, :1], labels_all_nan)
@@ -321,18 +309,12 @@ def test_macro_average_tuple_metric_matches_scalar_metrics():
     labels = rng.integers(0, 2, size=(60, 12)).astype(float)
     labels[::3, 4] = np.nan
 
-    def both(p, y):
-        m = metrics.classification_metrics(p, y)
-        return m.accuracy, m.f1
-
-    means, per_task = metrics.macro_average(both, probs, labels)
-    acc, _ = metrics.macro_average(
-        lambda p, y: metrics.classification_metrics(p, y).accuracy,
-        probs, labels)
-    f1, _ = metrics.macro_average(
-        lambda p, y: metrics.classification_metrics(p, y).f1, probs, labels)
-    assert means == (acc, f1)
-    assert len(per_task) == 12 and all(len(v) == 2 for v in per_task)
+    means = metrics.macro_average(metrics.classification_metrics,
+                                  probs, labels)
+    scalars = tuple(metrics.macro_average(
+        lambda p, y, k=k: metrics.classification_metrics(p, y)[k],
+        probs, labels) for k in range(4))
+    assert means == scalars
 
 
 def test_macro_average_shape_check():
@@ -354,6 +336,16 @@ def test_aggregate_across_seeds():
     assert single["ece"]["std"] == 0.0
     with pytest.raises(DataError):
         metrics.aggregate_across_seeds([])
+
+
+def test_aggregate_across_seeds_skips_values_that_are_not_numbers():
+    # an undefined metric is None in one seed's row: the others still count
+    agg = metrics.aggregate_across_seeds(
+        [{"a": 1.0, "auroc": None, "flag": True},
+         {"a": None, "auroc": 0.75, "flag": False}, {"a": 3.0}])
+    assert agg == {"a": {"mean": 2.0, "std": float(np.std([1.0, 3.0],
+                                                          ddof=1)), "n": 2},
+                   "auroc": {"mean": 0.75, "std": 0.0, "n": 1}}
 
 
 def test_write_histogram_csv(tmp_path):
