@@ -312,18 +312,19 @@ def _write_json(path: str, payload: dict) -> None:
                          "\n")
 
 
-def _write_histogram(base: str, digest: str, bin_low, bin_high,
-                     series: dict, title: str) -> None:
-    """``base.csv``, a digest comment line then one row of counts per bin,
-    and ``base.svg``, the same counts as a stacked bar chart."""
+def _write_histogram(base: str, digest: str, series: dict,
+                     title: str) -> None:
+    """``base.csv``, a digest comment line then one row of counts per
+    ``metrics.HIST_EDGES`` bin, and ``base.svg``, the same counts as a
+    stacked bar chart."""
+    edges = metrics.HIST_EDGES
     rows = [",".join([f"{lo:g}", f"{hi:g}",
                       *(str(int(c[k])) for c in series.values())]) + "\n"
-            for k, (lo, hi) in enumerate(zip(bin_low, bin_high))]
+            for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))]
     artifacts.write_file(f"{base}.csv", f"# config_digest={digest}\n",
                          ",".join(["bin_low", "bin_high", *series]) + "\n",
                          *rows)
-    artifacts.write_file(f"{base}.svg",
-                         metrics.histogram_svg(bin_low, series, title))
+    artifacts.write_file(f"{base}.svg", metrics.histogram_svg(series, title))
 
 
 def _featurized(ds: LabeledDataset, indices) -> tuple[list, np.ndarray]:
@@ -612,30 +613,13 @@ def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
     graphs, labels = _featurized(ds, test_idx)
     pred = _predictive(cfg, model, post,
                        _batches(graphs, labels, cfg["batch_size"]), seed)
-    probs = pred.mean
-    row: dict = {"seed": seed, "n_eval": len(test_idx),
-                 "n_draws": pred.n_samples}
-    for names, fn in ((("ece",), metrics.ece), (("auroc",), metrics.auroc),
-                      (("accuracy", "precision", "recall", "f1"),
-                       metrics.classification_metrics)):
-        try:
-            means = metrics.macro_average(fn, probs, labels)
-        except DataError:
-            means = (None,) * len(names)
-        row.update(zip(names, means if isinstance(means, tuple)
-                       else (means,)))
-    present = ~np.isnan(labels)
-    pooled_p, pooled_y = probs[present], labels[present]
-    row["extreme_fraction"] = \
-        metrics.screening_summary(pooled_p).extreme_fraction
-    hist = metrics.confusion_histogram(pooled_p, pooled_y)
+    fields, confusion = metrics.eval_report(pred.mean, labels)
     digest = config_digest(cfg)
     _write_histogram(
         os.path.join(cfg["out_dir"], f"{cfg['mode']}_seed{seed}_confusion"),
-        digest, hist.bin_low, hist.bin_high,
-        {"tp": hist.tp, "fp": hist.fp, "tn": hist.tn, "fn": hist.fn},
-        f"{cfg['mode']} seed {seed} [config {digest}]")
-    return row
+        digest, confusion, f"{cfg['mode']} seed {seed} [config {digest}]")
+    return {"seed": seed, "n_eval": len(test_idx),
+            "n_draws": pred.n_samples, **fields}
 
 
 def cmd_eval(cfg: dict, args: argparse.Namespace) -> int:
@@ -712,21 +696,17 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
           for i in np.argsort(-probs, kind="stable")))
 
     summary = metrics.screening_summary(probs)
+    counts = summary.pop("counts")
     _write_json(f"{base}_summary.json", {
         "config_digest": digest, "mode": cfg["mode"],
-        "posterior": os.path.basename(path),
-        "n_total": summary.n_total, "n_dropped": n_dropped,
-        "n_below": summary.n_below, "n_above": summary.n_above,
-        "low": metrics.SCREEN_LOW, "high": metrics.SCREEN_HIGH,
-        "extreme_fraction": summary.extreme_fraction,
-        "n_draws": pred.n_samples})
+        "posterior": os.path.basename(path), "n_dropped": n_dropped,
+        "n_draws": pred.n_samples, **summary})
     _write_histogram(
-        f"{base}_hist", digest, summary.bin_low, summary.bin_high,
-        {"count": summary.counts},
+        f"{base}_hist", digest, {"count": counts},
         f"screening probabilities ({cfg['mode']}) [config {digest}]")
-    print(f"screened {summary.n_total} molecules ({n_dropped} dropped): "
-          f"{summary.n_below} below {metrics.SCREEN_LOW}, "
-          f"{summary.n_above} above {metrics.SCREEN_HIGH}")
+    print(f"screened {summary['n_total']} molecules ({n_dropped} dropped): "
+          f"{summary['n_below']} below {summary['low']}, "
+          f"{summary['n_above']} above {summary['high']}")
     print(f"wrote {base}_ranking.csv")
     return 0
 

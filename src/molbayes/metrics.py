@@ -3,20 +3,21 @@
 All functions take probabilities in [0, 1] and hard 0/1 labels as flat
 arrays. Multi-task matrices with NaN for missing cells go through
 macro_average, which applies a single-task metric per column and
-averages the columns that were defined.
+averages the columns that were defined. ``eval_report`` builds one
+held-out evaluation's report from such a matrix: its metric fields and
+its confusion counts.
 
 Binning convention, used everywhere: B equal-width bins over the stated
 range; a value lands in bin floor(t * B) of the unit-scaled coordinate
 t, clamped so the top of the range falls in the final bin (final bin
 right-closed, others half-open). B is ``ECE_BINS`` (10) for ECE and
-``HIST_BINS`` (20) for the confusion and screening histograms; a screen
-counts a probability below ``SCREEN_LOW`` (0.05) or above
-``SCREEN_HIGH`` (0.95) as extreme.
+``HIST_BINS`` (20) for the confusion and screening histograms, whose
+bin edges are ``HIST_EDGES``; a screen counts a probability below
+``SCREEN_LOW`` (0.05) or above ``SCREEN_HIGH`` (0.95) as extreme.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ ECE_BINS = 10
 HIST_BINS = 20
 SCREEN_LOW = 0.05
 SCREEN_HIGH = 0.95
+HIST_EDGES = tuple(k / HIST_BINS for k in range(HIST_BINS + 1))
 
 
 def _validate(probs, labels=None, name: str = "probabilities"):
@@ -144,58 +146,32 @@ def classification_metrics(probs, labels
 # histograms
 
 
-@dataclass
-class ConfusionHistogram:
-    bin_low: np.ndarray
-    bin_high: np.ndarray
-    tp: np.ndarray
-    fp: np.ndarray
-    tn: np.ndarray
-    fn: np.ndarray
-
-
-def confusion_histogram(probs, labels) -> ConfusionHistogram:
-    """Per-probability-bin outcome counts at the 0.5 threshold."""
+def confusion_histogram(probs, labels) -> dict[str, np.ndarray]:
+    """Per-probability-bin outcome counts at the 0.5 threshold, keyed
+    ``tp``, ``fp``, ``tn`` and ``fn``."""
     probs, labels = _validate(probs, labels)
     idx = _bin_index(probs, HIST_BINS)
     pred = probs >= THRESHOLD
     pos = labels == 1.0
-    grid = np.arange(HIST_BINS + 1) / HIST_BINS
 
     def count(mask):
         return np.bincount(idx[mask], minlength=HIST_BINS).astype(np.int64)
 
-    return ConfusionHistogram(
-        bin_low=grid[:-1], bin_high=grid[1:],
-        tp=count(pred & pos), fp=count(pred & ~pos),
-        tn=count(~pred & ~pos), fn=count(~pred & pos))
+    return {"tp": count(pred & pos), "fp": count(pred & ~pos),
+            "tn": count(~pred & ~pos), "fn": count(~pred & pos)}
 
 
-@dataclass
-class ScreeningSummary:
-    n_total: int
-    n_below: int
-    n_above: int
-    bin_low: np.ndarray
-    bin_high: np.ndarray
-    counts: np.ndarray
-
-    @property
-    def extreme_fraction(self) -> float:
-        return (self.n_below + self.n_above) / self.n_total
-
-
-def screening_summary(probs) -> ScreeningSummary:
-    """How much of an unlabeled library gets an extreme probability."""
+def screening_summary(probs) -> dict:
+    """How much of an unlabeled library gets an extreme probability: the
+    fields a screen summary writes, plus the per-bin ``counts``."""
     probs = _validate(probs)
-    idx = _bin_index(probs, HIST_BINS)
-    grid = np.arange(HIST_BINS + 1) / HIST_BINS
-    return ScreeningSummary(
-        n_total=probs.size,
-        n_below=int(np.sum(probs < SCREEN_LOW)),
-        n_above=int(np.sum(probs > SCREEN_HIGH)),
-        bin_low=grid[:-1], bin_high=grid[1:],
-        counts=np.bincount(idx, minlength=HIST_BINS).astype(np.int64))
+    n_below = int(np.sum(probs < SCREEN_LOW))
+    n_above = int(np.sum(probs > SCREEN_HIGH))
+    return {"n_total": probs.size, "n_below": n_below, "n_above": n_above,
+            "low": SCREEN_LOW, "high": SCREEN_HIGH,
+            "extreme_fraction": (n_below + n_above) / probs.size,
+            "counts": np.bincount(_bin_index(probs, HIST_BINS),
+                                  minlength=HIST_BINS).astype(np.int64)}
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +211,32 @@ def macro_average(metric: Callable[[np.ndarray, np.ndarray], Any],
     return float(np.mean(defined))
 
 
+def eval_report(probs, labels) -> tuple[dict, dict[str, np.ndarray]]:
+    """One held-out evaluation's metric fields and confusion counts.
+
+    ``probs`` and ``labels`` are (n, tasks) with NaN labels for missing
+    cells. ``ece``, ``auroc``, ``accuracy``, ``precision``, ``recall`` and
+    ``f1`` are macro averages over tasks, None where the metric is
+    undefined for every task; ``extreme_fraction`` and the
+    ``confusion_histogram`` counts pool the labelled cells of all tasks.
+    """
+    fields: dict = {}
+    for names, fn in ((("ece",), ece), (("auroc",), auroc),
+                      (("accuracy", "precision", "recall", "f1"),
+                       classification_metrics)):
+        try:
+            means = macro_average(fn, probs, labels)
+        except DataError:
+            means = (None,) * len(names)
+        fields.update(zip(names, means if isinstance(means, tuple)
+                          else (means,)))
+    present = ~np.isnan(labels)
+    pooled_p, pooled_y = probs[present], labels[present]
+    fields["extreme_fraction"] = \
+        screening_summary(pooled_p)["extreme_fraction"]
+    return fields, confusion_histogram(pooled_p, pooled_y)
+
+
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -265,21 +267,19 @@ _PALETTE = ("#2a9d8f", "#e76f51", "#457b9d", "#e9c46a",
             "#8d5a97", "#6c757d")
 
 
-def histogram_svg(bin_low, series: dict[str, np.ndarray],
-                  title: str = "") -> str:
-    """Hand-rolled stacked bar chart as SVG text; one bar per bin, labelled
-    by its lower edge, one layer per series."""
-    bin_low = np.asarray(bin_low, dtype=np.float64)
+def histogram_svg(series: dict[str, np.ndarray], title: str = "") -> str:
+    """Hand-rolled stacked bar chart as SVG text; one bar per
+    ``HIST_EDGES`` bin, labelled by its lower edge, one layer per
+    series."""
     names = list(series)
     stacks = np.stack([np.asarray(series[n], dtype=np.float64)
                        for n in names])
-    if stacks.shape[1] != bin_low.size:
+    if stacks.shape[1] != HIST_BINS:
         raise DataError("series length does not match bin count")
     width, height, margin = 720, 360, 48
     plot_w, plot_h = width - 2 * margin, height - 2 * margin
     top = max(float(stacks.sum(axis=0).max()), 1.0)
-    n = bin_low.size
-    bar_w = plot_w / n
+    bar_w = plot_w / HIST_BINS
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}" viewBox="0 0 {width} {height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
@@ -295,7 +295,7 @@ def histogram_svg(bin_low, series: dict[str, np.ndarray],
         parts.append(f'<text x="{x + 16}" y="{height - 9}" '
                      f'font-family="sans-serif" font-size="12">{name}'
                      f'</text>')
-    for i in range(n):
+    for i in range(HIST_BINS):
         y_cursor = margin + plot_h
         for k in range(len(names)):
             h = stacks[k, i] / top * plot_h
@@ -307,12 +307,11 @@ def histogram_svg(bin_low, series: dict[str, np.ndarray],
                 f'y="{y_cursor:.2f}" width="{bar_w - 2:.2f}" '
                 f'height="{h:.2f}" '
                 f'fill="{_PALETTE[k % len(_PALETTE)]}"/>')
-        if n <= 25:
-            parts.append(
-                f'<text x="{margin + (i + 0.5) * bar_w:.2f}" '
-                f'y="{margin + plot_h + 14}" text-anchor="middle" '
-                f'font-family="sans-serif" font-size="9">'
-                f'{bin_low[i]:g}</text>')
+        parts.append(
+            f'<text x="{margin + (i + 0.5) * bar_w:.2f}" '
+            f'y="{margin + plot_h + 14}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="9">'
+            f'{HIST_EDGES[i]:g}</text>')
     parts.append(f'<line x1="{margin}" y1="{margin + plot_h}" '
                  f'x2="{margin + plot_w}" y2="{margin + plot_h}" '
                  f'stroke="black"/>')

@@ -297,12 +297,44 @@ def test_two_task_eval_is_the_macro_average_of_the_stored_posterior(
         want = {"ece": metrics.macro_average(metrics.ece, probs, labels),
                 "auroc": metrics.macro_average(metrics.auroc, probs, labels),
                 "extreme_fraction": metrics.screening_summary(
-                    probs[present]).extreme_fraction}
+                    probs[present])["extreme_fraction"]}
         want.update(zip(("accuracy", "precision", "recall", "f1"),
                         metrics.macro_average(metrics.classification_metrics,
                                               probs, labels)))
         assert {k: row[k] for k in want} == want
     assert report["aggregate"]["ece"]["n"] == 2
+
+
+def test_single_class_held_out_labels_leave_auroc_out_of_the_aggregate(
+        tmp_path):
+    csv = tmp_path / "corpus.csv"
+    rows = synthetic_rows()
+
+    def write(labels):
+        csv.write_text("smiles,activity\n" + "".join(
+            f"{smi},{label}\n" for (smi, _), label in zip(rows, labels)))
+
+    write([label for _, label in rows])
+    args = _args(csv, tmp_path, "--set", "schedule.epochs=2",
+                 "--mode", "none", "--arch", "gcn", "--seeds", "0,1")
+    assert cli.main(["train", *args]) == 0
+    tests = [_read_json(tmp_path / f"split_seed{seed}.json")["test"]
+             for seed in (0, 1)]
+    # seed 0's held-out molecules become actives; the digests cover the
+    # config, not the file's contents, so the stored artifacts still load
+    labels = [1 if i in tests[0] else label
+              for i, (_, label) in enumerate(rows)]
+    assert len({labels[i] for i in tests[1]}) == 2
+    write(labels)
+    assert cli.main(["eval", *args]) == 0
+    first, second = _read_json(tmp_path / "eval_none.json")["per_seed"]
+    assert first["auroc"] is None and 0.0 <= first["ece"] <= 1.0
+    assert second["auroc"] is not None
+    agg = _read_json(tmp_path / "eval_none.json")["aggregate"]
+    assert agg["auroc"] == {"mean": second["auroc"], "std": 0.0, "n": 1}
+    assert agg["ece"]["n"] == 2
+    assert agg["ece"]["mean"] == float(np.mean([first["ece"],
+                                                second["ece"]]))
 
 
 def test_train_determinism_across_runs_and_workers(synthetic_csv, tmp_path):

@@ -209,21 +209,21 @@ def test_classification_threshold_is_geq():
 
 def test_confusion_histogram_single_confident_record():
     hist = metrics.confusion_histogram(np.array([0.99]), np.array([1.0]))
-    assert hist.tp[-1] == 1
-    assert hist.tp.sum() == 1
-    assert hist.fp.sum() + hist.tn.sum() + hist.fn.sum() == 0
+    assert hist["tp"][-1] == 1
+    assert hist["tp"].sum() == 1
+    assert hist["fp"].sum() + hist["tn"].sum() + hist["fn"].sum() == 0
 
 
 def test_confusion_histogram_boundary_half():
     hist = metrics.confusion_histogram(np.array([0.5]), np.array([0.0]))
-    k = np.flatnonzero(hist.fp)[0]
-    assert hist.bin_low[k] <= 0.5 < hist.bin_high[k]
-    assert hist.fp[k] == 1  # 0.5 predicts positive, label 0 -> FP
+    k = np.flatnonzero(hist["fp"])[0]
+    assert metrics.HIST_EDGES[k] <= 0.5 < metrics.HIST_EDGES[k + 1]
+    assert hist["fp"][k] == 1  # 0.5 predicts positive, label 0 -> FP
 
 
 def test_confusion_histogram_top_edge_right_closed():
     hist = metrics.confusion_histogram(np.array([1.0]), np.array([1.0]))
-    assert hist.tp[-1] == 1
+    assert hist["tp"][-1] == 1
 
 
 def test_confusion_histogram_reconciles_with_metrics():
@@ -231,7 +231,7 @@ def test_confusion_histogram_reconciles_with_metrics():
     for trial in range(20):
         probs, labels = random_records(rng, int(rng.integers(1, 400)))
         hist = metrics.confusion_histogram(probs, labels)
-        tp, fp, tn, fn = (int(getattr(hist, k).sum())
+        tp, fp, tn, fn = (int(hist[k].sum())
                           for k in ("tp", "fp", "tn", "fn"))
         assert tp + fp + tn + fn == probs.size
         assert tp + fn == labels.sum()
@@ -248,27 +248,28 @@ def test_confusion_histogram_reconciles_with_metrics():
 
 def test_screening_no_extremes():
     s = metrics.screening_summary(np.full(5, 0.5))
-    assert (s.n_below, s.n_above) == (0, 0)
-    assert s.extreme_fraction == 0.0
+    assert (s["n_below"], s["n_above"]) == (0, 0)
+    assert s["extreme_fraction"] == 0.0
 
 
 def test_screening_counts_example():
     s = metrics.screening_summary(np.array([0.01, 0.99, 0.5]))
-    assert (s.n_below, s.n_above, s.n_total) == (1, 1, 3)
-    assert abs(s.extreme_fraction - 2 / 3) < 1e-15
+    assert (s["n_below"], s["n_above"], s["n_total"]) == (1, 1, 3)
+    assert abs(s["extreme_fraction"] - 2 / 3) < 1e-15
 
 
 def test_screening_thresholds_are_strict():
     s = metrics.screening_summary(np.array([0.05, 0.95]))
-    assert (s.n_below, s.n_above) == (0, 0)
+    assert (s["n_below"], s["n_above"]) == (0, 0)
+    assert (s["low"], s["high"]) == (0.05, 0.95)
 
 
 def test_screening_histogram_totals():
     rng = np.random.default_rng(2)
     probs = rng.uniform(size=333)
     s = metrics.screening_summary(probs)
-    assert s.counts.sum() == 333
-    assert s.counts.size == 20
+    assert s["counts"].sum() == 333
+    assert s["counts"].size == 20
     with pytest.raises(DataError):
         metrics.screening_summary(np.array([1.5]))
     with pytest.raises(DataError):
@@ -352,9 +353,7 @@ def test_write_histogram_csv(tmp_path):
     hist = metrics.confusion_histogram(
         np.array([0.1, 0.6, 0.8]), np.array([0.0, 1.0, 0.0]))
     base = str(tmp_path / "h")
-    cli._write_histogram(base, "d", hist.bin_low, hist.bin_high,
-                         {"tp": hist.tp, "fp": hist.fp, "tn": hist.tn,
-                          "fn": hist.fn}, "outcome mix")
+    cli._write_histogram(base, "d", hist, "outcome mix")
     lines = open(base + ".csv").read().strip().splitlines()[1:]
     assert lines[0] == "bin_low,bin_high,tp,fp,tn,fn"
     assert len(lines) == 21
@@ -365,12 +364,9 @@ def test_write_histogram_csv(tmp_path):
 def test_render_histogram_svg():
     hist = metrics.confusion_histogram(
         np.array([0.1, 0.6, 0.8, 0.95]), np.array([0.0, 1.0, 0.0, 1.0]))
-    text = metrics.histogram_svg(
-        hist.bin_low,
-        {"tp": hist.tp, "fp": hist.fp, "tn": hist.tn, "fn": hist.fn},
-        title="outcome mix")
+    text = metrics.histogram_svg(hist, title="outcome mix")
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
     assert text.count("<rect") >= 5
     with pytest.raises(DataError):
-        metrics.histogram_svg(hist.bin_low, {"tp": hist.tp[:3]})
+        metrics.histogram_svg({"tp": hist["tp"][:3]})
