@@ -600,7 +600,9 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
-                   seed: int) -> Optional[dict]:
+                   seed: int) -> Optional[tuple[dict, dict]]:
+    """The seed's bookkeeping fields and ``metrics.eval_report`` metric
+    fields, or None when it has no posterior artifact."""
     path = _posterior_path(cfg, seed)
     if not os.path.isfile(path):
         return None
@@ -619,26 +621,28 @@ def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
         os.path.join(cfg["out_dir"], f"{cfg['mode']}_seed{seed}_confusion"),
         digest, confusion, f"{cfg['mode']} seed {seed} [config {digest}]")
     return {"seed": seed, "n_eval": len(test_idx),
-            "n_draws": pred.n_samples, **fields}
+            "n_draws": pred.n_samples}, fields
 
 
 def cmd_eval(cfg: dict, args: argparse.Namespace) -> int:
     ds = _load(cfg)
     model = _model_for(cfg, ds.n_tasks)
-    rows, missing = [], []
+    rows, scored, missing = [], [], []
     for seed in cfg["seeds"]:
-        row = _eval_one_seed(cfg, ds, model, seed)
-        if row is None:
+        result = _eval_one_seed(cfg, ds, model, seed)
+        if result is None:
             missing.append(seed)
-        else:
-            rows.append(row)
+            continue
+        bookkeeping, fields = result
+        rows.append({**bookkeeping, **fields})
+        scored.append(fields)
     if not rows:
         raise DataError(
             f"no posterior artifacts found under {cfg['out_dir']} for "
             f"mode {cfg['mode']!r} and seeds {cfg['seeds']}")
     report = {"config_digest": config_digest(cfg), "mode": cfg["mode"],
               "per_seed": rows, "aggregate":
-              metrics.aggregate_across_seeds(rows),
+              metrics.aggregate_across_seeds(scored),
               "missing_seeds": missing}
     path = os.path.join(cfg["out_dir"], f"eval_{cfg['mode']}.json")
     _write_json(path, report)

@@ -251,6 +251,16 @@ def test_train_eval_map(synthetic_csv, tmp_path):
     assert report["config_digest"]
 
 
+def test_eval_aggregate_holds_only_the_metric_fields(trained_point_dir):
+    report = _read_json(trained_point_dir / "eval_none.json")
+    metric_fields = {"ece", "auroc", "accuracy", "precision", "recall", "f1",
+                     "extreme_fraction"}
+    assert set(report["aggregate"]) == metric_fields
+    # the bookkeeping stays in each seed's row
+    assert set(report["per_seed"][0]) == metric_fields | {"seed", "n_eval",
+                                                          "n_draws"}
+
+
 def test_confusion_csv_embeds_digest(synthetic_csv, tmp_path):
     assert _train_eval(synthetic_csv, tmp_path, "none", "0",
                        "--set", "schedule.epochs=2") == 0
