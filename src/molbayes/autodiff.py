@@ -601,6 +601,10 @@ def finite_diff_grad(f: Callable[[np.ndarray], float], params: np.ndarray,
 # ---------------------------------------------------------------------------
 # optimizers
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class OptimizerState:
@@ -612,9 +616,6 @@ class OptimizerState:
     mode: str
     lr: float
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
     m: Optional[np.ndarray] = field(default=None, repr=False)
     v: Optional[np.ndarray] = field(default=None, repr=False)
@@ -645,8 +646,8 @@ def optimizer_step(state: OptimizerState, params: np.ndarray,
     if state.m is None:
         state.m = np.zeros_like(params)
         state.v = np.zeros_like(params)
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.step_count)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step_count)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step_count)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step_count)
+    return params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -341,14 +341,15 @@ def _kl_tensor(mu_t: ad.Tensor, sigma_t: ad.Tensor,
 # ---------------------------------------------------------------------------
 # stochastic gradient langevin dynamics
 
+PSGLD_ALPHA = 0.99
+PSGLD_LAMBDA = 1e-8
+
 
 @dataclass
 class PsgldState:
     """RMS preconditioner accumulator for pSGLD."""
 
     v: np.ndarray
-    alpha: float = 0.99
-    lam: float = 1e-8
 
 
 def psgld_step(state: PsgldState, params: np.ndarray,
@@ -368,8 +369,8 @@ def psgld_step(state: PsgldState, params: np.ndarray,
         raise ad.ShapeError(f"shape mismatch: params {params.shape}, "
                             f"grad {g.shape}, v {state.v.shape}")
     if precondition:
-        state.v = state.alpha * state.v + (1.0 - state.alpha) * g * g
-        G = 1.0 / (np.sqrt(state.v) + state.lam)
+        state.v = PSGLD_ALPHA * state.v + (1.0 - PSGLD_ALPHA) * g * g
+        G = 1.0 / (np.sqrt(state.v) + PSGLD_LAMBDA)
     else:
         G = np.ones_like(params)
     delta = 0.5 * lr * G * g
