@@ -19,6 +19,10 @@ command runs with ``workers=1``; ``--new-workers N`` runs NEW_SRC's
 commands with ``workers=N`` instead, so that passing one tree twice
 compares its serial and pooled paths.
 
+A differing ``.json`` output is listed with the key paths where the two
+trees' documents differ, e.g. ``aggregate.seed only under old`` or
+``per_seed[0].ece differs``.
+
 The last two lines count the differing or one-sided output files of each
 architecture and of each mode's chain (``swa`` outputs are in ``swag``'s),
 so a change meant to move one architecture's or mode's outputs can show
@@ -32,6 +36,7 @@ each failed command.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -150,6 +155,42 @@ def diff_runs(old: list, new: list) -> list[str]:
     return problems
 
 
+def json_key_paths(old, new, path: str = "") -> list[str]:
+    """Where two parsed JSON values differ: each key present on one side
+    only, and each differing leaf or list length, by dotted key path."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        found = []
+        for key in sorted(set(old) | set(new)):
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in new:
+                found.append(f"{sub} only under old")
+            elif key not in old:
+                found.append(f"{sub} only under new")
+            else:
+                found += json_key_paths(old[key], new[key], sub)
+        return found
+    if (isinstance(old, list) and isinstance(new, list)
+            and len(old) == len(new)):
+        return [found for i, (a, b) in enumerate(zip(old, new))
+                for found in json_key_paths(a, b, f"{path}[{i}]")]
+    # dumps, not ==, so that NaN equals NaN and 1 differs from 1.0
+    same = json.dumps(old) == json.dumps(new)
+    return [] if same else [f"{path or '(document)'} differs"]
+
+
+def file_difference(rel: str, old: bytes, new: bytes) -> str:
+    """The problem line for an output file whose bytes differ; for JSON,
+    it names the differing key paths."""
+    if not rel.endswith(".json"):
+        return f"file differs: {rel}"
+    try:
+        paths = json_key_paths(json.loads(old), json.loads(new))
+    except ValueError:
+        return f"file differs: {rel} (not valid JSON on both sides)"
+    return f"file differs: {rel}: " + (", ".join(paths) or
+                                       "same keys and values")
+
+
 def compare(work: str, srcs: tuple[str, str], new_workers: int,
             new_blas_threads: Optional[int] = None) -> int:
     write_inputs(work)
@@ -174,7 +215,8 @@ def compare(work: str, srcs: tuple[str, str], new_workers: int,
             which = "new" if rel not in files[0] else "old"
             problems.append(f"only under {which}: {rel}")
         elif files[0][rel] != files[1][rel]:
-            problems.append(f"file differs: {rel}")
+            problems.append(file_difference(rel, files[0][rel],
+                                            files[1][rel]))
         else:
             continue
         arch, mode = rel.split(os.sep)[:2]
