@@ -601,8 +601,7 @@ def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
 
 def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
                    seed: int) -> Optional[tuple[dict, dict]]:
-    """The seed's bookkeeping fields and ``metrics.eval_report`` metric
-    fields, or None when it has no posterior artifact."""
+    """(bookkeeping, metric fields) of the seed, None without an artifact."""
     path = _posterior_path(cfg, seed)
     if not os.path.isfile(path):
         return None

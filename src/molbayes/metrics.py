@@ -212,14 +212,10 @@ def macro_average(metric: Callable[[np.ndarray, np.ndarray], Any],
 
 
 def eval_report(probs, labels) -> tuple[dict, dict[str, np.ndarray]]:
-    """One held-out evaluation's metric fields and confusion counts.
-
-    ``probs`` and ``labels`` are (n, tasks) with NaN labels for missing
-    cells. ``ece``, ``auroc``, ``accuracy``, ``precision``, ``recall`` and
-    ``f1`` are macro averages over tasks, None where the metric is
-    undefined for every task; ``extreme_fraction`` and the
-    ``confusion_histogram`` counts pool the labelled cells of all tasks.
-    """
+    """Eval's per-seed metric fields and confusion counts from (n, tasks)
+    probabilities and labels, NaN where a cell is unlabelled: each metric's
+    macro average (None where undefined for every task), then the
+    extreme fraction and confusion histogram of the pooled labelled cells."""
     fields: dict = {}
     for names, fn in ((("ece",), ece), (("auroc",), auroc),
                       (("accuracy", "precision", "recall", "f1"),

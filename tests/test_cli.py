@@ -337,10 +337,11 @@ def test_single_class_held_out_labels_leave_auroc_out_of_the_aggregate(
     assert len({labels[i] for i in tests[1]}) == 2
     write(labels)
     assert cli.main(["eval", *args]) == 0
-    first, second = _read_json(tmp_path / "eval_none.json")["per_seed"]
+    report = _read_json(tmp_path / "eval_none.json")
+    first, second = report["per_seed"]
     assert first["auroc"] is None and 0.0 <= first["ece"] <= 1.0
     assert second["auroc"] is not None
-    agg = _read_json(tmp_path / "eval_none.json")["aggregate"]
+    agg = report["aggregate"]
     assert agg["auroc"] == {"mean": second["auroc"], "std": 0.0, "n": 1}
     assert agg["ece"]["n"] == 2
     assert agg["ece"]["mean"] == float(np.mean([first["ece"],

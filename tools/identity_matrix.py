@@ -171,8 +171,8 @@ def json_key_paths(old, new, path: str = "") -> list[str]:
         return found
     if (isinstance(old, list) and isinstance(new, list)
             and len(old) == len(new)):
-        return [found for i, (a, b) in enumerate(zip(old, new))
-                for found in json_key_paths(a, b, f"{path}[{i}]")]
+        return [line for i, (a, b) in enumerate(zip(old, new))
+                for line in json_key_paths(a, b, f"{path}[{i}]")]
     # dumps, not ==, so that NaN equals NaN and 1 differs from 1.0
     same = json.dumps(old) == json.dumps(new)
     return [] if same else [f"{path or '(document)'} differs"]
