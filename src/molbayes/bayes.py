@@ -8,16 +8,18 @@ Gaussian over weights trained by reparameterized draws), "sgld"
 not trained: it predicts at that average, the swag mean (`VIEWS`).
 `train` is the one entry point for all of them: a single epoch loop
 whose per-batch step and end-of-epoch snapshot depend on the schedule's
-mode. Every mode ends in a PosteriorRepresentation; `marginalize` turns
-one into mean probabilities plus the spread-based uncertainty
-u = sqrt(p(1-p)). It is the one prediction path: an mcdo point is
-marginalized as a sample set of identical rows whose predictor keys
-fresh dropout masks by the draw's and the batch's index, and
-`draw_count` gives every mode's number of draws. Each draw is a pure
-function of the run seed and its index (bbb and swag weights come from
-the `eval-draw` stream keyed by it), so `marginalize` can run draws, or
-runs of one draw's batches, on a pool of threads; results are stacked
-in draw and batch order.
+mode. Every mode ends in a PosteriorRepresentation. `predictive` is
+the one prediction path: it turns one, read under a trained mode or a
+view, into mean probabilities plus the spread-based uncertainty
+u = sqrt(p(1-p)). An mcdo point is marginalized as a sample set of
+identical rows whose predictor keys fresh dropout masks by the draw's
+and the batch's index, and `draw_count` gives every mode's number of
+draws. Each draw is a pure function of the run seed and its index (bbb
+and swag weights come from the `eval-draw` stream keyed by it), so
+`marginalize` can run draws, or runs of one draw's batches, on a pool
+of threads, one per core by default (`cores`), holding OpenBLAS to one
+thread while the pool runs (`openblas_threads`); results are stacked in
+draw and batch order.
 
 Models are anything exposing `n_params`, `init_params(rng)` and
 `nll(tape, theta, batch, train=, rng=)`; training data is a callable
@@ -26,6 +28,9 @@ producing one epoch's batches from a seeded generator.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Protocol, Sequence
@@ -611,7 +616,12 @@ def _train_ensemble(model: FlatModel, data: TrainData,
 
 
 # ---------------------------------------------------------------------------
-# marginalization
+# prediction
+
+
+def trained_mode(mode: str) -> str:
+    """The mode whose posterior artifact serves ``mode``."""
+    return VIEWS[mode][0] if mode in VIEWS else mode
 
 
 def draw_count(mode: str, requested: int = 0) -> int:
@@ -620,12 +630,40 @@ def draw_count(mode: str, requested: int = 0) -> int:
     return requested or (100 if mode == "bbb" else 30)
 
 
-def draws_of(post: PosteriorRepresentation, n_samples: int) -> int:
-    """Predictions ``marginalize`` averages for ``post``: one for a
-    point, one per stored sample, else ``n_samples`` fresh draws."""
-    if post.mode == "point":
-        return 1
-    return len(post.samples) if post.mode == "samples" else n_samples
+def predictive(model, post: PosteriorRepresentation, mode: str,
+               batches: Sequence, seed: int, n_samples: int = 0,
+               workers: int = 1) -> PredictiveDistribution:
+    """``mode``'s predictive distribution over ``batches``, rows in batch
+    order; ``model`` exposes ``predict_proba(flat, batch, train=,
+    dropout_rng=)``.
+
+    A view predicts at its array of ``post`` as a point. mcdo queries its
+    point ``draw_count(mode, n_samples)`` times, pass k running batch i
+    under dropout masks from the ``eval-dropout`` stream keyed (k, i), so
+    a pass's masks depend on neither the other passes, nor the other
+    batches, nor the thread that runs it. ``marginalize`` averages the
+    draws on ``workers`` threads.
+    """
+    if mode in VIEWS:
+        post = PosteriorRepresentation(mode="point", digest=post.digest,
+                                       point=getattr(post, VIEWS[mode][1]))
+    n_draws = draw_count(mode, n_samples)
+    if mode == "mcdo":
+        if post.mode != "point":
+            raise ConfigError("mc-dropout evaluation needs a point artifact")
+        # n_draws copies of the point (a view, no copy), each under new masks
+        post = PosteriorRepresentation(
+            mode="samples", digest=post.digest,
+            samples=np.broadcast_to(post.point, (n_draws, post.point.size)))
+
+    def predict(flat: np.ndarray, draw: int, i: int) -> np.ndarray:
+        if mode != "mcdo":
+            return model.predict_proba(flat, batches[i])
+        return model.predict_proba(
+            flat, batches[i], train=True,
+            dropout_rng=stream(seed, "eval-dropout", draw, i))
+
+    return marginalize(predict, post, seed, n_draws, workers, len(batches))
 
 
 def _units(count: int, n_batches: int, workers: int) -> list[tuple]:
@@ -653,19 +691,25 @@ def marginalize(predict: Callable[[np.ndarray, int, int], np.ndarray],
     ``eval-draw`` stream of ``seed`` keyed by k, so each draw depends on
     nothing but (seed, k).
 
-    With ``workers`` above 1 and more than one draw or batch, units of
-    (draw, contiguous run of batches) run on min(workers, units) threads.
+    With ``workers`` threads (0: one per core) and more than one draw or
+    batch, units of (draw, contiguous run of batches) run on a pool, with
+    OpenBLAS held to one thread while it runs, so that the units, not
+    BLAS, share the cores; the previous count is restored afterwards,
+    also when a draw fails. The bits do not move: a forward pass
+    contracts only over feature widths, whose products give the same bits
+    under one and two OpenBLAS threads (a test checks the default dims).
     A draw is one unit while there are at least as many draws as workers,
     so it makes its weight vector once, and no more than ``workers``
     vectors are held at once, whatever the draw count; with fewer draws,
     each draw's batches are cut into runs so that one draw uses every
-    worker. Each unit makes its draw's vector. Rows are stacked by draw
-    and batch, so the mean equals the serial one whenever ``predict``'s
-    result does not depend on the thread that runs it. The threads
-    overlap numpy work that releases the interpreter lock; a caller gains
-    only where BLAS leaves them cores to run on.
+    worker. Rows are stacked by draw and batch, so the mean equals the
+    serial one whenever ``predict``'s result does not depend on the
+    thread that runs it. With one worker, one draw of one batch, or no
+    OpenBLAS control found, the draws run in the calling thread and BLAS
+    is left as it is.
     """
-    count = draws_of(post, n_samples)
+    count = (1 if post.mode == "point" else len(post.samples)
+             if post.mode == "samples" else n_samples)
     if count < 1:
         raise ConfigError("need at least one marginalization draw")
     sigma = post.bbb_sigma if post.mode == "bbb" else None
@@ -682,15 +726,71 @@ def marginalize(predict: Callable[[np.ndarray, int, int], np.ndarray],
                  if post.mode == "bbb" else swag_sample(post, rng))
         return [predict(w, k, i) for i in batches]
 
-    units = _units(count, n_batches, max(workers, 1))
-    if workers < 2 or len(units) < 2:
+    workers = min(workers or cores(), count * n_batches)
+    blas = openblas_threads() if workers > 1 else None
+    units = _units(count, n_batches, workers if blas else 1)
+    if blas is None:
         rows = [run(unit) for unit in units]
     else:
         # imported here: only a pooled prediction needs threads
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(min(workers, len(units))) as pool:
-            rows = list(pool.map(run, units))
+        get_threads, set_threads = blas
+        before = get_threads()
+        set_threads(1)
+        try:
+            with ThreadPoolExecutor(min(workers, len(units))) as pool:
+                rows = list(pool.map(run, units))
+        finally:
+            set_threads(before)
     per_draw = len(units) // count
     draws = [np.concatenate([p for r in rows[k * per_draw:(k + 1) * per_draw]
                              for p in r]) for k in range(count)]
     return PredictiveDistribution(np.stack(draws).mean(axis=0), count)
+
+
+def cores() -> int:
+    """Cores this process may run on: its affinity set, which a
+    cpuset-limited container narrows below the host's count, where the
+    OS reports one, else the host's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# OpenBLAS's thread-count functions under the names its builds export:
+# plain, and the symbol-suffixed builds numpy and scipy wheels ship
+_OPENBLAS_THREAD_CALLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"))
+
+
+@functools.cache
+def openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS mapped into
+    this process, or None where none is found: off Linux, under another
+    BLAS, or where it exports none of the known names."""
+    try:
+        maps = artifacts.read_file("/proc/self/maps")
+    except DataError:
+        return None
+    # each mapping: address, perms, offset, device, inode and a path if any
+    paths = {fields[-1] for fields in map(bytes.split, maps.splitlines())
+             if len(fields) == 6
+             and b"openblas" in os.path.basename(fields[-1]).lower()}
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(os.fsdecode(path))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            get_threads = getattr(lib, get_name, None)
+            set_threads = getattr(lib, set_name, None)
+            if get_threads is not None and set_threads is not None:
+                get_threads.argtypes = ()
+                get_threads.restype = ctypes.c_int
+                set_threads.argtypes = (ctypes.c_int,)
+                set_threads.restype = None
+                return get_threads, set_threads
+    return None

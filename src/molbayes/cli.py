@@ -4,6 +4,8 @@ Subcommands: `split` writes per-seed scaffold-split manifests, `train`
 fits one posterior per seed for the configured mode, `eval` turns
 posterior artifacts into calibration/discrimination reports, and
 `screen` ranks an unlabeled SMILES library by predicted probability.
+Every prediction, train's per-epoch validation included, goes through
+`bayes.predictive`, which also sizes the draw pool and holds BLAS.
 
 Configuration is one JSON document over DEFAULT_CONFIG, overridable on
 the command line with --set dotted.path=value. Every run's resolved
@@ -196,11 +198,6 @@ def config_digest(cfg: dict) -> str:
     return _digest_of({k: v for k, v in cfg.items() if k not in _EXEC_KEYS})
 
 
-def _trained_mode(mode: str) -> str:
-    """The mode whose posterior artifact serves ``mode``."""
-    return bayes.VIEWS[mode][0] if mode in bayes.VIEWS else mode
-
-
 def split_digest(cfg: dict) -> str:
     """Digest of the inputs that determine the scaffold split alone.
 
@@ -359,7 +356,7 @@ def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
     epochs = overrides.pop("epochs", None)
     if epochs is not None and not _fits(0, epochs):
         raise ConfigError("schedule.epochs must be an integer")
-    base = bayes.default_schedule(_trained_mode(cfg["mode"]), epochs=epochs)
+    base = bayes.default_schedule(bayes.trained_mode(cfg["mode"]), epochs=epochs)
     kwargs = asdict(base)
     for key, value in overrides.items():
         if key not in kwargs or key == "mode":
@@ -371,79 +368,9 @@ def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
     return bayes.TrainSchedule(**kwargs)
 
 
-# ---------------------------------------------------------------------------
-# prediction plumbing shared by eval and screen
-
-
-def _batch_predictor(model: GnnClassifier, batches: list,
-                     dropout_seed: Optional[int] = None):
-    """Probabilities of batch i for one draw's weights; with
-    ``dropout_seed``, draw k runs batch i under dropout masks from the
-    ``eval-dropout`` stream keyed (k, i), so a pass's masks depend on
-    neither the other passes, nor the other batches, nor the thread that
-    runs it."""
-    def predict(flat: np.ndarray, draw: int, i: int) -> np.ndarray:
-        if dropout_seed is None:
-            return model.predict_proba(flat, batches[i])
-        return model.predict_proba(
-            flat, batches[i], train=True,
-            dropout_rng=bayes.stream(dropout_seed, "eval-dropout", draw, i))
-    return predict
-
-
-def _predictive(cfg: dict, model: GnnClassifier,
-                post: bayes.PosteriorRepresentation, batches: list,
-                seed: int) -> bayes.PredictiveDistribution:
-    mode = cfg["mode"]
-    if mode in bayes.VIEWS:
-        _, name = bayes.VIEWS[mode]
-        post = bayes.PosteriorRepresentation(mode="point", digest=post.digest,
-                                             point=getattr(post, name))
-    n_draws = bayes.draw_count(mode, cfg["eval_samples"])
-    dropout_seed = None
-    if mode == "mcdo":
-        if post.mode != "point":
-            raise ConfigError("mc-dropout evaluation needs a point artifact")
-        # n_draws copies of the point (a view, no copy), each under new masks
-        post = bayes.PosteriorRepresentation(
-            mode="samples", digest=post.digest,
-            samples=np.broadcast_to(post.point, (n_draws, post.point.size)))
-        dropout_seed = seed
-    return _marginalize(cfg["workers"],
-                        _batch_predictor(model, batches, dropout_seed),
-                        post, n_draws, seed, len(batches))
-
-
-def _marginalize(workers: int, predict, post: bayes.PosteriorRepresentation,
-                 n_draws: int, seed: int, n_batches: int = 1
-                 ) -> bayes.PredictiveDistribution:
-    """``bayes.marginalize`` on a pool of ``workers`` threads (0: one per
-    core), with OpenBLAS held to one thread while the pool runs, so that
-    the draws and their batch runs, not BLAS, share the cores. The bits
-    do not move: a forward pass contracts only over feature widths, whose
-    products give the same bits under one and two OpenBLAS threads (a
-    test checks the default dims). With one worker, or one draw of one
-    batch, or no OpenBLAS control found, the prediction runs in this
-    thread and BLAS is left as it is."""
-    workers = min(workers or _cores(),
-                  bayes.draws_of(post, n_draws) * n_batches)
-    blas = _openblas_threads() if workers > 1 else None
-    if blas is None:
-        return bayes.marginalize(predict, post, seed, n_draws,
-                                 n_batches=n_batches)
-    get_threads, set_threads = blas
-    before = get_threads()
-    set_threads(1)
-    try:
-        return bayes.marginalize(predict, post, seed, n_draws,
-                                 workers=workers, n_batches=n_batches)
-    finally:
-        set_threads(before)
-
-
 def _check_artifact(cfg: dict, model: GnnClassifier,
                     post: bayes.PosteriorRepresentation, path: str) -> None:
-    digest = config_digest(dict(cfg, mode=_trained_mode(cfg["mode"])))
+    digest = config_digest(dict(cfg, mode=bayes.trained_mode(cfg["mode"])))
     stored = post.meta.get("config_digest", "")
     if stored != digest:
         raise ConfigError(
@@ -460,7 +387,7 @@ def _check_artifact(cfg: dict, model: GnnClassifier,
 
 def _posterior_path(cfg: dict, seed: int) -> str:
     return os.path.join(cfg["out_dir"],
-                        f"{_trained_mode(cfg['mode'])}_seed{seed}.post")
+                        f"{bayes.trained_mode(cfg['mode'])}_seed{seed}.post")
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +424,14 @@ def _train_one_seed(payload: tuple) -> dict:
         batches = _batches(graphs, valid_labels, cfg["batch_size"])
 
         def hook(flat: np.ndarray) -> dict:
-            probs = np.vstack([model.predict_proba(flat, b) for b in batches])
+            point = bayes.PosteriorRepresentation(
+                mode="point", digest=model.digest, point=flat)
             try:
+                probs = bayes.predictive(model, point, "none", batches, seed,
+                                         workers=1).mean
                 return {"valid_auroc": metrics.macro_average(
                     metrics.auroc, probs, valid_labels)}
-            except DataError:
+            except (DataError, NumericError):   # no auroc: a diverged pass
                 return {}
 
     post, log = bayes.train(model, data, schedule, seed, valid_eval=hook,
@@ -523,16 +453,6 @@ def _train_one_seed(payload: tuple) -> dict:
             "valid_auroc": final.get("valid_auroc")}
 
 
-def _cores() -> int:
-    """Cores this process may run on: its affinity set, which a
-    cpuset-limited container narrows below the host's count, where the
-    OS reports one, else the host's count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _worker_count(workers: int, n_seeds: int) -> int:
     """Training processes: ``workers``, or for 0 as many as the cores hold
     next to the threads each one's OpenBLAS reports; never more than one
@@ -541,13 +461,14 @@ def _worker_count(workers: int, n_seeds: int) -> int:
     On a host where BLAS takes every core, seeds train one after another
     in this process, because parallel workers would only contend for the
     cores; so they do where no OpenBLAS control is found, as BLAS's thread
-    count is then unknown. Training never sets a BLAS thread count: it
-    changes the bits of the weight gradient's long contractions, so
-    pinning it here would make an artifact depend on the worker count.
+    count is then unknown. Training never sets a BLAS thread count, and
+    its validation predicts in the calling thread: the count changes the
+    bits of the weight gradient's long contractions, so pinning it here
+    would make an artifact depend on the worker count.
     """
     if workers == 0:
-        blas = _openblas_threads()
-        workers = 1 if blas is None else max(1, _cores() // blas[0]())
+        blas = bayes.openblas_threads()
+        workers = 1 if blas is None else max(1, bayes.cores() // blas[0]())
     return min(workers, n_seeds)
 
 
@@ -562,9 +483,9 @@ def _settle(fn, *args):
 
 def cmd_train(cfg: dict, args: argparse.Namespace) -> int:
     mode = cfg["mode"]
-    if mode in bayes.VIEWS:
+    if mode not in bayes.TRAINED_MODES:
         raise ConfigError(f"mode {mode!r} is read from another posterior: "
-                          f"train --mode {_trained_mode(mode)}")
+                          f"train --mode {bayes.trained_mode(mode)}")
     ds = _load(cfg)
     payloads = []
     for seed in cfg["seeds"]:
@@ -612,8 +533,9 @@ def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
     if not test_idx:
         raise DataError(f"seed {seed}: no held-out molecules to evaluate")
     graphs, labels = _featurized(ds, test_idx)
-    pred = _predictive(cfg, model, post,
-                       _batches(graphs, labels, cfg["batch_size"]), seed)
+    pred = bayes.predictive(model, post, cfg["mode"],
+                            _batches(graphs, labels, cfg["batch_size"]),
+                            seed, cfg["eval_samples"], cfg["workers"])
     fields, confusion = metrics.eval_report(pred.mean, labels)
     digest = config_digest(cfg)
     _write_histogram(
@@ -685,9 +607,10 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
     model = _model_for(cfg, n_tasks)
     _check_artifact(cfg, model, post, path)
     unlabeled = np.full((len(molecules), n_tasks), np.nan)
-    pred = _predictive(cfg, model, post,
-                       _batches(featurize(molecules), unlabeled,
-                                cfg["batch_size"]), seed)
+    pred = bayes.predictive(model, post, cfg["mode"],
+                            _batches(featurize(molecules), unlabeled,
+                                     cfg["batch_size"]),
+                            seed, cfg["eval_samples"], cfg["workers"])
     probs = pred.mean[:, 0]
     spread = pred.uncertainty[:, 0]
     digest = config_digest(cfg)
@@ -771,44 +694,6 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
-
-
-# OpenBLAS's thread-count functions under the names its builds export:
-# plain, and the symbol-suffixed builds numpy and scipy wheels ship
-_OPENBLAS_THREAD_CALLS = (
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"))
-
-
-@functools.cache
-def _openblas_threads():
-    """The (get, set) thread-count functions of the OpenBLAS mapped into
-    this process, or None where none is found: off Linux, under another
-    BLAS, or where it exports none of the known names."""
-    try:
-        maps = artifacts.read_file("/proc/self/maps")
-    except DataError:
-        return None
-    # each mapping: address, perms, offset, device, inode and a path if any
-    paths = {fields[-1] for fields in map(bytes.split, maps.splitlines())
-             if len(fields) == 6
-             and b"openblas" in os.path.basename(fields[-1]).lower()}
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(os.fsdecode(path))
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
-            get_threads = getattr(lib, get_name, None)
-            set_threads = getattr(lib, set_name, None)
-            if get_threads is not None and set_threads is not None:
-                get_threads.argtypes = ()
-                get_threads.restype = ctypes.c_int
-                set_threads.argtypes = (ctypes.c_int,)
-                set_threads.restype = None
-                return get_threads, set_threads
-    return None
 
 
 def main(argv=None) -> int:

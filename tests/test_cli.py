@@ -393,7 +393,7 @@ def test_worker_count(monkeypatch, cores, env, workers, n_seeds, expected):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
     threads = env.get("openblas_threads")
     blas = None if threads is None else (lambda: threads, None)
-    monkeypatch.setattr(cli, "_openblas_threads", lambda: blas)
+    monkeypatch.setattr(bayes, "openblas_threads", lambda: blas)
     assert cli._worker_count(workers, n_seeds) == expected
 
 
@@ -408,9 +408,9 @@ def test_worker_count_follows_the_threads_openblas_runs(var):
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__)),
          os.environ.get("PYTHONPATH", "")])
-    code = ("from molbayes import cli\n"
-            "blas = cli._openblas_threads()\n"
-            "print(cli._cores(), blas and blas[0](), "
+    code = ("from molbayes import bayes, cli\n"
+            "blas = bayes.openblas_threads()\n"
+            "print(bayes.cores(), blas and blas[0](), "
             "cli._worker_count(0, 64))")
     cores, threads, workers = subprocess.run(
         [sys.executable, "-c", code], env=env, check=True,
@@ -437,7 +437,7 @@ def test_pinned_blas_pool_matches_serial(synthetic_csv, tmp_path):
 
 
 def test_draw_pool_holds_blas_to_one_thread_and_restores_it():
-    blas = cli._openblas_threads()
+    blas = bayes.openblas_threads()
     if blas is None:
         pytest.skip("no OpenBLAS thread control found in this process")
     get_threads, set_threads = blas
@@ -457,22 +457,22 @@ def test_draw_pool_holds_blas_to_one_thread_and_restores_it():
     set_threads(2)
     try:
         with pytest.raises(NumericError, match="pass 2"):
-            cli._marginalize(2, predict, passes, 4, 0)
+            bayes.marginalize(predict, passes, 0, 4, 2)
         assert get_threads() == 2 and set(seen) == {1}
         seen.clear()
         failing.clear()
-        assert cli._marginalize(3, predict, passes, 4, 0).n_samples == 4
+        assert bayes.marginalize(predict, passes, 0, 4, 3).n_samples == 4
         assert get_threads() == 2 and set(seen) == {1}
         # one draw over three batches: its batch runs share the pool
         seen.clear()
-        assert cli._marginalize(2, predict, point, 4, 0, 3).mean.shape \
+        assert bayes.marginalize(predict, point, 0, 4, 2, 3).mean.shape \
             == (3, 1)
         assert get_threads() == 2 and seen == [1] * 3
         # one draw of one batch, or one worker: no pool and no change to
         # BLAS
         seen.clear()
-        cli._marginalize(0, predict, point, 4, 0)
-        cli._marginalize(1, predict, passes, 4, 0, 3)
+        bayes.marginalize(predict, point, 0, 4, 0)
+        bayes.marginalize(predict, passes, 0, 4, 1, 3)
         assert seen == [2] * 13
     finally:
         set_threads(original)
@@ -927,7 +927,8 @@ def test_eval_and_screen_do_not_depend_on_workers(synthetic_csv, tmp_path,
             "--seeds", "0"]
     library = tmp_path / "library.smi"
     library.write_text("CCO\nc1ccccc1O\nC1CCNCC1\nCCN\nC1CC1O\nOCCO\n")
-    assert cli.main(["train", *base, "--mode", cli._trained_mode(mode)]) == 0
+    assert cli.main(["train", *base,
+                     "--mode", bayes.trained_mode(mode)]) == 0
     outputs = (f"eval_{mode}.json", f"{mode}_seed0_confusion.csv",
                f"screen_{mode}_ranking.csv")
     runs = []
