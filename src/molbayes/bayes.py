@@ -775,8 +775,10 @@ def openblas_threads():
         maps = artifacts.read_file("/proc/self/maps")
     except DataError:
         return None
-    # each mapping: address, perms, offset, device, inode and a path if any
-    paths = {fields[-1] for fields in map(bytes.split, maps.splitlines())
+    # each mapping: address, perms, offset, device, inode and a path if
+    # any, which may itself hold spaces
+    paths = {fields[-1] for fields in (line.split(None, 5)
+                                       for line in maps.splitlines())
              if len(fields) == 6
              and b"openblas" in os.path.basename(fields[-1]).lower()}
     for path in sorted(paths):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import os
 import random
 import sys
 import threading
@@ -11,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from molbayes import artifacts, bayes
 from molbayes import autodiff as ad
-from molbayes import bayes
 from molbayes.chem import featurize, parse_smiles
 from molbayes.errors import ConfigError, NumericError
 from molbayes.gnn import GnnClassifier, ModelConfig, make_batch
@@ -1055,6 +1056,41 @@ def test_pool_raises_a_failed_pass():
     with pytest.raises(NumericError, match="pass 3"):
         bayes.marginalize(predict, post, SEED, workers=2)
 
+
+def test_pool_without_openblas_predicts_in_the_calling_thread(monkeypatch):
+    # where no OpenBLAS control is found the pool cannot hold BLAS to one
+    # thread, so every draw runs here, with the serial bits
+    post = hand_swag([np.arange(3.0), np.ones(3), -np.ones(3)])
+    threads = []
+
+    def predict(flat, draw, i):
+        threads.append(threading.get_ident())
+        return np.atleast_2d(1.0 / (1.0 + np.exp(-(flat + i))))
+
+    serial = bayes.marginalize(predict, post, SEED, n_samples=5, workers=1,
+                               n_batches=3)
+    monkeypatch.setattr(bayes, "openblas_threads", lambda: None)
+    threads.clear()
+    pooled = bayes.marginalize(predict, post, SEED, n_samples=5, workers=2,
+                               n_batches=3)
+    assert threads == [threading.get_ident()] * 15
+    assert pooled.mean.tobytes() == serial.mean.tobytes()
+
+
+def test_openblas_is_found_under_a_path_with_spaces(tmp_path, monkeypatch):
+    if bayes.openblas_threads() is None:
+        pytest.skip("no OpenBLAS thread control found in this process")
+    maps = artifacts.read_file("/proc/self/maps")
+    line = next(line for line in maps.splitlines()
+                if b"openblas" in line.rsplit(b"/", 1)[-1].lower())
+    *fields, path = line.split(None, 5)
+    link = tmp_path / "dir with space" / os.path.basename(os.fsdecode(path))
+    link.parent.mkdir()
+    link.symlink_to(os.fsdecode(path))
+    fake = b" ".join([*fields, os.fsencode(link)]) + b"\n"
+    monkeypatch.setattr(artifacts, "read_file", lambda name: fake)
+    blas = bayes.openblas_threads.__wrapped__()
+    assert blas is not None and blas[0]() >= 1
 
 def test_predictive_validation():
     with pytest.raises(NumericError):
