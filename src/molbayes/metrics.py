@@ -32,19 +32,19 @@ SCREEN_HIGH = 0.95
 HIST_EDGES = tuple(k / HIST_BINS for k in range(HIST_BINS + 1))
 
 
-def _validate(probs, labels=None, name: str = "probabilities"):
+def _validate(probs, labels=None):
     probs = np.asarray(probs, dtype=np.float64).ravel()
     if probs.size == 0:
-        raise DataError(f"no {name} given")
+        raise DataError("no probabilities given")
     if not np.all(np.isfinite(probs)):
-        raise DataError(f"{name} contain non-finite values")
+        raise DataError("probabilities contain non-finite values")
     if probs.min() < 0.0 or probs.max() > 1.0:
-        raise DataError(f"{name} outside [0, 1]")
+        raise DataError("probabilities outside [0, 1]")
     if labels is None:
         return probs
     labels = np.asarray(labels, dtype=np.float64).ravel()
     if labels.shape != probs.shape:
-        raise DataError(f"{labels.size} labels for {probs.size} {name}")
+        raise DataError(f"{labels.size} labels for {probs.size} probabilities")
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise DataError("labels must be 0 or 1")
     return probs, labels
@@ -85,17 +85,9 @@ def ece(probs, labels) -> float:
 
 
 def _midranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
-    xs = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and xs[j + 1] == xs[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0  # 1-based mid-rank
-        i = j + 1
-    return ranks
+    """1-based ranks, each tie group at the mean of the ranks it spans."""
+    _, group, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
 
 
 def auroc(scores, labels) -> float:
