@@ -5,6 +5,15 @@ code in ``src/``, ``tools/`` or ``perfbench/`` names outside its own
 definition is an API kept alive only by its own tests: delete it, or
 call it. Names count as identifiers (a name, an attribute or an
 import), never as strings.
+
+Likewise every parameter with a default, in any function or method of
+the package, private and nested ones included, is passed by some call
+in those directories: by keyword, by position, or through ``*`` or
+``**``, a call of a class counting for its ``__init__``. Calls match a
+definition by its name alone. A default that no such call overrides is
+either a constant or an option kept for the tests, which ``UNPASSED``
+must name with its reason. The test-only references in ``ALLOWED`` are
+exempt.
 """
 
 import ast
@@ -15,6 +24,15 @@ PACKAGE = os.path.join(ROOT, "src", "molbayes")
 CALLER_DIRS = ("src", "tools", "perfbench")
 # the reference gradient that the gradient checks compare against
 ALLOWED = {"finite_diff_grad"}
+# (function, parameter) defaults that only the tests override
+UNPASSED = {
+    # tests freeze the training noise or pick the ensemble members
+    ("bayes.train", "noise_rng"), ("bayes.train", "member_seeds"),
+    ("bayes.train", "sigma_init"),
+    # the identity-preconditioned, noiseless step is the reference the
+    # stationarity and SGD tests compare against
+    ("bayes.psgld_step", "precondition"), ("bayes.psgld_step", "noise"),
+}
 
 
 def _python_files(top):
@@ -83,3 +101,65 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if name not in ALLOWED
         and not any(where not in inside for inside in uses.get(name, ())))
     assert unused == [], f"named only in tests (or nowhere): {unused}"
+
+
+def _defaulted_parameters():
+    """(qualified function name, name it is called by, parameter, index
+    of the parameter among a call's positional arguments or None) of each
+    parameter with a default."""
+    for path in _python_files(PACKAGE):
+        module = os.path.splitext(os.path.basename(path))[0]
+        stack = [(_parse(path), module, False)]
+        while stack:
+            node, prefix, in_class = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    stack.append((child, f"{prefix}.{child.name}", True))
+                elif isinstance(child, ast.FunctionDef):
+                    qualified = f"{prefix}.{child.name}"
+                    stack.append((child, qualified, False))
+                    called = (prefix.rsplit(".", 1)[-1]
+                              if child.name == "__init__" else child.name)
+                    bound = in_class and not any(
+                        _named(d) == "staticmethod"
+                        for d in child.decorator_list)
+                    a = child.args
+                    positional = a.posonlyargs + a.args
+                    first = len(positional) - len(a.defaults)
+                    for i in range(first, len(positional)):
+                        yield (qualified, called, positional[i].arg,
+                               i - bound)
+                    for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                        if default is not None:
+                            yield qualified, called, arg.arg, None
+                else:
+                    stack.append((child, prefix, in_class))
+
+
+def _calls():
+    """name called -> for each call, (positional count, keyword names,
+    whether it passes ``*`` or ``**``)."""
+    calls: dict = {}
+    for top in CALLER_DIRS:
+        for path in _python_files(os.path.join(ROOT, top)):
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.Call) and _named(node.func):
+                    keywords = {k.arg for k in node.keywords}
+                    spread = None in keywords or any(
+                        isinstance(a, ast.Starred) for a in node.args)
+                    calls.setdefault(_named(node.func), []).append(
+                        (len(node.args), keywords, spread))
+    return calls
+
+
+def test_every_default_is_passed_outside_the_tests():
+    calls = _calls()
+    unpassed = sorted(
+        f"{qualified}({param})"
+        for qualified, called, param, index in _defaulted_parameters()
+        if called not in ALLOWED and (qualified, param) not in UNPASSED
+        and not any(spread or param in keywords
+                    or (index is not None and n_positional > index)
+                    for n_positional, keywords, spread
+                    in calls.get(called, ())))
+    assert unpassed == [], f"defaults no call overrides: {unpassed}"

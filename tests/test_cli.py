@@ -315,6 +315,25 @@ def test_two_task_eval_is_the_macro_average_of_the_stored_posterior(
     assert report["aggregate"]["ece"]["n"] == 2
 
 
+def test_validation_auroc_is_the_predictive_of_the_stored_point(
+        synthetic_csv, tmp_path):
+    args = _args(synthetic_csv, tmp_path, "--set", "schedule.epochs=2",
+                 "--mode", "none", "--arch", "gcn", "--seeds", "0")
+    assert cli.main(["train", *args]) == 0
+    log = _read_json(tmp_path / "none_seed0_log.json")
+    valid = _read_json(tmp_path / "split_seed0.json")["valid"]
+    ds = chem.load_dataset(synthetic_csv, "smiles", ["activity"])
+    graphs, labels = ds.graphs(valid), ds.labels[valid]
+    batches = [gnn.make_batch(graphs[lo:lo + 32], labels[lo:lo + 32])
+               for lo in range(0, len(valid), 32)]
+    model = gnn.GnnClassifier(gnn.ModelConfig(
+        "gcn", hidden_dim=8, graph_dim=8, n_layers=1, n_heads=2, n_tasks=1,
+        dropout=0.0))
+    point = bayes.load_posterior(str(tmp_path / "none_seed0.post"))
+    probs = bayes.predictive(model, point, "none", batches, 0).mean
+    assert log["epochs"][-1]["valid_auroc"] == metrics.macro_average(
+        metrics.auroc, probs, labels)
+
 def test_single_class_held_out_labels_leave_auroc_out_of_the_aggregate(
         tmp_path):
     csv = tmp_path / "corpus.csv"
