@@ -691,22 +691,20 @@ def marginalize(predict: Callable[[np.ndarray, int, int], np.ndarray],
     ``eval-draw`` stream of ``seed`` keyed by k, so each draw depends on
     nothing but (seed, k).
 
-    With ``workers`` threads (0: one per core) and more than one draw or
-    batch, units of (draw, contiguous run of batches) run on a pool, with
-    OpenBLAS held to one thread while it runs, so that the units, not
-    BLAS, share the cores; the previous count is restored afterwards,
-    also when a draw fails. The bits do not move: a forward pass
-    contracts only over feature widths, whose products give the same bits
-    under one and two OpenBLAS threads (a test checks the default dims).
+    Units of (draw, contiguous run of batches) run on a pool of
+    ``workers`` threads (0: one per core), with OpenBLAS held to one
+    thread while it runs, so that the units, not BLAS, share the cores;
+    the previous count is restored afterwards, also when a draw fails.
     A draw is one unit while there are at least as many draws as workers,
-    so it makes its weight vector once, and no more than ``workers``
-    vectors are held at once, whatever the draw count; with fewer draws,
-    each draw's batches are cut into runs so that one draw uses every
-    worker. Rows are stacked by draw and batch, so the mean equals the
-    serial one whenever ``predict``'s result does not depend on the
-    thread that runs it. With one worker, one draw of one batch, or no
-    OpenBLAS control found, the draws run in the calling thread and BLAS
-    is left as it is.
+    so no more than ``workers`` weight vectors are held at once; with
+    fewer draws, each draw's batches are cut into runs so that one draw
+    uses every worker. Rows are stacked by draw and batch, so the mean
+    equals the serial one whenever ``predict``'s result does not depend
+    on the thread that runs it: a forward pass contracts only over
+    feature widths, whose products give the same bits under one and two
+    OpenBLAS threads (a test checks the default dims). With one worker,
+    one draw of one batch, or no OpenBLAS control found, the draws run
+    in the calling thread and BLAS is left as it is.
     """
     count = (1 if post.mode == "point" else len(post.samples)
              if post.mode == "samples" else n_samples)

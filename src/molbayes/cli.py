@@ -356,7 +356,8 @@ def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
     epochs = overrides.pop("epochs", None)
     if epochs is not None and not _fits(0, epochs):
         raise ConfigError("schedule.epochs must be an integer")
-    base = bayes.default_schedule(bayes.trained_mode(cfg["mode"]), epochs=epochs)
+    base = bayes.default_schedule(bayes.trained_mode(cfg["mode"]),
+                                  epochs=epochs)
     kwargs = asdict(base)
     for key, value in overrides.items():
         if key not in kwargs or key == "mode":
@@ -431,7 +432,7 @@ def _train_one_seed(payload: tuple) -> dict:
                                          workers=1).mean
                 return {"valid_auroc": metrics.macro_average(
                     metrics.auroc, probs, valid_labels)}
-            except (DataError, NumericError):   # no auroc: a diverged pass
+            except (DataError, NumericError):   # a diverged pass: no auroc
                 return {}
 
     post, log = bayes.train(model, data, schedule, seed, valid_eval=hook,
