@@ -1092,6 +1092,7 @@ def test_openblas_is_found_under_a_path_with_spaces(tmp_path, monkeypatch):
     blas = bayes.openblas_threads.__wrapped__()
     assert blas is not None and blas[0]() >= 1
 
+
 def test_predictive_validation():
     with pytest.raises(NumericError):
         bayes.PredictiveDistribution(np.array([[np.nan]]), 1)

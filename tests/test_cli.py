@@ -334,6 +334,7 @@ def test_validation_auroc_is_the_predictive_of_the_stored_point(
     assert log["epochs"][-1]["valid_auroc"] == metrics.macro_average(
         metrics.auroc, probs, labels)
 
+
 def test_single_class_held_out_labels_leave_auroc_out_of_the_aggregate(
         tmp_path):
     csv = tmp_path / "corpus.csv"
