@@ -625,25 +625,20 @@ class LoadReport:
 
 @dataclass
 class LabeledDataset:
-    """Molecules with their labels.
+    """Molecules with their labels and parsed graphs.
 
-    Each row's parsed graph is kept (parsed here when not given); its
-    featurized graph and scaffold key are computed on first use and kept,
-    so every split seed and every training seed shares one computation.
-    The rows one request asks for are featurized in one pass.
+    Each row's featurized graph and scaffold key are computed on first
+    use and kept, so every split seed and every training seed shares one
+    computation. The rows one request asks for are featurized in one
+    pass.
     """
 
-    name: str
     smiles: list[str]
     labels: np.ndarray          # (N, T) float64, NaN where missing
-    task_names: tuple[str, ...]
+    molecules: list[MoleculeGraph] = field(repr=False)
     report: LoadReport = field(default_factory=LoadReport)
-    molecules: Optional[list[MoleculeGraph]] = field(default=None,
-                                                     repr=False)
 
     def __post_init__(self):
-        if self.molecules is None:
-            self.molecules = [parse_smiles(s) for s in self.smiles]
         self._graphs: list[Optional[FeaturizedGraph]] = [None] * len(self)
         self._keys: list[Optional[str]] = [None] * len(self)
 
@@ -687,15 +682,14 @@ def _parse_label(cell: str, path: str, row: int, col: str) -> float:
     return v
 
 
-def load_dataset(path: str, smiles_col: str, label_cols: Sequence[str],
-                 name: str = "") -> LabeledDataset:
+def load_dataset(path: str, smiles_col: str,
+                 label_cols: Sequence[str]) -> LabeledDataset:
     """Load a CSV of SMILES plus binary labels (empty cell = missing).
 
     Rows whose SMILES fail to parse, and rows with every label missing,
     are dropped and counted in the attached report. A file that cannot be
     read, is not UTF-8 or is not well-formed CSV raises DataError.
     """
-    label_cols = tuple(label_cols)
     report = LoadReport()
     smiles: list[str] = []
     molecules: list[MoleculeGraph] = []
@@ -727,40 +721,16 @@ def load_dataset(path: str, smiles_col: str, label_cols: Sequence[str],
     report.n_kept = len(smiles)
     labels = np.array(rows, dtype=np.float64).reshape(len(smiles),
                                                       len(label_cols))
-    return LabeledDataset(name or path, smiles, labels, label_cols, report,
-                          molecules)
+    return LabeledDataset(smiles, labels, molecules, report)
 
 
 # ---------------------------------------------------------------------------
 # scaffold split
 
 
-@dataclass
-class ScaffoldSplit:
-    train: np.ndarray           # int64 indices, ascending
-    valid: np.ndarray
-    test: np.ndarray
-    keys: list[str]             # scaffold key per dataset index
-    seed: int
-    quotas: tuple[int, int, int]
-    overrun: int                # molecules placed in train past its quota
-    warnings: list[str] = field(default_factory=list)
-
-    def summary(self) -> dict:
-        return {
-            "seed": self.seed,
-            "sizes": [int(len(self.train)), int(len(self.valid)),
-                      int(len(self.test))],
-            "quotas": list(self.quotas),
-            "n_scaffolds": len(set(self.keys)),
-            "overrun": self.overrun,
-            "warnings": list(self.warnings),
-        }
-
-
 def scaffold_split(ds: LabeledDataset,
                    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
-                   seed: int = 0) -> ScaffoldSplit:
+                   seed: int = 0) -> dict:
     """Group molecules by scaffold key and deal groups into train/valid/test.
 
     Groups are ordered by (size descending, key ascending); a shuffle from
@@ -769,15 +739,19 @@ def scaffold_split(ds: LabeledDataset,
     scaffold straddle two sets. Each group goes to the first of train,
     valid, test still under its quota; when all are full the group lands
     in train and counts as overrun.
+
+    Returns the body of a split manifest: ``train``, ``valid`` and
+    ``test`` as ascending lists of dataset indices, and a ``summary`` of
+    the seed, the three sizes and quotas, the number of scaffolds, the
+    overrun and any warnings.
     """
     if len(ds) == 0:
         raise DataError("cannot split an empty dataset")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"split ratios must sum to 1, got {ratios}")
-    keys = [ds.scaffold_key(i) for i in range(len(ds))]
     groups: dict[str, list[int]] = {}
-    for idx, key in enumerate(keys):
-        groups.setdefault(key, []).append(idx)
+    for idx in range(len(ds)):
+        groups.setdefault(ds.scaffold_key(idx), []).append(idx)
     ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     rng = stream(seed, "split")
     start = 0
@@ -791,18 +765,15 @@ def scaffold_split(ds: LabeledDataset,
             perm = rng.permutation(stop - start)
             ordered[start:stop] = [run[p] for p in perm]
         start = stop
-    n = len(ds)
-    quotas = tuple(int(round(r * n)) for r in ratios)
+    quotas = tuple(int(round(r * len(ds))) for r in ratios)
     sets: tuple[list[int], ...] = ([], [], [])
     overrun = 0
     for _, members in ordered:
-        placed = False
         for k in range(3):
             if len(sets[k]) < quotas[k]:
                 sets[k].extend(members)
-                placed = True
                 break
-        if not placed:
+        else:
             sets[0].extend(members)
             overrun += len(members)
     warnings = []
@@ -812,13 +783,8 @@ def scaffold_split(ds: LabeledDataset,
         warnings.append("test set is empty")
     if overrun:
         warnings.append(f"{overrun} molecules overran the train quota")
-    return ScaffoldSplit(
-        train=np.array(sorted(sets[0]), dtype=np.int64),
-        valid=np.array(sorted(sets[1]), dtype=np.int64),
-        test=np.array(sorted(sets[2]), dtype=np.int64),
-        keys=keys,
-        seed=seed,
-        quotas=quotas,
-        overrun=overrun,
-        warnings=warnings,
-    )
+    return {"train": sorted(sets[0]), "valid": sorted(sets[1]),
+            "test": sorted(sets[2]),
+            "summary": {"seed": seed, "sizes": [len(m) for m in sets],
+                        "quotas": list(quotas), "n_scaffolds": len(groups),
+                        "overrun": overrun, "warnings": warnings}}

@@ -242,8 +242,7 @@ def _load(cfg: dict) -> LabeledDataset:
     if not os.path.isfile(path):
         raise ConfigError(f"dataset file not found: {path}")
     smiles_col, label_cols = _dataset_columns(cfg)
-    return load_dataset(path, smiles_col, label_cols,
-                        name=cfg["dataset"].get("name", path))
+    return load_dataset(path, smiles_col, label_cols)
 
 
 def _manifest_path(cfg: dict, seed: int) -> str:
@@ -293,13 +292,9 @@ def _ensure_manifest(cfg: dict, ds: LabeledDataset, seed: int) -> dict:
                             f"with {sorted(_SUMMARY)} of the types split "
                             f"writes")
         return manifest
-    split = scaffold_split(ds, ratios=tuple(cfg["split"]["ratios"]),
-                           seed=seed)
     manifest = {"split_digest": sd, "seed": seed,
-                "train": [int(i) for i in split.train],
-                "valid": [int(i) for i in split.valid],
-                "test": [int(i) for i in split.test],
-                "summary": split.summary()}
+                **scaffold_split(ds, ratios=tuple(cfg["split"]["ratios"]),
+                                 seed=seed)}
     _write_json(path, manifest)
     return manifest
 
@@ -332,19 +327,6 @@ def _batches(graphs: list, labels: np.ndarray, batch_size: int) -> list:
     """Consecutive minibatches of at most ``batch_size`` graphs."""
     return [make_batch(graphs[lo:lo + batch_size], labels[lo:lo + batch_size])
             for lo in range(0, len(graphs), batch_size)]
-
-
-class _EpochBatches:
-    """Reshuffled minibatches each epoch, driven by the caller's rng."""
-
-    def __init__(self, ds: LabeledDataset, indices, batch_size: int):
-        self.graphs, self.labels = _featurized(ds, indices)
-        self.batch_size = batch_size
-
-    def __call__(self, rng: np.random.Generator) -> list:
-        order = rng.permutation(len(self.graphs))
-        return _batches([self.graphs[i] for i in order], self.labels[order],
-                        self.batch_size)
 
 
 def _model_for(cfg: dict, n_tasks: int) -> GnnClassifier:
@@ -415,10 +397,16 @@ def _train_one_seed(payload: tuple) -> dict:
     cfg, ds, seed, manifest = payload
     model = _model_for(cfg, ds.n_tasks)
     schedule = _schedule_for(cfg)
-    data = bayes.TrainData(
-        epoch_batches=_EpochBatches(ds, manifest["train"],
-                                    cfg["batch_size"]),
-        n_examples=len(manifest["train"]))
+    train_graphs, train_labels = _featurized(ds, manifest["train"])
+
+    def epoch_batches(rng: np.random.Generator) -> list:
+        """Reshuffled minibatches each epoch, driven by the caller's rng."""
+        order = rng.permutation(len(train_graphs))
+        return _batches([train_graphs[i] for i in order],
+                        train_labels[order], cfg["batch_size"])
+
+    data = bayes.TrainData(epoch_batches=epoch_batches,
+                           n_examples=len(train_graphs))
     hook = None
     if manifest["valid"]:
         graphs, valid_labels = _featurized(ds, manifest["valid"])

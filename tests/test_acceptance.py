@@ -298,21 +298,21 @@ def test_criterion_8_scaffold_split_integrity():
     for name in ("bace", "bbbp"):
         path = real_dataset(name)    # skips when the csv is absent
         smiles_col, label_cols = DATASET_COLUMNS[name]
-        ds = load_dataset(path, smiles_col, label_cols, name=name)
+        ds = load_dataset(path, smiles_col, label_cols)
+        keys = [ds.scaffold_key(i) for i in range(len(ds))]
         for seed in (0, 1, 2):
             split = scaffold_split(ds, ratios=(0.8, 0.1, 0.1), seed=seed)
-            keys = split.keys
-            parts = [set(keys[i] for i in part)
-                     for part in (split.train, split.valid, split.test)]
+            parts = [set(keys[i] for i in split[part])
+                     for part in ("train", "valid", "test")]
             assert not (parts[0] & parts[1])
             assert not (parts[0] & parts[2])
             assert not (parts[1] & parts[2])
-            sizes = [len(split.train), len(split.valid), len(split.test)]
+            sizes = [len(split[part]) for part in ("train", "valid", "test")]
             counts: dict = {}
             for key in keys:
                 counts[key] = counts.get(key, 0) + 1
             biggest = max(counts.values())
-            for size, quota in zip(sizes, split.quotas):
+            for size, quota in zip(sizes, split["summary"]["quotas"]):
                 assert abs(size - quota) <= biggest, (name, seed, sizes)
 
 

@@ -559,7 +559,8 @@ def test_scaffold_deeper_than_recursion_limit(monkeypatch):
 def toy_dataset(smiles):
     labels = np.zeros((len(smiles), 1))
     labels[::2] = 1.0
-    return chem.LabeledDataset("toy", list(smiles), labels, ("y",))
+    return chem.LabeledDataset(list(smiles), labels,
+                               [parse_smiles(s) for s in smiles])
 
 
 def test_split_ten_distinct_scaffolds():
@@ -569,7 +570,8 @@ def test_split_ten_distinct_scaffolds():
     smiles = [f"C1{'C' * k}C1" for k in range(2, 12)]
     ds = toy_dataset(smiles)
     split = scaffold_split(ds, seed=3)
-    assert (len(split.train), len(split.valid), len(split.test)) == (8, 1, 1)
+    assert (len(split["train"]), len(split["valid"]),
+            len(split["test"])) == (8, 1, 1)
     del rings
 
 
@@ -578,12 +580,12 @@ def test_split_shuffle_draws_from_its_own_stream():
     ds = toy_dataset([f"C1{'C' * k}C1" for k in range(2, 12)])
     for seed in (0, 5, 123):
         split = scaffold_split(ds, seed=seed)
-        by_key = sorted(range(len(ds)), key=lambda i: split.keys[i])
+        by_key = sorted(range(len(ds)), key=ds.scaffold_key)
         perm = bayes.stream(seed, "split").permutation(len(ds))
         dealt = [by_key[p] for p in perm]
-        assert sorted(split.train.tolist()) == sorted(dealt[:8])
-        assert split.valid.tolist() == dealt[8:9]
-        assert split.test.tolist() == dealt[9:]
+        assert sorted(split["train"]) == sorted(dealt[:8])
+        assert split["valid"] == dealt[8:9]
+        assert split["test"] == dealt[9:]
         # a generator seeded with the bare seed draws what "init" draws
         first = {purpose: bayes.stream(seed, purpose).random(4).tobytes()
                  for purpose in bayes.STREAM_IDS}
@@ -596,9 +598,10 @@ def test_split_degenerate_single_scaffold():
     ds = toy_dataset(["Cc1ccccc1", "CCc1ccccc1", "OCc1ccccc1",
                       "NCc1ccccc1"])
     split = scaffold_split(ds, seed=0)
-    assert len(split.train) == 4 and not len(split.valid) and not len(split.test)
-    assert any("empty" in w for w in split.warnings)
-    assert split.overrun == 0
+    assert len(split["train"]) == 4 and not len(split["valid"]) \
+        and not len(split["test"])
+    assert any("empty" in w for w in split["summary"]["warnings"])
+    assert split["summary"]["overrun"] == 0
 
 
 def test_split_partitions_and_respects_scaffolds():
@@ -612,24 +615,24 @@ def test_split_partitions_and_respects_scaffolds():
     ds = toy_dataset(smiles)
     for seed in (0, 1):
         split = scaffold_split(ds, seed=seed)
-        all_idx = np.concatenate([split.train, split.valid, split.test])
-        assert sorted(all_idx.tolist()) == list(range(len(ds)))
+        all_idx = split["train"] + split["valid"] + split["test"]
+        assert sorted(all_idx) == list(range(len(ds)))
         for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
-            ka = {split.keys[i] for i in getattr(split, a)}
-            kb = {split.keys[i] for i in getattr(split, b)}
+            ka = {ds.scaffold_key(i) for i in split[a]}
+            kb = {ds.scaffold_key(i) for i in split[b]}
             assert not (ka & kb)
-        assert len(split.train) >= len(split.valid) >= 0
+        assert len(split["train"]) >= len(split["valid"]) >= 0
 
 
 def test_split_seed_changes_membership():
     smiles = [f"C1{'C' * k}C1" + "O" * j for k in range(2, 12)
               for j in range(3)]
     ds = toy_dataset(smiles)
-    tests = {seed: set(scaffold_split(ds, seed=seed).test.tolist())
+    tests = {seed: set(scaffold_split(ds, seed=seed)["test"])
              for seed in range(6)}
     assert len(set(map(frozenset, tests.values()))) > 1
     for seed in range(6):  # same seed twice is identical
-        again = set(scaffold_split(ds, seed=seed).test.tolist())
+        again = set(scaffold_split(ds, seed=seed)["test"])
         assert again == tests[seed]
 
 
@@ -637,7 +640,7 @@ def test_split_rejects_bad_inputs():
     ds = toy_dataset(["C"])
     with pytest.raises(DataError):
         scaffold_split(ds, ratios=(0.9, 0.2, 0.1))
-    empty = chem.LabeledDataset("e", [], np.zeros((0, 1)), ("y",))
+    empty = chem.LabeledDataset([], np.zeros((0, 1)), [])
     with pytest.raises(DataError):
         scaffold_split(empty)
 
@@ -654,7 +657,7 @@ def write_csv(tmp_path, text, name="data.csv"):
 
 def test_load_basic_csv(tmp_path):
     path = write_csv(tmp_path, "smiles,y\nCC,1\nCCO,0\nc1ccccc1,1\n")
-    ds = load_dataset(path, "smiles", ["y"], name="toy")
+    ds = load_dataset(path, "smiles", ["y"])
     assert len(ds) == 3 and ds.n_tasks == 1
     assert ds.labels[:, 0].tolist() == [1.0, 0.0, 1.0]
     assert ds.report.n_kept == 3 and ds.report.n_parse_failures == 0
