@@ -90,7 +90,8 @@ def write_container(path: str, kind: str, meta: dict,
 
 def read_container(path: str,
                    expect_kind: str = "") -> tuple[str, dict, dict]:
-    """Read a container back as (kind, meta, {name: array})."""
+    """Read a container back as (kind, meta, {name: array}); a header
+    that lists one array name twice raises DataError."""
     raw = read_file(path)
     if not raw.startswith(MAGIC):
         raise DataError(f"{path} is not a recognized container file")
@@ -121,6 +122,9 @@ def read_container(path: str,
                 and isinstance(item.get("shape"), list)
                 and all(type(d) is int and d >= 0 for d in item["shape"])):
             raise DataError(f"{path}: malformed array entry {item!r}")
+        if item["name"] in arrays:
+            raise DataError(f"{path}: array {item['name']!r} is listed "
+                            f"twice")
         shape = tuple(item["shape"])
         dt = np.dtype(_DTYPES[item["dtype"]])
         count = math.prod(shape)   # exact, unlike int64 np.prod

@@ -59,6 +59,26 @@ def test_container_holds_float64_only(tmp_path):
                                   {"x": np.arange(3, dtype=np.int64)})
 
 
+def test_array_listed_twice_is_a_data_error(tmp_path):
+    # the header lists "point" twice, a second array after the first: the
+    # reader must refuse it, not keep the second under the one name
+    path = str(tmp_path / "point.post")
+    bayes.save_posterior(path, bayes.PosteriorRepresentation(
+        mode="point", digest="d", point=np.arange(3.0)))
+    raw = artifacts.read_file(path)
+    at = len(artifacts.MAGIC)
+    hlen = int.from_bytes(raw[at:at + 8], "little")
+    header = json.loads(raw[at + 8:at + 8 + hlen])
+    header["arrays"] *= 2
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    artifacts.write_file(path, artifacts.MAGIC,
+                         len(text).to_bytes(8, "little"), text,
+                         raw[at + 8 + hlen:], np.full(3, 9.0).tobytes())
+    for read in (artifacts.read_container, bayes.load_posterior):
+        with pytest.raises(DataError, match="'point' is listed twice"):
+            read(path)
+
+
 def test_deeply_nested_container_header_is_a_data_error(tmp_path):
     path = tmp_path / "c.bin"
     header = b"[" * 100_000
