@@ -380,22 +380,37 @@ def test_ensemble_excludes_diverging_member():
 # mc-dropout prediction
 
 
-def mc_dropout(predict, n_passes, seed, workers=1):
-    """Marginalize as eval does for mcdo: ``n_passes`` identical rows of
-    one point, pass k predicted under masks from the seed's
-    ``eval-dropout`` stream keyed (k, 0), its only batch."""
-    point = np.zeros(2)
-    passes = bayes.PosteriorRepresentation(
-        mode="samples", digest="d",
-        samples=np.broadcast_to(point, (n_passes, point.size)))
-    return bayes.marginalize(
-        lambda flat, k, i: predict(bayes.stream(seed, "eval-dropout", k, i)),
-        passes, seed, workers=workers)
+class DropoutFake:
+    """A model whose dropout pass returns ``predict(dropout_rng)``: a test
+    sees the mask stream that ``bayes.predictive`` hands each pass."""
+
+    def __init__(self, predict):
+        self.predict = predict
+
+    def predict_proba(self, flat, batch, train=False, dropout_rng=None):
+        assert train and dropout_rng is not None
+        return self.predict(dropout_rng)
+
+
+def mc_dropout(predict, n_passes, seed, workers=1, n_batches=1):
+    """mcdo's predictive as eval runs it, through ``bayes.predictive``:
+    ``n_passes`` passes of one point over ``n_batches`` batches, each
+    under the masks that ``predictive`` keys for it."""
+    point = bayes.PosteriorRepresentation(mode="point", digest="d",
+                                          point=np.zeros(2))
+    return bayes.predictive(DropoutFake(predict), point, "mcdo",
+                            [None] * n_batches, seed, n_samples=n_passes,
+                            workers=workers)
 
 
 def test_mc_dropout_rejects_zero_passes():
+    # predictive reads 0 passes as the mode's default, so an empty pass
+    # set can only be made by hand: it is refused on the way to marginalize
     with pytest.raises(ConfigError):
-        mc_dropout(lambda rng: np.zeros((1, 1)), 0, 0)
+        bayes.marginalize(lambda flat, k, i: np.zeros((1, 1)),
+                          bayes.PosteriorRepresentation(
+                              mode="samples", digest="d",
+                              samples=np.zeros((0, 2))), 0)
 
 
 def test_mc_dropout_constant_predictor():
@@ -433,6 +448,17 @@ def test_mc_dropout_enumerated_masks():
 
     out = mc_dropout(predict, 4, 0)
     assert abs(out.mean[0, 0] - hand) < 1e-15
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_dropout_masks_are_keyed_by_pass_then_batch(workers):
+    # 3 passes over 2 batches: pass k of batch i draws its masks from the
+    # eval-dropout stream keyed (k, i), whatever the pool
+    out = mc_dropout(lambda rng: np.array([[rng.uniform()]]), 3, 11,
+                     workers=workers, n_batches=2)
+    hand = np.array([[[bayes.stream(11, "eval-dropout", k, i).uniform()]
+                      for i in range(2)] for k in range(3)]).mean(axis=0)
+    assert out.mean.tobytes() == hand.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -905,8 +931,8 @@ def test_marginalize_swag_draws():
 
 def gnn_posteriors():
     """A small gat on generated molecules, its init as a point, and one
-    posterior of each stored layout around it; mcdo is the point
-    repeated, as eval marginalizes it."""
+    posterior of each stored layout around it; mcdo predicts from the
+    point."""
     model = GnnClassifier(ModelConfig(architecture="gat", hidden_dim=16,
                                       graph_dim=16, n_layers=2))
     batch = generated_batch(16)
@@ -924,10 +950,8 @@ def gnn_posteriors():
             mode="bbb", digest="d", mu=point,
             rho=np.full(point.size, bayes._softplus_inv(0.05))),
         "swag": hand_swag(list(near)),
-        "mcdo": bayes.PosteriorRepresentation(
-            mode="samples", digest="d",
-            samples=np.broadcast_to(point, (7, point.size))),
     }
+    posts["mcdo"] = posts["point"]
     return model, batch, posts
 
 
@@ -936,17 +960,15 @@ def gnn_posteriors():
 def test_pooled_marginalize_matches_serial(name):
     model, batch, posts = gnn_posteriors()
 
-    def predict(flat, draw, i):
-        if name != "mcdo":
-            return model.predict_proba(flat, batch)
-        return model.predict_proba(
-            flat, batch, train=True,
-            dropout_rng=bayes.stream(SEED, "eval-dropout", draw, i))
+    def predict(workers):
+        if name == "mcdo":   # eval's path, masks keyed as it keys them
+            return bayes.predictive(model, posts[name], "mcdo", [batch],
+                                    SEED, n_samples=7, workers=workers)
+        return bayes.marginalize(
+            lambda flat, draw, i: model.predict_proba(flat, batch),
+            posts[name], SEED, n_samples=6, workers=workers)
 
-    serial, pooled = (
-        bayes.marginalize(predict, posts[name], SEED, n_samples=6,
-                          workers=workers)
-        for workers in (1, 2))
+    serial, pooled = (predict(workers) for workers in (1, 2))
     assert pooled.mean.tobytes() == serial.mean.tobytes()
     assert pooled.n_samples == serial.n_samples
 
@@ -963,26 +985,34 @@ def test_units_cut_batches_only_for_fewer_draws_than_workers():
 
 @pytest.mark.parametrize("name", ["point", "ensemble", "sgld", "bbb", "swag",
                                   "mcdo"])
-def test_parted_marginalize_matches_serial(name):
+def test_parted_marginalize_matches_serial(name, monkeypatch):
     # with fewer draws than workers each draw's batches run in parts; rows
     # stack in batch order, so the mean keeps the serial bits
     model, _, posts = gnn_posteriors()
     batches = [generated_batch(6, seed=s) for s in range(5)]
     calls = []
+    keyed = bayes.stream
+
+    def mask_stream(seed, purpose, *key):
+        # an mcdo call is the (pass, batch) its masks are keyed by
+        if purpose == "eval-dropout":
+            calls.append(key)
+        return keyed(seed, purpose, *key)
 
     def predict(flat, draw, i):
         calls.append((draw, i))
-        if name != "mcdo":
-            return model.predict_proba(flat, batches[i])
-        return model.predict_proba(
-            flat, batches[i], train=True,
-            dropout_rng=bayes.stream(SEED, "eval-dropout", draw, i))
+        return model.predict_proba(flat, batches[i])
 
+    monkeypatch.setattr(bayes, "stream", mask_stream)
     means = []
     for workers in (1, 2, 4, 16):
         calls.clear()
-        pred = bayes.marginalize(predict, posts[name], SEED, n_samples=2,
-                                 workers=workers, n_batches=5)
+        if name == "mcdo":   # eval's path, masks keyed as it keys them
+            pred = bayes.predictive(model, posts[name], "mcdo", batches,
+                                    SEED, n_samples=2, workers=workers)
+        else:
+            pred = bayes.marginalize(predict, posts[name], SEED, n_samples=2,
+                                     workers=workers, n_batches=5)
         means.append(pred.mean.tobytes())
         assert sorted(calls) == [(k, i) for k in range(pred.n_samples)
                                  for i in range(5)]
