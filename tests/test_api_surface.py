@@ -14,6 +14,11 @@ definition by its name alone. A default that no such call overrides is
 either a constant or an option kept for the tests, which ``UNPASSED``
 must name with its reason. The test-only references in ``ALLOWED`` are
 exempt.
+
+And every annotated class field in the package is read in those
+directories, as an attribute or through ``getattr`` with a constant
+name, or ``UNREAD`` names it with its reason. Reads match a field by its
+name alone, so a field whose name some other attribute shares passes.
 """
 
 import ast
@@ -32,6 +37,11 @@ UNPASSED = {
     # the identity-preconditioned, noiseless step is the reference the
     # stationarity and SGD tests compare against
     ("bayes.psgld_step", "precondition"), ("bayes.psgld_step", "noise"),
+}
+# class fields that only the tests read
+UNREAD = {
+    # the op-coverage test checks that every op kind records itself
+    "autodiff._Record.kind",
 }
 
 
@@ -163,3 +173,40 @@ def test_every_default_is_passed_outside_the_tests():
                     for n_positional, keywords, spread
                     in calls.get(called, ())))
     assert unpassed == [], f"defaults no call overrides: {unpassed}"
+
+
+def _class_fields():
+    """(qualified name, name) of each annotated field of each class."""
+    for path in _python_files(PACKAGE):
+        module = os.path.splitext(os.path.basename(path))[0]
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if (isinstance(item, ast.AnnAssign)
+                            and isinstance(item.target, ast.Name)):
+                        yield (f"{module}.{node.name}.{item.target.id}",
+                               item.target.id)
+
+
+def _attribute_reads():
+    """Names read as an attribute, or by ``getattr`` with a constant."""
+    reads = set()
+    for top in CALLER_DIRS:
+        for path in _python_files(os.path.join(ROOT, top)):
+            for node in ast.walk(_parse(path)):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    reads.add(node.attr)
+                elif (isinstance(node, ast.Call)
+                        and _named(node.func) == "getattr"
+                        and len(node.args) > 1
+                        and isinstance(node.args[1], ast.Constant)):
+                    reads.add(node.args[1].value)
+    return reads
+
+
+def test_every_class_field_is_read_outside_the_tests():
+    reads = _attribute_reads()
+    unread = sorted(qualified for qualified, name in _class_fields()
+                    if name not in reads and qualified not in UNREAD)
+    assert unread == [], f"fields no code reads: {unread}"

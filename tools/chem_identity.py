@@ -13,8 +13,7 @@ fixed list of edge cases. Each tree runs in its own process and reports, per str
 - ``parse_smiles``: the atoms and bonds, or the error message and
   offset, or the type and text of any other exception it raises;
 - ``featurize``: a digest of each array's dtype, shape and bytes, over
-  the parsed molecules in one list call where the tree's ``featurize``
-  takes a list, else one call per molecule;
+  the parsed molecules in one list call;
 - ``murcko_scaffold``: the key of each parsed molecule.
 
 Exit status: 0 when every result is the same under both trees; 1
@@ -120,12 +119,7 @@ def dump(inputs_path: str, out_path: str) -> None:
                         [[a.symbol, a.charge, a.aromatic, a.h_count]
                          for a in m.atoms],
                         [[b.i, b.j, b.order] for b in m.bonds]])
-    molecules = [m for _, m in parsed]
-    try:
-        graphs = chem.featurize(molecules)
-    except (AttributeError, TypeError):     # a featurize of one molecule
-        graphs = [chem.featurize(m) for m in molecules]
-    for (k, m), g in zip(parsed, graphs):
+    for (k, m), g in zip(parsed, chem.featurize([m for _, m in parsed])):
         results[k] += [_digest(g.node_x, g.edge_x, g.edge_index),
                        chem.murcko_scaffold(m)]
     with open(out_path, "w", encoding="utf-8") as fh:
