@@ -10,8 +10,10 @@ not trained: it predicts at that average, the swag mean (`VIEWS`).
 whose per-batch step and end-of-epoch snapshot depend on the schedule's
 mode. Every mode ends in a PosteriorRepresentation. `predictive` is
 the one prediction path: it turns one, read under a trained mode or a
-view, into mean probabilities plus the spread-based uncertainty
-u = sqrt(p(1-p)). An mcdo point is marginalized as a sample set of
+view, into mean probabilities p plus the uncertainty u = sqrt(p(1-p)).
+That is the Bernoulli standard deviation at the mean, the same for
+every posterior with that mean, not a spread across draws (ROADMAP
+item 13 replaces it). An mcdo point is marginalized as a sample set of
 identical rows whose predictor keys fresh dropout masks by the draw's
 and the batch's index, and `draw_count` gives every mode's number of
 draws. Each draw is a pure function of the run seed and its index (bbb
