@@ -123,8 +123,7 @@ def read_container(path: str,
                 and all(type(d) is int and d >= 0 for d in item["shape"])):
             raise DataError(f"{path}: malformed array entry {item!r}")
         if item["name"] in arrays:
-            raise DataError(f"{path}: array {item['name']!r} is listed "
-                            f"twice")
+            raise DataError(f"{path}: array {item['name']!r} is listed twice")
         shape = tuple(item["shape"])
         dt = np.dtype(_DTYPES[item["dtype"]])
         count = math.prod(shape)   # exact, unlike int64 np.prod

@@ -960,7 +960,7 @@ def gnn_posteriors():
 def test_pooled_marginalize_matches_serial(name):
     model, batch, posts = gnn_posteriors()
 
-    def predict(workers):
+    def predict_at(workers):
         if name == "mcdo":   # eval's path, masks keyed as it keys them
             return bayes.predictive(model, posts[name], "mcdo", [batch],
                                     SEED, n_samples=7, workers=workers)
@@ -968,7 +968,7 @@ def test_pooled_marginalize_matches_serial(name):
             lambda flat, draw, i: model.predict_proba(flat, batch),
             posts[name], SEED, n_samples=6, workers=workers)
 
-    serial, pooled = (predict(workers) for workers in (1, 2))
+    serial, pooled = (predict_at(workers) for workers in (1, 2))
     assert pooled.mean.tobytes() == serial.mean.tobytes()
     assert pooled.n_samples == serial.n_samples
 
