@@ -23,9 +23,9 @@ of threads, one per core by default (`cores`), holding OpenBLAS to one
 thread while the pool runs (`openblas_threads`); results are stacked in
 draw and batch order.
 
-Models are anything exposing `n_params`, `init_params(rng)` and
-`nll(tape, theta, batch, train=, rng=)`; training data is a callable
-producing one epoch's batches from a seeded generator.
+Models are anything exposing `n_params`, `digest`, `init_params(rng)`
+and `nll(tape, theta, batch, train=, rng=)`; `train` takes one epoch's
+batches from a callable of a seeded generator.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ VIEWS = {"swa": ("swag", "swag_mean")}
 MODES = TRAINED_MODES + tuple(VIEWS)
 
 SIGMA_FLOOR = 1e-8
+SIGMA_INIT = 0.05         # bbb's starting posterior scale
 DIAG_FLOOR = 1e-30
 
 # one generator per purpose, all derived from the run seed
@@ -82,20 +83,13 @@ def member_seed(seed: int, index: int) -> int:
 
 class FlatModel(Protocol):
     n_params: int
+    digest: str
 
     def init_params(self, rng: np.random.Generator) -> np.ndarray: ...
 
     def nll(self, tape: ad.Tape, theta: ad.Tensor, batch,
             train: bool = False,
             rng: Optional[np.random.Generator] = None) -> ad.Tensor: ...
-
-
-@dataclass
-class TrainData:
-    """Epoch batches come from a callable so shuffling stays seeded."""
-
-    epoch_batches: Callable[[np.random.Generator], Sequence]
-    n_examples: int
 
 
 # ---------------------------------------------------------------------------
@@ -352,32 +346,26 @@ PSGLD_ALPHA = 0.99
 PSGLD_LAMBDA = 1e-8
 
 
-@dataclass
-class PsgldState:
-    """RMS preconditioner accumulator for pSGLD."""
-
-    v: np.ndarray
-
-
-def psgld_step(state: PsgldState, params: np.ndarray,
+def psgld_step(v: np.ndarray, params: np.ndarray,
                grad_log_post: np.ndarray, lr: float,
                rng: np.random.Generator, precondition: bool = True,
                noise: bool = True) -> np.ndarray:
     """One Langevin step ascending the log posterior.
 
     delta = (lr/2) G grad + sqrt(lr G) z with G the RMS preconditioner
-    (identity when ``precondition`` is off). ``noise=False`` reduces the
-    step to plain gradient ascent, i.e. SGD on the negative log posterior
-    at rate lr/2.
+    of ``v``, updated in place (identity, ``v`` unused, when
+    ``precondition`` is off). ``noise=False`` reduces the step to plain
+    gradient ascent, i.e. SGD on the negative log posterior at rate lr/2.
     """
     params = np.asarray(params, dtype=np.float64)
     g = np.asarray(grad_log_post, dtype=np.float64)
-    if g.shape != params.shape or state.v.shape != params.shape:
+    if g.shape != params.shape or v.shape != params.shape:
         raise ad.ShapeError(f"shape mismatch: params {params.shape}, "
-                            f"grad {g.shape}, v {state.v.shape}")
+                            f"grad {g.shape}, v {v.shape}")
     if precondition:
-        state.v = PSGLD_ALPHA * state.v + (1.0 - PSGLD_ALPHA) * g * g
-        G = 1.0 / (np.sqrt(state.v) + PSGLD_LAMBDA)
+        v *= PSGLD_ALPHA
+        v += (1.0 - PSGLD_ALPHA) * g * g
+        G = 1.0 / (np.sqrt(v) + PSGLD_LAMBDA)
     else:
         G = np.ones_like(params)
     delta = 0.5 * lr * G * g
@@ -437,36 +425,36 @@ def _grad_flat(model: FlatModel, flat: np.ndarray, batch,
     return loss.item(), ad.backward(tape, loss)["theta"]
 
 
-def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
-          seed: int, *,
+def train(model: FlatModel,
+          epoch_batches: Callable[[np.random.Generator], Sequence],
+          n_examples: int, schedule: TrainSchedule, seed: int, *,
           valid_eval: Optional[Callable[[np.ndarray], dict]] = None,
-          m_members: int = 10, member_seeds: Optional[Sequence[int]] = None,
-          kl_scale: float = 0.01, prior_sigma: float = 10.0,
-          sigma_init: float = 0.05,
-          noise_rng: Optional[np.random.Generator] = None
+          m_members: int = 10, kl_scale: float = 0.01,
+          prior_sigma: float = 10.0
           ) -> tuple[PosteriorRepresentation, list[dict]]:
     """Fit the posterior ``schedule.mode`` names; returns it and the log.
 
     All modes share one epoch loop (init and shuffle streams, lr schedule,
-    a finiteness check per batch, a log entry per epoch extended by
-    ``valid_eval`` of the current point) and differ in step and snapshot.
-    none/mcdo/swag step the optimizer on the batch mean NLL, mcdo with
-    residual dropout on. bbb steps it without weight decay on a flat
-    [mu, rho] vector: the mean NLL over ``schedule.train_samples`` draws
-    mu + softplus(rho) * z (z from ``noise_rng``, sigma starting at
-    ``sigma_init``) plus kl_scale * KL / n_examples, a per-example prior
-    pull. sgld takes pSGLD steps on -(N * grad_nll + weight_decay * w), the
-    decay doubling as a Gaussian prior precision, and keeps snapshot-epoch
+    ``epoch_batches(shuffle_rng)`` each epoch, a finiteness check per
+    batch, a log entry per epoch extended by ``valid_eval`` of the current
+    point) and differ in step and snapshot. none/mcdo/swag step the
+    optimizer on the batch mean NLL, mcdo with residual dropout on. bbb
+    steps it without weight decay on a flat [mu, rho] vector: the mean NLL
+    over ``schedule.train_samples`` draws mu + softplus(rho) * z (z from
+    the ``bbb-noise`` stream, sigma starting at ``SIGMA_INIT``) plus
+    kl_scale * KL / n_examples, a per-example prior pull. sgld takes pSGLD
+    steps on -(n_examples * grad_nll + weight_decay * w), the decay
+    doubling as a Gaussian prior precision, and keeps snapshot-epoch
     weights as samples. swag folds snapshot epochs into running moments
     and the last ``swag_rank`` deviations from the updated mean; too few
     snapshot epochs raise ConfigError before the first. An ensemble is one
-    MAP run per ``member_seeds`` entry (default ``m_members`` derived
-    seeds), dropping members that diverge.
+    MAP run per member seed ``member_seed(seed, i)``, i < ``m_members``,
+    dropping members that diverge.
     """
     mode = schedule.mode
     if mode == "ensemble":
-        return _train_ensemble(model, data, schedule, seed, m_members,
-                               member_seeds, valid_eval)
+        return _train_ensemble(model, epoch_batches, n_examples, schedule,
+                               seed, m_members, valid_eval)
     n_snapshots = sum(is_snapshot_epoch(schedule, epoch)
                       for epoch in range(1, schedule.epochs + 1))
     if mode == "sgld" and not n_snapshots:
@@ -479,9 +467,8 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
     w = model.init_params(stream(seed, "init"))
 
     if mode == "bbb":
-        if noise_rng is None:
-            noise_rng = stream(seed, "bbb-noise")
-        w = np.concatenate([w, np.full(n, _softplus_inv(sigma_init))])
+        noise_rng = stream(seed, "bbb-noise")
+        w = np.concatenate([w, np.full(n, _softplus_inv(SIGMA_INIT))])
         n_draws = schedule.train_samples
 
         def objective(w: np.ndarray, batch) -> tuple[float, np.ndarray]:
@@ -496,7 +483,7 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
             loss = ad.div(total, float(n_draws))
             if kl_scale != 0.0:
                 kl = _kl_tensor(mu_t, sigma_t, prior_sigma)
-                loss = ad.add(loss, ad.mul(kl, kl_scale / data.n_examples))
+                loss = ad.add(loss, ad.mul(kl, kl_scale / n_examples))
             return loss.item(), ad.backward(tape, loss)["w"]
     else:
         dropout_rng = stream(seed, "dropout") if mode == "mcdo" else None
@@ -506,13 +493,12 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
                               rng=dropout_rng)
 
     if mode == "sgld":
-        state = PsgldState(v=np.zeros(n))
+        v = np.zeros(n)
         sgld_rng = stream(seed, "sgld-noise")
-        n_examples = float(data.n_examples)
 
         def update(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
             glp = -(n_examples * grad + schedule.weight_decay * w)
-            return psgld_step(state, w, glp, lr, sgld_rng)
+            return psgld_step(v, w, glp, lr, sgld_rng)
     else:
         opt = ad.OptimizerState(
             mode=schedule.optimizer, lr=schedule.lr,
@@ -528,7 +514,7 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
     for epoch in range(1, schedule.epochs + 1):
         lr = lr_at(schedule, epoch)
         losses = []
-        for batch in data.epoch_batches(shuffle_rng):
+        for batch in epoch_batches(shuffle_rng):
             loss, grad = objective(w, batch)
             if not np.isfinite(loss):
                 raise NumericError(f"training diverged (loss {loss}) at "
@@ -558,7 +544,7 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
             entry.update(valid_eval(mean if k else w[:n]))
         log.append(entry)
 
-    digest = getattr(model, "digest", "")
+    digest = model.digest
     meta = {"trained": mode, "seed": int(seed)}
     if mode == "bbb":
         rho = w[n:]
@@ -585,22 +571,22 @@ def train(model: FlatModel, data: TrainData, schedule: TrainSchedule,
                                    meta=meta), log
 
 
-def _train_ensemble(model: FlatModel, data: TrainData,
-                    schedule: TrainSchedule, seed: int, m_members: int,
-                    member_seeds: Optional[Sequence[int]],
+def _train_ensemble(model: FlatModel,
+                    epoch_batches: Callable[[np.random.Generator], Sequence],
+                    n_examples: int, schedule: TrainSchedule, seed: int,
+                    m_members: int,
                     valid_eval: Optional[Callable[[np.ndarray], dict]]
                     ) -> tuple[PosteriorRepresentation, list[dict]]:
     """Independent MAP runs differing only in derived member seeds."""
-    if member_seeds is None:
-        member_seeds = [member_seed(seed, i) for i in range(m_members)]
-    if len(member_seeds) < 2:
+    if m_members < 2:
         raise ConfigError("an ensemble needs at least 2 members")
     point_schedule = replace(schedule, mode="none")
     members, logs, failed = [], [], []
-    for i, s in enumerate(member_seeds):
+    for i in range(m_members):
+        s = member_seed(seed, i)
         try:
-            post, log = train(model, data, point_schedule, s,
-                              valid_eval=valid_eval)
+            post, log = train(model, epoch_batches, n_examples,
+                              point_schedule, s, valid_eval=valid_eval)
         except NumericError as e:
             failed.append({"member": i, "error": str(e)})
             continue
@@ -611,7 +597,7 @@ def _train_ensemble(model: FlatModel, data: TrainData,
             f"only {len(members)} ensemble members survived training; "
             f"failures: {failed}")
     post = PosteriorRepresentation(
-        mode="samples", digest=getattr(model, "digest", ""),
+        mode="samples", digest=model.digest,
         samples=np.stack(members),
         meta={"trained": "ensemble", "seed": int(seed), "failed": failed})
     return post, logs

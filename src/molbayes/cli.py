@@ -405,8 +405,6 @@ def _train_one_seed(payload: tuple) -> dict:
         return _batches([train_graphs[i] for i in order],
                         train_labels[order], cfg["batch_size"])
 
-    data = bayes.TrainData(epoch_batches=epoch_batches,
-                           n_examples=len(train_graphs))
     hook = None
     if manifest["valid"]:
         graphs, valid_labels = _featurized(ds, manifest["valid"])
@@ -423,7 +421,8 @@ def _train_one_seed(payload: tuple) -> dict:
             except (DataError, NumericError):   # a diverged pass: no auroc
                 return {}
 
-    post, log = bayes.train(model, data, schedule, seed, valid_eval=hook,
+    post, log = bayes.train(model, epoch_batches, len(train_graphs),
+                            schedule, seed, valid_eval=hook,
                             m_members=cfg["ensemble_members"],
                             kl_scale=cfg["kl_scale"],
                             prior_sigma=cfg["prior_sigma"])

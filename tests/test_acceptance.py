@@ -163,11 +163,11 @@ def test_criterion_3_sgld_standard_normal():
     rng = np.random.default_rng(29)
     n_chains, burn, keep, lr = 64, 20_000, 100_000, 1e-3
     theta = rng.standard_normal(n_chains)   # start at the target itself
-    state = bayes.PsgldState(v=np.zeros(n_chains))
+    v = np.zeros(n_chains)
     total = np.zeros(n_chains)
     total_sq = np.zeros(n_chains)
     for step in range(burn + keep):
-        theta = bayes.psgld_step(state, theta, -theta, lr, rng,
+        theta = bayes.psgld_step(v, theta, -theta, lr, rng,
                                  precondition=False, noise=True)
         if step >= burn:
             total += theta
@@ -232,13 +232,12 @@ class _GaussianMean:
 def test_criterion_5_bbb_conjugate_gaussian():
     rng = np.random.default_rng(3)
     y = rng.normal(1.5, 1.0, size=16)
-    data = bayes.TrainData(epoch_batches=lambda r: [y], n_examples=y.size)
     tau = 1.0 + y.size               # unit prior and unit noise
     mu_true = y.sum() / tau
     sigma_true = tau ** -0.5
     sched = bayes.TrainSchedule(mode="bbb", epochs=3000, optimizer="adam",
                                 lr=0.02, decay_points=(2000,))
-    post, _ = bayes.train(_GaussianMean(), data, sched, 7,
+    post, _ = bayes.train(_GaussianMean(), lambda r: [y], y.size, sched, 7,
                           kl_scale=1.0, prior_sigma=1.0)
     assert abs(post.mu[0] - mu_true) < BBB_REL_TOL * abs(mu_true)
     assert abs(post.bbb_sigma[0] - sigma_true) < BBB_REL_TOL * sigma_true

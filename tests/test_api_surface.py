@@ -31,9 +31,6 @@ CALLER_DIRS = ("src", "tools", "perfbench")
 ALLOWED = {"finite_diff_grad"}
 # (function, parameter) defaults that only the tests override
 UNPASSED = {
-    # tests freeze the training noise or pick the ensemble members
-    ("bayes.train", "noise_rng"), ("bayes.train", "member_seeds"),
-    ("bayes.train", "sigma_init"),
     # the identity-preconditioned, noiseless step is the reference the
     # stationarity and SGD tests compare against
     ("bayes.psgld_step", "precondition"), ("bayes.psgld_step", "noise"),

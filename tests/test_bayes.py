@@ -89,9 +89,9 @@ def toy_logistic():
 
 
 def full_batch_data(model):
+    """``train``'s epoch-batch callable and example count, one batch."""
     batch = (model.X, model.y)
-    return bayes.TrainData(epoch_batches=lambda rng: [batch],
-                           n_examples=len(model.X))
+    return lambda rng: [batch], len(model.X)
 
 
 class ZeroNoise:
@@ -216,7 +216,7 @@ def test_train_map_lr_zero_keeps_init():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="none", epochs=1, optimizer="adam",
                                 lr=0.0)
-    post, log = bayes.train(model, full_batch_data(model), sched, SEED)
+    post, log = bayes.train(model, *full_batch_data(model), sched, SEED)
     init = model.init_params(bayes.stream(SEED, "init"))
     assert post.mode == "point"
     assert np.array_equal(post.point, init)
@@ -229,10 +229,9 @@ def test_train_map_separable_molecules():
     batch = make_batch(graphs, np.array([[0.0], [1.0]]))
     model = GnnClassifier(ModelConfig(architecture="gcn", hidden_dim=8,
                                       graph_dim=8, n_layers=1, dropout=0.0))
-    data = bayes.TrainData(epoch_batches=lambda rng: [batch], n_examples=2)
     sched = bayes.TrainSchedule(mode="none", epochs=200, optimizer="adam",
                                 lr=0.01, weight_decay=0.0)
-    post, log = bayes.train(model, data, sched, SEED)
+    post, log = bayes.train(model, lambda rng: [batch], 2, sched, SEED)
     assert log[-1]["loss"] < 0.01
     probs = model.predict_proba(post.point, batch)
     assert probs[0, 0] < 0.5 < probs[1, 0]
@@ -242,8 +241,8 @@ def test_train_map_deterministic_and_logged():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="none", epochs=5, optimizer="adam",
                                 lr=1e-2)
-    post1, log1 = bayes.train(model, full_batch_data(model), sched, SEED)
-    post2, log2 = bayes.train(model, full_batch_data(model), sched, SEED)
+    post1, log1 = bayes.train(model, *full_batch_data(model), sched, SEED)
+    post2, log2 = bayes.train(model, *full_batch_data(model), sched, SEED)
     assert post1.point.tobytes() == post2.point.tobytes()
     assert log1 == log2
     assert [e["epoch"] for e in log1] == [1, 2, 3, 4, 5]
@@ -253,7 +252,7 @@ def test_train_map_valid_eval_hook():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="none", epochs=2, optimizer="sgd",
                                 lr=1e-2)
-    post, log = bayes.train(model, full_batch_data(model), sched, SEED,
+    post, log = bayes.train(model, *full_batch_data(model), sched, SEED,
                             valid_eval=lambda flat: {"valid_auroc": 1.0})
     assert all(e["valid_auroc"] == 1.0 for e in log)
 
@@ -266,14 +265,12 @@ def test_train_frees_each_step_tape(mode):
     batch = make_batch(graphs, np.array([[0.0], [1.0]]))
     model = GnnClassifier(ModelConfig(architecture="gcn", hidden_dim=8,
                                       graph_dim=8, n_layers=1, dropout=0.0))
-    data = bayes.TrainData(epoch_batches=lambda rng: [batch, batch],
-                           n_examples=4)
     sched = bayes.TrainSchedule(mode=mode, epochs=2, optimizer="adam",
                                 lr=1e-2, train_samples=2)
     gc.collect()
     gc.disable()
     try:
-        bayes.train(model, data, sched, SEED)
+        bayes.train(model, lambda rng: [batch, batch], 4, sched, SEED)
         alive = sum(isinstance(o, ad._Record) for o in gc.get_objects())
     finally:
         gc.enable()
@@ -319,7 +316,7 @@ def test_train_map_divergence_names_epoch():
     sched = bayes.TrainSchedule(mode="none", epochs=2, optimizer="adam",
                                 lr=1e-3)
     with pytest.raises(NumericError, match="epoch 1"):
-        bayes.train(model, full_batch_data(model.base), sched, SEED)
+        bayes.train(model, *full_batch_data(model.base), sched, SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +328,17 @@ def test_ensemble_rejects_single_member():
     sched = bayes.TrainSchedule(mode="ensemble", epochs=1, optimizer="adam",
                                 lr=1e-3)
     with pytest.raises(ConfigError):
-        bayes.train(model, full_batch_data(model), sched, SEED,
+        bayes.train(model, *full_batch_data(model), sched, SEED,
                     m_members=1)
-    with pytest.raises(ConfigError):
-        bayes.train(model, full_batch_data(model), sched, SEED,
-                    member_seeds=[7])
 
 
-def test_ensemble_identical_seeds_identical_members():
+def test_ensemble_identical_seeds_identical_members(monkeypatch):
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="ensemble", epochs=3, optimizer="adam",
                                 lr=1e-2)
-    post, _ = bayes.train(model, full_batch_data(model), sched,
-                          SEED, member_seeds=[7, 7])
+    monkeypatch.setattr(bayes, "member_seed", lambda seed, index: 7)
+    post, _ = bayes.train(model, *full_batch_data(model), sched,
+                          SEED, m_members=2)
     assert post.mode == "samples"
     assert np.array_equal(post.samples[0], post.samples[1])
 
@@ -352,7 +347,7 @@ def test_ensemble_distinct_seeds_distinct_members():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="ensemble", epochs=3, optimizer="adam",
                                 lr=1e-2)
-    post, logs = bayes.train(model, full_batch_data(model), sched,
+    post, logs = bayes.train(model, *full_batch_data(model), sched,
                              SEED, m_members=3)
     assert post.samples.shape == (3, model.n_params)
     assert not np.array_equal(post.samples[0], post.samples[1])
@@ -360,20 +355,21 @@ def test_ensemble_distinct_seeds_distinct_members():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_ensemble_excludes_diverging_member():
+def test_ensemble_excludes_diverging_member(monkeypatch):
     base = toy_logistic()
     model = RiggedInit(base, bad_calls={1})
     sched = bayes.TrainSchedule(mode="ensemble", epochs=2, optimizer="adam",
                                 lr=1e-3)
-    post, _ = bayes.train(model, full_batch_data(base), sched, SEED,
-                          member_seeds=[1, 2, 3])
+    monkeypatch.setattr(bayes, "member_seed", lambda seed, index: index + 1)
+    post, _ = bayes.train(model, *full_batch_data(base), sched, SEED,
+                          m_members=3)
     assert post.samples.shape[0] == 2
     assert post.meta["failed"][0]["member"] == 1
 
     model = RiggedInit(base, bad_calls={0, 2})
     with pytest.raises(NumericError, match="1 ensemble members"):
-        bayes.train(model, full_batch_data(base), sched, SEED,
-                    member_seeds=[1, 2, 3])
+        bayes.train(model, *full_batch_data(base), sched, SEED,
+                    m_members=3)
 
 
 # ---------------------------------------------------------------------------
@@ -480,18 +476,20 @@ def test_kl_matches_closed_form():
     assert abs(double - 2.0 * got) < 1e-12
 
 
-def test_bbb_frozen_noise_reduces_to_map():
+def test_bbb_frozen_noise_reduces_to_map(monkeypatch):
     # one draw keeps the reduction bit-exact (n identical draws averaged
     # would round in the last ulp)
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="bbb", epochs=4, optimizer="adam",
                                 lr=1e-2, weight_decay=0.0, train_samples=1)
-    map_post, map_log = bayes.train(model, full_batch_data(model),
+    map_post, map_log = bayes.train(model, *full_batch_data(model),
                                     dataclasses.replace(sched, mode="none"),
                                     SEED)
-    bbb_post, bbb_log = bayes.train(model, full_batch_data(model), sched,
-                                    SEED, kl_scale=0.0,
-                                    noise_rng=ZeroNoise())
+    keyed = bayes.stream
+    monkeypatch.setattr(bayes, "stream", lambda seed, purpose, *key: (
+        ZeroNoise() if purpose == "bbb-noise" else keyed(seed, purpose, *key)))
+    bbb_post, bbb_log = bayes.train(model, *full_batch_data(model), sched,
+                                    SEED, kl_scale=0.0)
     assert np.array_equal(bbb_post.mu, map_post.point)
     assert [e["loss"] for e in bbb_log] == [e["loss"] for e in map_log]
     # sigma sees zero gradient when z is frozen at 0
@@ -503,7 +501,7 @@ def test_bbb_initial_kl_matches_closed_form():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="bbb", epochs=1, optimizer="adam",
                                 lr=0.0)
-    post, _ = bayes.train(model, full_batch_data(model), sched, SEED)
+    post, _ = bayes.train(model, *full_batch_data(model), sched, SEED)
     sigma = post.bbb_sigma
     assert np.allclose(sigma, 0.05, atol=1e-12)
     got = kl(post.mu, sigma)
@@ -512,13 +510,13 @@ def test_bbb_initial_kl_matches_closed_form():
     assert abs(got - want) < 1e-12
 
 
-def test_bbb_sigma_collapse_clamped_and_reported():
+def test_bbb_sigma_collapse_clamped_and_reported(monkeypatch):
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="bbb", epochs=1, optimizer="adam",
                                 lr=0.0)
+    monkeypatch.setattr(bayes, "SIGMA_INIT", 1e-9)
     with pytest.warns(UserWarning, match="clamped"):
-        post, _ = bayes.train(model, full_batch_data(model), sched, SEED,
-                              sigma_init=1e-9)
+        post, _ = bayes.train(model, *full_batch_data(model), sched, SEED)
     assert post.meta["n_sigma_clamped"] == model.n_params
     assert np.all(post.bbb_sigma >= bayes.SIGMA_FLOOR)
 
@@ -526,13 +524,12 @@ def test_bbb_sigma_collapse_clamped_and_reported():
 def test_bbb_conjugate_gaussian_posterior():
     rng = np.random.default_rng(3)
     y = rng.normal(1.5, 1.0, size=16)
-    data = bayes.TrainData(epoch_batches=lambda r: [y], n_examples=y.size)
     tau = 1.0 + y.size  # posterior precision, unit prior and noise
     mu_true = y.sum() / tau
     sigma_true = tau ** -0.5
     sched = bayes.TrainSchedule(mode="bbb", epochs=3000, optimizer="adam",
                                 lr=0.02, decay_points=(2000,))
-    post, _ = bayes.train(GaussianMean(), data, sched, SEED,
+    post, _ = bayes.train(GaussianMean(), lambda r: [y], y.size, sched, SEED,
                           kl_scale=1.0, prior_sigma=1.0)
     assert abs(post.mu[0] - mu_true) < 0.1 * abs(mu_true)
     assert abs(post.bbb_sigma[0] - sigma_true) < 0.1 * sigma_true
@@ -545,8 +542,8 @@ def test_bbb_conjugate_gaussian_posterior():
 def test_psgld_zero_gradient_no_noise_is_identity():
     w = np.array([1.0, -2.0])
     for precondition in (True, False):
-        state = bayes.PsgldState(v=np.zeros(2))
-        out = bayes.psgld_step(state, w, np.zeros(2), 1e-2,
+        v = np.zeros(2)
+        out = bayes.psgld_step(v, w, np.zeros(2), 1e-2,
                                np.random.default_rng(0),
                                precondition=precondition, noise=False)
         assert np.array_equal(out, w)
@@ -554,8 +551,8 @@ def test_psgld_zero_gradient_no_noise_is_identity():
 
 def test_psgld_noise_variance_matches_rate():
     n = 200_000
-    state = bayes.PsgldState(v=np.zeros(n))
-    out = bayes.psgld_step(state, np.zeros(n), np.zeros(n), 0.04,
+    v = np.zeros(n)
+    out = bayes.psgld_step(v, np.zeros(n), np.zeros(n), 0.04,
                            np.random.default_rng(1), precondition=False)
     assert abs(out.var() - 0.04) < 0.002
     assert abs(out.mean()) < 3 * np.sqrt(0.04 / n)
@@ -567,8 +564,8 @@ def test_psgld_without_noise_is_sgd_on_neg_log_post():
         w = rng.standard_normal(6)
         g = rng.standard_normal(6)
         lr = float(rng.uniform(1e-4, 1e-1))
-        state = bayes.PsgldState(v=np.zeros(6))
-        stepped = bayes.psgld_step(state, w, g, lr,
+        v = np.zeros(6)
+        stepped = bayes.psgld_step(v, w, g, lr,
                                    np.random.default_rng(0),
                                    precondition=False, noise=False)
         opt = ad.OptimizerState(mode="sgd", lr=lr / 2.0)
@@ -577,9 +574,9 @@ def test_psgld_without_noise_is_sgd_on_neg_log_post():
 
 
 def test_psgld_shape_mismatch_rejected():
-    state = bayes.PsgldState(v=np.zeros(2))
+    v = np.zeros(2)
     with pytest.raises(ad.ShapeError):
-        bayes.psgld_step(state, np.zeros(3), np.zeros(2), 1e-3,
+        bayes.psgld_step(v, np.zeros(3), np.zeros(2), 1e-3,
                          np.random.default_rng(0))
 
 
@@ -588,10 +585,10 @@ def test_psgld_stationary_standard_normal():
     chains = 64
     rng = np.random.default_rng(12)
     w = np.zeros(chains)
-    state = bayes.PsgldState(v=np.zeros(chains))
+    v = np.zeros(chains)
     kept = []
     for step in range(100_000):
-        w = bayes.psgld_step(state, w, -w, 1e-3, rng, precondition=False)
+        w = bayes.psgld_step(v, w, -w, 1e-3, rng, precondition=False)
         if step >= 20_000:
             kept.append(w.copy())
     pooled = np.concatenate(kept)
@@ -603,9 +600,9 @@ def test_train_sgld_sample_count_and_determinism():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="sgld", epochs=8, optimizer="sgd",
                                 lr=1e-4, burn_in=4, cadence=2)
-    post1, log1 = bayes.train(model, full_batch_data(model), sched,
+    post1, log1 = bayes.train(model, *full_batch_data(model), sched,
                               SEED)
-    post2, _ = bayes.train(model, full_batch_data(model), sched, SEED)
+    post2, _ = bayes.train(model, *full_batch_data(model), sched, SEED)
     assert post1.mode == "samples"
     assert post1.samples.shape == (2, model.n_params)
     assert post1.samples.tobytes() == post2.samples.tobytes()
@@ -616,7 +613,7 @@ def test_train_sgld_zero_lr_marginalizes_to_point():
     model = toy_logistic()
     sched = bayes.TrainSchedule(mode="sgld", epochs=4, optimizer="sgd",
                                 lr=0.0, burn_in=2, cadence=1)
-    post, _ = bayes.train(model, full_batch_data(model), sched, SEED)
+    post, _ = bayes.train(model, *full_batch_data(model), sched, SEED)
     init = model.init_params(bayes.stream(SEED, "init"))
     assert np.array_equal(post.samples[0], init)
     assert np.array_equal(post.samples[1], init)
@@ -633,7 +630,7 @@ def test_train_sgld_needs_sampling_phase():
     sched = bayes.TrainSchedule(mode="sgld", epochs=3, optimizer="sgd",
                                 lr=1e-4, burn_in=2, cadence=5)
     with pytest.raises(ConfigError):
-        bayes.train(model, full_batch_data(model), sched, SEED)
+        bayes.train(model, *full_batch_data(model), sched, SEED)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +672,7 @@ def swag_schedule(epochs, cyclic_from, cadence=2, lr=1e-3):
 def test_train_swag_moments_match_hand_average():
     model = toy_logistic()
     sched = swag_schedule(8, 4)
-    post, log = bayes.train(model, full_batch_data(model), sched, SEED)
+    post, log = bayes.train(model, *full_batch_data(model), sched, SEED)
     assert post.mode == "swag"
     assert post.swag_dev.shape == (model.n_params, 2)
     assert post.meta["n_snapshots"] == 2
@@ -685,9 +682,10 @@ def test_train_swag_moments_match_hand_average():
     flat = model.init_params(bayes.stream(SEED, "init"))
     shuffle = bayes.stream(SEED, "shuffle")
     opt = ad.OptimizerState(mode="sgd", lr=0.0, weight_decay=1e-4)
+    epoch_batches, _ = full_batch_data(model)
     for epoch in range(1, 9):
         opt.lr = bayes.lr_at(sched, epoch)
-        for batch in full_batch_data(model).epoch_batches(shuffle):
+        for batch in epoch_batches(shuffle):
             tape = ad.Tape()
             theta = tape.parameter("theta", flat)
             loss = model.nll(tape, theta, batch)
@@ -704,14 +702,14 @@ def test_train_swag_rejects_single_snapshot():
     model = toy_logistic()
     sched = swag_schedule(6, 4)  # only epoch 6 qualifies
     with pytest.raises(ConfigError, match="took 1"):
-        bayes.train(model, full_batch_data(model), sched, SEED)
+        bayes.train(model, *full_batch_data(model), sched, SEED)
 
 
 def test_train_swa_swag_needs_snapshots():
     model = toy_logistic()
     sched = swag_schedule(4, 4)
     with pytest.raises(ConfigError, match="took 0"):
-        bayes.train(model, full_batch_data(model), sched, SEED)
+        bayes.train(model, *full_batch_data(model), sched, SEED)
     # swa is a view of the swag posterior; no schedule trains it
     for mode in ("swa", "other"):
         with pytest.raises(ConfigError):
@@ -736,7 +734,7 @@ def test_short_schedule_fails_before_the_first_epoch(sched, match):
     base = toy_logistic()
     model = NeverTrained(base.X, base.y)
     with pytest.raises(ConfigError, match=match):
-        bayes.train(model, full_batch_data(base), sched, SEED)
+        bayes.train(model, *full_batch_data(base), sched, SEED)
 
 
 def hand_swag(snapshots, rank=20):

@@ -537,10 +537,12 @@ def test_train_reports_each_seed_when_one_fails(synthetic_csv, tmp_path,
                                                  monkeypatch, capsys):
     train = bayes.train
 
-    def failing_for_seed_1(model, data, schedule, seed, **kwargs):
+    def failing_for_seed_1(model, epoch_batches, n_examples, schedule, seed,
+                           **kwargs):
         if seed == 1:
             raise NumericError("training diverged (loss nan) at epoch 1")
-        return train(model, data, schedule, seed, **kwargs)
+        return train(model, epoch_batches, n_examples, schedule, seed,
+                     **kwargs)
 
     monkeypatch.setattr(bayes, "train", failing_for_seed_1)
     rc = cli.main(["train", *_args(synthetic_csv, tmp_path),
