@@ -8,9 +8,11 @@ Gaussian over weights trained by reparameterized draws), "sgld"
 not trained: it predicts at that average, the swag mean (`VIEWS`).
 `train` is the one entry point for all of them: a single epoch loop
 whose per-batch step and end-of-epoch snapshot depend on the schedule's
-mode. Every mode ends in a PosteriorRepresentation. `predictive` is
-the one prediction path: it turns one, read under a trained mode or a
-view, into mean probabilities p plus the uncertainty u = sqrt(p(1-p)).
+mode. Every mode ends in a PosteriorRepresentation of the kind that
+`POSTERIOR_KINDS` names for it (point, samples, bbb or swag); bbb starts
+every weight's scale at `SIGMA_INIT`. `predictive` is the one
+prediction path: it turns one, read under a trained mode or a view,
+into mean probabilities p plus the uncertainty u = sqrt(p(1-p)).
 That is the Bernoulli standard deviation at the mean, the same for
 every posterior with that mean, not a spread across draws (ROADMAP
 item 13 replaces it). An mcdo point is marginalized as a sample set of
@@ -43,7 +45,10 @@ from . import artifacts
 from . import autodiff as ad
 from .errors import ConfigError, DataError, NumericError
 
-TRAINED_MODES = ("none", "ensemble", "mcdo", "bbb", "sgld", "swag")
+# each trained mode and the kind of posterior it writes (a _LAYOUT key)
+POSTERIOR_KINDS = {"none": "point", "ensemble": "samples", "mcdo": "point",
+                   "bbb": "bbb", "sgld": "samples", "swag": "swag"}
+TRAINED_MODES = tuple(POSTERIOR_KINDS)
 # modes read from a trained mode's posterior: name -> (that mode, the
 # array predicted at as a point); SWA's average is SWAG's mean
 VIEWS = {"swa": ("swag", "swag_mean")}
@@ -449,7 +454,8 @@ def train(model: FlatModel,
     and the last ``swag_rank`` deviations from the updated mean; too few
     snapshot epochs raise ConfigError before the first. An ensemble is one
     MAP run per member seed ``member_seed(seed, i)``, i < ``m_members``,
-    dropping members that diverge.
+    dropping members that diverge. The posterior is of the kind
+    ``POSTERIOR_KINDS[schedule.mode]``.
     """
     mode = schedule.mode
     if mode == "ensemble":
@@ -623,7 +629,8 @@ def predictive(model, post: PosteriorRepresentation, mode: str,
                workers: int = 1) -> PredictiveDistribution:
     """``mode``'s predictive distribution over ``batches``, rows in batch
     order; ``model`` exposes ``predict_proba(flat, batch, train=,
-    dropout_rng=)``.
+    dropout_rng=)``, and ``post`` is of the kind ``POSTERIOR_KINDS``
+    names for ``trained_mode(mode)``, as the cli checks of each artifact.
 
     A view predicts at its array of ``post`` as a point. mcdo queries its
     point ``draw_count(mode, n_samples)`` times, pass k running batch i
@@ -637,8 +644,6 @@ def predictive(model, post: PosteriorRepresentation, mode: str,
                                        point=getattr(post, VIEWS[mode][1]))
     n_draws = draw_count(mode, n_samples)
     if mode == "mcdo":
-        if post.mode != "point":
-            raise ConfigError("mc-dropout evaluation needs a point artifact")
         # n_draws copies of the point (a view, no copy), each under new masks
         post = PosteriorRepresentation(
             mode="samples", digest=post.digest,

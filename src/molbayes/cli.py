@@ -10,8 +10,10 @@ Every prediction, train's per-epoch validation included, goes through
 Configuration is one JSON document over DEFAULT_CONFIG, overridable on
 the command line with --set dotted.path=value. Every run's resolved
 config gets a digest that is embedded in all outputs; eval refuses to
-mix artifacts carrying a different digest. Exit codes: 2 for config
-problems, 3 for data problems, 4 for numeric failures.
+mix artifacts carrying a different digest. A manifest or artifact found
+under a seed's name must record that seed, and an artifact must be of
+the posterior kind its mode writes. Exit codes: 2 for config problems,
+3 for data problems, 4 for numeric failures.
 """
 
 from __future__ import annotations
@@ -254,11 +256,18 @@ _SUMMARY = {"sizes": [0], "quotas": [0], "n_scaffolds": 0, "overrun": 0,
             "warnings": [""]}
 
 
+def _check_seed(stored, seed: int, what: str) -> None:
+    """Refuse ``what``, stored under some seed's name, unless the seed it
+    records is that seed."""
+    if not _fits(seed, stored) or stored != seed:
+        raise DataError(f"{what} records seed {stored!r}, not {seed}")
+
+
 def _ensure_manifest(cfg: dict, ds: LabeledDataset, seed: int) -> dict:
     """Load the seed's manifest, or create and persist it. A stored one
-    must be an object whose train, valid and test are lists of indices
-    into ``ds``, no index listed twice in or across them, and whose
-    summary is an object with the ``_SUMMARY`` fields."""
+    must be an object that records ``seed``, whose train, valid and test
+    are lists of indices into ``ds``, no index listed twice in or across
+    them, and whose summary is an object with the ``_SUMMARY`` fields."""
     path = _manifest_path(cfg, seed)
     sd = split_digest(cfg)
     if os.path.isfile(path):
@@ -274,6 +283,7 @@ def _ensure_manifest(cfg: dict, ds: LabeledDataset, seed: int) -> dict:
                 f"manifest {path} was made under a different dataset/split "
                 f"config (digest {manifest.get('split_digest')} != {sd}); "
                 f"remove it or use a fresh out_dir")
+        _check_seed(manifest.get("seed"), seed, f"manifest {path}")
         seen: set[int] = set()
         for part in ("train", "valid", "test"):
             idx = manifest.get(part)
@@ -352,7 +362,11 @@ def _schedule_for(cfg: dict) -> bayes.TrainSchedule:
 
 
 def _check_artifact(cfg: dict, model: GnnClassifier,
-                    post: bayes.PosteriorRepresentation, path: str) -> None:
+                    post: bayes.PosteriorRepresentation, path: str,
+                    seed: Optional[int]) -> None:
+    """Refuse an artifact made under another config or model, of a kind
+    the mode does not write, or of a seed other than ``seed`` (None: any
+    seed)."""
     digest = config_digest(dict(cfg, mode=bayes.trained_mode(cfg["mode"])))
     stored = post.meta.get("config_digest", "")
     if stored != digest:
@@ -366,6 +380,12 @@ def _check_artifact(cfg: dict, model: GnnClassifier,
     if post.n_params != model.n_params:
         raise DataError(f"artifact {path} holds {post.n_params} weights per "
                         f"draw; the model has {model.n_params}")
+    kind = bayes.POSTERIOR_KINDS[bayes.trained_mode(cfg["mode"])]
+    if post.mode != kind:
+        raise DataError(f"artifact {path} holds a {post.mode} posterior; "
+                        f"mode {cfg['mode']} reads a {kind} one")
+    if seed is not None:
+        _check_seed(post.meta.get("seed"), seed, f"artifact {path}")
 
 
 def _posterior_path(cfg: dict, seed: int) -> str:
@@ -515,7 +535,7 @@ def _eval_one_seed(cfg: dict, ds: LabeledDataset, model: GnnClassifier,
     if not os.path.isfile(path):
         return None
     post = bayes.load_posterior(path)
-    _check_artifact(cfg, model, post, path)
+    _check_artifact(cfg, model, post, path, seed)
     manifest = _ensure_manifest(cfg, ds, seed)
     test_idx = manifest["test"] or manifest["valid"]
     if not test_idx:
@@ -593,7 +613,9 @@ def cmd_screen(cfg: dict, args: argparse.Namespace) -> int:
     post = bayes.load_posterior(path)
     n_tasks = post.meta.get("n_tasks", 1)    # checked by load_posterior
     model = _model_for(cfg, n_tasks)
-    _check_artifact(cfg, model, post, path)
+    # --posterior may name any seed's artifact
+    _check_artifact(cfg, model, post, path,
+                    None if args.posterior else seed)
     unlabeled = np.full((len(molecules), n_tasks), np.nan)
     pred = bayes.predictive(model, post, cfg["mode"],
                             _batches(featurize(molecules), unlabeled,

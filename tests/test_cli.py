@@ -25,9 +25,14 @@ N_ROWS = len(synthetic_rows())
 
 def _args(csv, out, *extra):
     # tiny model and explicit column mapping shared by every command
-    return ["--set", f"dataset.path={csv}",
-            "--set", "dataset.smiles_column=smiles",
+    return ["--set", "dataset.smiles_column=smiles",
             "--set", 'dataset.label_columns=["activity"]',
+            *_tiny(csv, out, *extra)]
+
+
+def _tiny(csv, out, *extra):
+    # the tiny model, over the columns the dataset's name selects
+    return ["--set", f"dataset.path={csv}",
             "--set", "model.hidden_dim=8",
             "--set", "model.graph_dim=8",
             "--set", "model.n_layers=1",
@@ -654,8 +659,40 @@ def test_ensemble_member_artifacts_and_index(synthetic_csv, tmp_path):
 def trained_point_dir(synthetic_csv, tmp_path_factory):
     out = tmp_path_factory.mktemp("point")
     assert _train_eval(synthetic_csv, out, "none", "0",
-                       "--set", "schedule.epochs=1") == 0
+                       *TRAINED["none"]) == 0
     return out
+
+
+# mode -> the config its seed-0 artifact is trained under, past _args
+TRAINED = {
+    "none": ("--set", "schedule.epochs=1"),
+    "ensemble": ("--set", "schedule.epochs=1", "--set", "ensemble_members=3"),
+    "mcdo": ("--set", "model.dropout=0.2", "--set", "schedule.epochs=1"),
+    "swag": ("--set", "schedule.epochs=6", "--set", "schedule.lr=0.01",
+             "--set", "schedule.cyclic_from=2", "--set", "schedule.cadence=2"),
+}
+
+
+@pytest.fixture(scope="module")
+def trained_dir(synthetic_csv, trained_point_dir, tmp_path_factory):
+    """mode -> a directory holding the mode's ``TRAINED`` artifact, made
+    on first use."""
+    dirs = {"none": trained_point_dir}
+
+    def get(mode):
+        if mode not in dirs:
+            dirs[mode] = tmp_path_factory.mktemp(mode)
+            assert _train_eval(synthetic_csv, dirs[mode], mode, "0",
+                               *TRAINED[mode]) == 0
+        return dirs[mode]
+    return get
+
+
+def _tail(csv, out, trained, mode, seeds="0"):
+    """Arguments that read ``trained``'s ``TRAINED`` config under ``mode``
+    for ``seeds``."""
+    return [*_args(csv, out, *TRAINED[trained]), "--mode", mode,
+            "--arch", "gcn", "--seeds", seeds]
 
 
 def _with_n_tasks(value):
@@ -719,23 +756,47 @@ MALFORMED_BODIES = {"short_point": lambda body: body[:-8],
                     "swag_rank_below_columns": lambda body: body * 4}
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS))
-def test_malformed_posterior_exits_3(synthetic_csv, trained_point_dir,
-                                     tmp_path, case):
-    shutil.copytree(trained_point_dir, tmp_path, dirs_exist_ok=True)
-    path = tmp_path / "none_seed0.post"
-    raw = path.read_bytes()
-    off = len(artifacts.MAGIC)
-    end = off + 8 + int.from_bytes(raw[off:off + 8], "little")
-    header = json.dumps(MALFORMED_HEADERS[case](
-        json.loads(raw[off + 8:end]))).encode()
-    body = MALFORMED_BODIES.get(case, lambda b: b)(raw[end:])
-    path.write_bytes(raw[:off] + len(header).to_bytes(8, "little")
-                     + header + body)
+def _as_point(post):
+    return bayes.PosteriorRepresentation(
+        mode="point", digest=post.digest, point=post.swag_mean,
+        meta=post.meta)
+
+
+def _as_one_sample(post):
+    return bayes.PosteriorRepresentation(
+        mode="samples", digest=post.digest, samples=post.point[None],
+        meta=post.meta)
+
+
+# well-formed artifacts of a kind their mode does not write, header meta
+# kept: case -> (mode trained, mode read under, rewrite)
+WRONG_KINDS = {"swag_as_point": ("swag", "swag", _as_point),
+               "mcdo_as_samples": ("mcdo", "mcdo", _as_one_sample),
+               "swag_as_point_under_swa": ("swag", "swa", _as_point)}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_HEADERS)
+                         + sorted(WRONG_KINDS))
+def test_malformed_posterior_exits_3(synthetic_csv, trained_dir, tmp_path,
+                                     case):
+    trained, mode, rewrite = WRONG_KINDS.get(case, ("none", "none", None))
+    shutil.copytree(trained_dir(trained), tmp_path, dirs_exist_ok=True)
+    path = tmp_path / f"{trained}_seed0.post"
+    if rewrite is not None:
+        bayes.save_posterior(str(path),
+                             rewrite(bayes.load_posterior(str(path))))
+    else:
+        raw = path.read_bytes()
+        off = len(artifacts.MAGIC)
+        end = off + 8 + int.from_bytes(raw[off:off + 8], "little")
+        header = json.dumps(MALFORMED_HEADERS[case](
+            json.loads(raw[off + 8:end]))).encode()
+        body = MALFORMED_BODIES.get(case, lambda b: b)(raw[end:])
+        path.write_bytes(raw[:off] + len(header).to_bytes(8, "little")
+                         + header + body)
     library = tmp_path / "library.smi"
     library.write_text("CCO\n")
-    tail = [*_args(synthetic_csv, tmp_path, "--set", "schedule.epochs=1"),
-            "--mode", "none", "--arch", "gcn", "--seeds", "0"]
+    tail = _tail(synthetic_csv, tmp_path, trained, mode)
     assert cli.main(["eval", *tail]) == 3
     assert cli.main(["screen", *tail, "--library", str(library)]) == 3
 
@@ -816,6 +877,29 @@ def test_config_file_plus_set_override(synthetic_csv, tmp_path):
     assert post.point.size == small.n_params
 
 
+@pytest.mark.parametrize("header, name, rc", [
+    ("mol,Class", None, 0),           # the default name, bace
+    ("smiles,p_np", "bbbp", 0),
+    ("smiles,activity", "qm9", 2),
+], ids=["bace", "bbbp", "unknown"])
+def test_dataset_name_selects_its_columns(tmp_path, capsys, header, name,
+                                          rc):
+    csv = tmp_path / "named.csv"
+    csv.write_text("".join(f"{row}\n" for row in [header, *(
+        f"{smi},{label}" for smi, label in synthetic_rows())]))
+    extra = () if name is None else ("--set", f"dataset.name={name}")
+    base = _tiny(csv, tmp_path, *extra, "--set", "schedule.epochs=1",
+                 "--arch", "gcn", "--seeds", "0")
+    assert cli.main(["split", *base]) == rc
+    assert cli.main(["train", *base]) == rc
+    out, err = capsys.readouterr()
+    if rc:
+        assert f"known: {sorted(chem.DATASET_COLUMNS)}" in err
+    else:
+        assert f"loaded {N_ROWS} molecules" in out
+    assert (tmp_path / "none_seed0.post").is_file() == (rc == 0)
+
+
 CORRUPT_MANIFESTS = {
     "not_json": lambda m: "{",
     "json_list": lambda m: json.dumps([m]),
@@ -860,6 +944,31 @@ def test_manifest_digest_guard(synthetic_csv, tmp_path):
     rc = cli.main(["split", *base, "--seeds", "0",
                    "--set", "split.ratios=[0.6,0.2,0.2]"])
     assert rc == 2
+
+
+def test_manifest_of_another_seed_exits_3(synthetic_csv, tmp_path):
+    base = _args(synthetic_csv, tmp_path, "--set", "schedule.epochs=1",
+                 "--arch", "gcn")
+    assert cli.main(["split", *base, "--seeds", "0"]) == 0
+    shutil.copy(tmp_path / "split_seed0.json", tmp_path / "split_seed1.json")
+    assert cli.main(["split", *base, "--seeds", "1"]) == 3
+    assert cli.main(["train", *base, "--seeds", "1"]) == 3
+    assert not (tmp_path / "none_seed1.post").exists()
+
+
+def test_artifact_of_another_seed_exits_3(synthetic_csv, trained_dir,
+                                          tmp_path):
+    # seed 0's artifact under seed 1's name would count one seed twice
+    shutil.copytree(trained_dir("none"), tmp_path, dirs_exist_ok=True)
+    shutil.copy(tmp_path / "none_seed0.post", tmp_path / "none_seed1.post")
+    tail = _tail(synthetic_csv, tmp_path, "none", "none", seeds="1")
+    library = tmp_path / "library.smi"
+    library.write_text("CCO\n")
+    assert cli.main(["eval", *tail]) == 3
+    assert cli.main(["screen", *tail, "--library", str(library)]) == 3
+    # --posterior may name any seed's artifact
+    assert cli.main(["screen", *tail, "--library", str(library),
+                     "--posterior", str(tmp_path / "none_seed0.post")]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -913,22 +1022,22 @@ def test_screen_training_set_with_converged_model(synthetic_csv, tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_screen_nan_weight_exits_4(synthetic_csv, trained_point_dir,
-                                   tmp_path, workers):
-    # three draws, the second with a NaN weight: the pool must surface
-    # the non-finite mean as the serial loop does
-    point = bayes.load_posterior(str(trained_point_dir / "none_seed0.post"))
-    samples = np.stack([point.point] * 3)
+def test_screen_nan_weight_exits_4(synthetic_csv, trained_dir, tmp_path,
+                                   workers):
+    # three ensemble members, the second with a NaN weight: the pool must
+    # surface the non-finite mean as the serial loop does
+    post = bayes.load_posterior(
+        str(trained_dir("ensemble") / "ensemble_seed0.post"))
+    samples = post.samples.copy()
     samples[1, 0] = np.nan
     path = tmp_path / "nan.post"
     bayes.save_posterior(str(path), bayes.PosteriorRepresentation(
-        mode="samples", digest=point.digest, samples=samples,
-        meta=point.meta))
+        mode="samples", digest=post.digest, samples=samples,
+        meta=post.meta))
     library = tmp_path / "library.smi"
     library.write_text("CCO\nc1ccccc1O\n")
-    rc = cli.main(["screen", *_args(synthetic_csv, tmp_path,
-                                    "--set", "schedule.epochs=1"),
-                   "--mode", "none", "--arch", "gcn", "--seeds", "0",
+    rc = cli.main(["screen",
+                   *_tail(synthetic_csv, tmp_path, "ensemble", "ensemble"),
                    "--posterior", str(path), "--library", str(library),
                    "--set", f"workers={workers}"])
     assert rc == 4
