@@ -2,11 +2,14 @@
 
 The parser covers the organic subset, bracket atoms, ring closures,
 branches and dot-separated fragments. Stereo markers are accepted and
-discarded; hydrogens stay implicit. Scaffolds are computed by pruning
-non-ring side chains and serialized through a canonical writer so that
-isomorphic scaffolds share one key string. The writer's search over
-tie-broken DFS trees is one loop over a worklist, so no graph is too
-deep for it.
+discarded, and hydrogens are never graph nodes. A bracket atom's
+hydrogen count is parsed into `Atom.h_count`, but neither `featurize`
+nor `murcko_scaffold` reads it, so `Cc1cc[nH]c1` and `Cc1ccnc1` get
+equal features and both the scaffold key `c1ccnc1`. Scaffolds are
+computed by pruning non-ring side chains and serialized through a
+canonical writer so that isomorphic scaffolds share one key string.
+The writer's search over tie-broken DFS trees is one loop over a
+worklist, so no graph is too deep for it.
 """
 
 from __future__ import annotations
